@@ -69,19 +69,23 @@ def print_header(title: str) -> None:
 def persist_results(name: str, payload: dict) -> Path:
     """Write the measured numbers of one benchmark to ``BENCH_<name>.json``.
 
-    The perf trajectory across PRs lives in these files: each benchmark
+    The perf trajectory across changes lives in these files: each benchmark
     records its measured ratios (never just the pass/fail verdict) together
     with the host core count, the benchmark scale, and a timestamp, so a
     later change can be compared against the committed history instead of a
     fresh run on different hardware.
 
     * Output directory: ``REPRO_BENCH_RESULTS_DIR`` (default: the
-      ``benchmarks/`` directory itself, where the files are committed).
+      gitignored ``.bench_out/`` at the repository root, so a plain test
+      run leaves the working tree clean).  Refresh the committed
+      trajectory in ``benchmarks/`` explicitly with
+      ``REPRO_BENCH_RESULTS_DIR=benchmarks``.
     * Timestamp: ``REPRO_BENCH_TIMESTAMP`` when set (so a committed rerun
       can be pinned/reproducible), else the current UNIX time.
     """
     directory = Path(
-        os.environ.get("REPRO_BENCH_RESULTS_DIR", Path(__file__).parent)
+        os.environ.get("REPRO_BENCH_RESULTS_DIR",
+                       Path(__file__).parent.parent / ".bench_out")
     )
     directory.mkdir(parents=True, exist_ok=True)
     timestamp = os.environ.get("REPRO_BENCH_TIMESTAMP")

@@ -14,13 +14,6 @@ the unified client layer:
 3. ``cluster:DIR?workers=N`` — a sharded multi-process
    :class:`~repro.serve.PlanCluster`.
 
-A fourth leg re-serves the same plans through the **integer execution
-path** (``local:DIR?precision=int8``): weights are lowered to int8 with
-per-channel scales at plan-pin time, activations quantise per batch, and
-on grid-aligned inputs the cache-blocked integer kernels produce the same
-argmax as the float64 path bit-for-bit (logits within 1e-6; the service
-stats prove the integer kernels actually ran).
-
 The script only ever touches :func:`repro.api.connect`, the typed
 request/response dataclasses, and the :class:`~repro.api.client.Client`
 protocol — the backend is one connect-target string.  At the end the
@@ -180,28 +173,6 @@ def main() -> None:
             client.backend.wait_ready()
             results["cluster"] = run_client_script(client, test_set, args.sigma)
 
-    # Backend 4: the same plans through the integer execution path.
-    target = f"local:{plan_dir}?precision=int8"
-    print(f"\n[int8] connect({target!r})")
-    with connect(target) as client:
-        # Snap the images onto a dyadic grid (k / 16): such activations
-        # quantise losslessly (these images span roughly ±4, so |k| stays
-        # well inside int8), and the integer kernels engage instead of
-        # falling back to float — exactly what a fixed-point input
-        # pipeline (uint8 images scaled by a power of two) provides.
-        images = np.round(test_set.images[:32] * 16) / 16
-        int_logits = np.asarray(client.predict(PredictRequest(
-            images=images, model="lenet", mapping="acm", bits=4,
-        )).logits)
-        reference = registry.get("lenet", 4, "acm").run(images)
-        agree = bool(np.array_equal(int_logits.argmax(axis=-1),
-                                    reference.argmax(axis=-1)))
-        delta = float(np.abs(int_logits - reference).max())
-        precision_stats = client.stats()["lenet__4b__acm"]["precision"]
-        print(f"    int8 vs float64: argmax identical={agree}  "
-              f"max |logit delta|={delta:.2e}")
-        print(f"    integer path engaged: {precision_stats}")
-
     print("\nbackend equivalence (same script through every backend):")
     reference = results["local"]
     for backend, result in results.items():
@@ -225,7 +196,7 @@ def main() -> None:
 
     print(f"\ndeploy standalone with: python -m repro.serve "
           f"--plan-dir {plan_dir} --port 8100 --workers 2 "
-          f"--auth-token SECRET --max-queue-depth 64 --precision int8")
+          f"--auth-token SECRET --max-queue-depth 64")
 
 
 if __name__ == "__main__":

@@ -9,11 +9,9 @@ site:
     Build a :class:`~repro.serve.registry.PlanRegistry` over the directory
     plus an in-process :class:`~repro.serve.service.InferenceService`;
     returns a :class:`~repro.api.client.LocalClient` that owns both.
-    ``precision=int8`` (or ``int16``/``float32``) serves every plan through
-    :meth:`~repro.runtime.plan.InferencePlan.with_precision` — grid-exact
-    weight ops run on the integer kernels.  ``max_batch=auto`` turns on the
-    adaptive micro-batch cap; ``jobs_dir=PATH`` makes study jobs
-    (``client.submit_study``) checkpoint and resume there.
+    Plans always execute in float64, exactly as stored.  ``max_batch=auto``
+    turns on the adaptive micro-batch cap; ``jobs_dir=PATH`` makes study
+    jobs (``client.submit_study``) checkpoint and resume there.
 ``http://host:port``  (or ``https://``)
     Return an :class:`~repro.api.http_client.HttpClient` for a running
     server — the threaded :class:`~repro.serve.http.PlanServer` or the
@@ -40,8 +38,6 @@ site:
     transparent retry of requests a dying worker stranded.
     ``log_dir=PATH`` writes one logfmt file per worker
     (``worker-N.log``) carrying every request's trace id.
-    ``precision=int8`` lowers plans inside every worker, exactly like the
-    ``local:`` knob.
 
 Example — the same script against any backend::
 
@@ -99,7 +95,6 @@ _LOCAL_PARAMS: Dict[str, Callable[[str], Any]] = {
     "max_queue_depth": int,
     "max_concurrent_ensembles": int,
     "ensemble_cache_size": int,
-    "precision": str,
     "timeout": float,
     "jobs_dir": str,
 }
@@ -114,7 +109,6 @@ _CLUSTER_PARAMS: Dict[str, Callable[[str], Any]] = {
     "max_concurrent_ensembles": int,
     "handler_threads": int,
     "start_method": str,
-    "precision": str,
     "timeout": float,
     "ensemble_timeout": float,
     "shm_threshold": _parse_shm_threshold,

@@ -13,9 +13,6 @@ stacked perturbation per crossbar and evaluated with batched einsum matmuls.
 * :class:`InferencePlan` — the frozen, serialisable deployment unit
   (``plan.save(path)`` / ``InferencePlan.load(path)``).
 * :func:`plan_accuracy` / :func:`plan_logits` — deterministic plan execution.
-* :meth:`InferencePlan.with_precision` + :mod:`repro.runtime.intkernels` —
-  integer execution modes (``int8``/``int16``) that run grid-quantised
-  weights through exact cache-blocked integer GEMM kernels.
 * :func:`monte_carlo_accuracy` / :func:`monte_carlo_logits` — vectorized
   variation sweeps.
 """
@@ -31,21 +28,9 @@ from repro.runtime.plan import (
     FlattenOp,
     GlobalAvgPoolOp,
     InferencePlan,
-    IntConvOp,
-    IntDenseOp,
     MaxPoolOp,
     PlanCompilationError,
     PlanOp,
-)
-from repro.runtime.intkernels import (
-    INT_PRECISIONS,
-    PRECISIONS,
-    QuantizedWeight,
-    dequantize,
-    int_matmul,
-    quantize_activations,
-    quantize_weight,
-    requantize,
 )
 from repro.runtime.engine import (
     compile_model,
@@ -75,21 +60,11 @@ __all__ = [
     "DenseOp",
     "FlattenOp",
     "GlobalAvgPoolOp",
-    "INT_PRECISIONS",
     "InferencePlan",
-    "IntConvOp",
-    "IntDenseOp",
     "MaxPoolOp",
-    "PRECISIONS",
     "PlanCompilationError",
     "PlanOp",
-    "QuantizedWeight",
     "compile_model",
-    "dequantize",
-    "int_matmul",
-    "quantize_activations",
-    "quantize_weight",
-    "requantize",
     "plan_accuracy",
     "plan_logits",
     "register_lowering",

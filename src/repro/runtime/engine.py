@@ -99,7 +99,6 @@ def compile_model(
     name: str = "",
     input_shape: Optional[Tuple[int, ...]] = None,
     optimize: bool = False,
-    precision: str = "float64",
 ) -> InferencePlan:
     """Freeze ``model`` into an :class:`InferencePlan`.
 
@@ -116,14 +115,6 @@ def compile_model(
     additionally runs the plan-level optimiser
     (:func:`repro.runtime.optimize.optimize_plan`): exact BatchNorm folding
     and flatten collapsing.
-
-    ``precision`` selects the execution mode of the frozen plan
-    (:meth:`InferencePlan.with_precision`): ``"float64"`` (the default),
-    ``"float32"``, or the integer modes ``"int8"``/``"int16"`` that run
-    grid-quantised weight ops through the exact blocked integer kernels.
-    Integer lowering runs *after* optimisation (the optimiser refuses
-    already-lowered plans); weights the lowering cannot certify as exactly
-    representable — e.g. BatchNorm-folded ones — keep the float path.
     """
     builder = _PlanBuilder()
     output = builder.lower(model, 0)
@@ -151,8 +142,6 @@ def compile_model(
         from repro.runtime.optimize import optimize_plan
 
         plan = optimize_plan(plan)
-    if precision != "float64":
-        plan = plan.with_precision(precision)
     return plan
 
 

@@ -30,7 +30,6 @@ from repro.runtime.plan import (
     FlattenOp,
     InferencePlan,
     PlanOp,
-    _IntOpMixin,
 )
 
 
@@ -69,17 +68,7 @@ def optimize_plan(
     BatchNorm ops are folded only when their input slot has exactly one
     consumer and is not the plan output, so residual topologies that reuse a
     pre-normalisation value keep their semantics.
-
-    Integer-lowered plans are refused: BatchNorm folding rewrites ``weight``
-    in place, which would leave the op's ``q_weight``/``scales`` decomposition
-    describing a weight that no longer exists.  Optimise first, then lower
-    with :meth:`InferencePlan.with_precision`.
     """
-    if any(isinstance(op, _IntOpMixin) for op in plan.ops):
-        raise ValueError(
-            "cannot optimise an integer-lowered plan; run optimize_plan "
-            "before InferencePlan.with_precision"
-        )
     consumers: Dict[int, int] = {}
     for op in plan.ops:
         for slot in op.inputs:
@@ -121,5 +110,4 @@ def optimize_plan(
         num_slots=plan.num_slots,
         source=plan.source,
         input_shape=plan.input_shape,
-        precision=plan.precision,
     )

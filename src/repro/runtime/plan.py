@@ -31,16 +31,6 @@ from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.runtime.intkernels import (
-    INT_PRECISIONS,
-    PRECISIONS,
-    activation_qmax,
-    compute_dtype,
-    dequantize,
-    int_matmul,
-    quantize_activations,
-    quantize_weight,
-)
 from repro.tensor.functional import conv_output_size, im2col
 from repro.xbar.quantization import ConductanceRange, UniformQuantizer
 from repro.xbar.variation import DeviceVariationModel
@@ -141,9 +131,8 @@ class PlanOp:
 
     leading_dims_safe = False
     #: Names of the float *payload* arrays :meth:`InferencePlan.cast` may
-    #: convert.  Precision conversion is explicit per op class: fields not
-    #: listed here (integer weights, per-channel scales, crossbar specs)
-    #: are never touched by a dtype cast.
+    #: convert.  Dtype conversion is explicit per op class: fields not
+    #: listed here (crossbar specs above all) are never touched by a cast.
     _cast_fields: ClassVar[Tuple[str, ...]] = ()
 
     def run(self, *values: np.ndarray) -> np.ndarray:
@@ -272,133 +261,6 @@ class ConvOp(PlanOp):
         self._check_channels(channels)
         out_h, out_w = self._geometry(height, width)
         return (self.weight.shape[0], out_h, out_w)
-
-
-class _IntOpMixin:
-    """Shared machinery of the integer-lowered weight ops.
-
-    An integer op keeps the float ``weight`` alongside the decomposed
-    ``scales[o] * q_weight[o, :]``: the float twin backs the per-batch
-    fallback (activations that do not quantise losslessly), Monte-Carlo
-    sampling (sampled weights are float by construction), and dtype casts.
-    Runtime counters (``int_batches`` / ``fallback_batches``) record which
-    path each batch actually took; they feed the serving layer's
-    per-model precision statistics.
-    """
-
-    def _init_int_state(self) -> None:
-        self.int_batches = 0
-        self.fallback_batches = 0
-        q_weight = self.q_weight
-        self._q_absmax = (
-            int(np.abs(q_weight).max()) if q_weight is not None and q_weight.size
-            else 0
-        )
-        # The weight is constant for the plan's lifetime, so its conversion
-        # to the kernel's BLAS compute dtype happens exactly once here —
-        # quantize_activations hands batches over in the same dtype, so the
-        # steady-state kernel call converts nothing.
-        self._q_compute = (
-            q_weight.astype(compute_dtype(self.precision))
-            if q_weight is not None else None
-        )
-
-    def _int_matmul_2d(self, q: np.ndarray) -> np.ndarray:
-        return int_matmul(
-            q, self._q_compute, precision=self.precision,
-            a_max=activation_qmax(self.precision), b_max=self._q_absmax,
-        )
-
-
-@dataclass
-class IntDenseOp(_IntOpMixin, DenseOp):
-    """:class:`DenseOp` executing on the exact integer path.
-
-    ``y = (q_x @ q_W.T) * (s_x * s_W[o]) + b`` with the matmul running in
-    the blocked integer kernel.  When the batch does not quantise
-    losslessly the op falls back to the float weight for that batch, so
-    outputs agree with the float64 plan to rounding level either way.
-    """
-
-    q_weight: np.ndarray = None   # (N, K) int8/int16
-    scales: np.ndarray = None     # (N,) float64 per-output-channel
-    precision: str = "int8"
-
-    def __post_init__(self) -> None:
-        self._init_int_state()
-
-    def run(self, x: np.ndarray) -> np.ndarray:
-        q, scale, exact = quantize_activations(x, self.precision)
-        if not exact:
-            self.fallback_batches += 1
-            return DenseOp.run(self, x)
-        self.int_batches += 1
-        flat = q.reshape(-1, q.shape[-1])
-        acc = self._int_matmul_2d(flat)
-        acc = acc.reshape(q.shape[:-1] + (self.q_weight.shape[0],))
-        return dequantize(acc, scale, self.scales, self.bias)
-
-
-@dataclass
-class IntConvOp(_IntOpMixin, ConvOp):
-    """:class:`ConvOp` executing its im2col matmul on the integer path.
-
-    im2col only gathers input values, so a losslessly quantisable input
-    stays lossless after lowering to columns (padding contributes exact
-    zeros); the column matrix then takes the same quantise / blocked
-    integer GEMM / dequantise path as :class:`IntDenseOp`.
-    """
-
-    q_weight: np.ndarray = None
-    scales: np.ndarray = None
-    precision: str = "int8"
-
-    def __post_init__(self) -> None:
-        self._init_int_state()
-
-    def run(self, x: np.ndarray) -> np.ndarray:
-        batch, channels, height, width = x.shape
-        self._check_channels(channels)
-        _, kernel_h, kernel_w = self.kernel_shape
-        out_h, out_w = self._geometry(height, width)
-        columns = im2col(x, (kernel_h, kernel_w), self.stride, self.padding)
-        q, scale, exact = quantize_activations(columns, self.precision)
-        if exact:
-            self.int_batches += 1
-            out = dequantize(self._int_matmul_2d(q), scale, self.scales,
-                             self.bias)
-        else:
-            self.fallback_batches += 1
-            out = columns @ self.weight.T
-            if self.bias is not None:
-                out = out + self.bias
-        out = out.reshape(batch, out_h, out_w, self.weight.shape[0])
-        return out.transpose(0, 3, 1, 2)
-
-
-def _lower_int_op(op: PlanOp, precision: str) -> Optional[PlanOp]:
-    """The integer twin of one weight-bearing op, or ``None`` if ineligible.
-
-    Eligibility is decided by arithmetic, not trust: the op must carry a
-    crossbar spec with a discrete quantiser (the grid supplies the candidate
-    step), and :func:`repro.runtime.intkernels.quantize_weight` must verify
-    that the frozen weight actually decomposes over that grid within the
-    precision's integer range.  BatchNorm-folded peripheries (per-row
-    rescaled grids) and plain float layers fail the check and stay float.
-    """
-    spec = getattr(op, "spec", None)
-    if spec is None or spec.quantizer_bits is None:
-        return None
-    quantized = quantize_weight(op.weight, spec.quantizer.step, precision)
-    if quantized is None:
-        return None
-    common = dict(inputs=op.inputs, output=op.output, weight=op.weight,
-                  bias=op.bias, spec=op.spec, q_weight=quantized.q,
-                  scales=quantized.scales, precision=precision)
-    if isinstance(op, ConvOp):
-        return IntConvOp(kernel_shape=op.kernel_shape, stride=op.stride,
-                         padding=op.padding, **common)
-    return IntDenseOp(**common)
 
 
 @dataclass
@@ -572,9 +434,6 @@ class InferencePlan:
     num_slots: int = 1
     source: str = ""
     input_shape: Optional[Tuple[int, ...]] = None
-    #: Execution precision this plan was lowered to ("float64" for the
-    #: compiler's output; "int8"/"int16" for :meth:`with_precision` twins).
-    precision: str = "float64"
 
     def __post_init__(self) -> None:
         if self.input_shape is not None:
@@ -600,11 +459,9 @@ class InferencePlan:
         of magnitude larger than float32 rounding).  Which arrays move is
         explicit per op class (:attr:`PlanOp._cast_fields`): exactly the
         float weights, biases, and normalisation statistics.  Crossbar specs
-        are left untouched — device sampling always happens in float64 — and
-        the integer fields of a lowered plan (``q_weight``, ``scales``)
-        keep their dtypes, so a cast can never double-apply or corrupt an
-        integer lowering.  Twins are memoised per dtype, so sweeping many
-        sigma points pays the cast once.
+        are left untouched — device sampling always happens in float64.
+        Twins are memoised per dtype, so sweeping many sigma points pays the
+        cast once.
         """
         key = np.dtype(dtype).str
         cached = self._cast_cache.get(key)
@@ -621,72 +478,9 @@ class InferencePlan:
         twin = InferencePlan(
             ops=ops, output=self.output, num_slots=self.num_slots,
             source=self.source, input_shape=self.input_shape,
-            precision=self.precision,
         )
         self._cast_cache[key] = twin
         return twin
-
-    def with_precision(self, precision: str) -> "InferencePlan":
-        """The twin of this plan lowered to one execution precision.
-
-        ``"float64"`` returns the plan itself and ``"float32"`` the memoised
-        :meth:`cast` twin.  ``"int8"`` / ``"int16"`` lower every eligible
-        weight-bearing op to its integer twin (:class:`IntDenseOp` /
-        :class:`IntConvOp`): the crossbar quantiser grid supplies the scale,
-        :func:`~repro.runtime.intkernels.quantize_weight` verifies the
-        decomposition, and ineligible ops keep their float form.  Integer
-        twins are memoised, and lowering is guarded against double
-        application — precision twins always derive from the float64 plan.
-        """
-        if precision not in PRECISIONS:
-            raise ValueError(
-                f"unknown precision {precision!r}; expected one of {PRECISIONS}"
-            )
-        if precision == self.precision:
-            return self
-        if self.precision != "float64":
-            raise ValueError(
-                f"this plan is already lowered to {self.precision!r}; derive "
-                f"precision twins from the float64 plan"
-            )
-        if precision == "float32":
-            twin = self.cast(np.float32)
-            twin.precision = "float32"
-            return twin
-        cached = self._cast_cache.get(precision)
-        if cached is not None:
-            return cached
-        ops: List[PlanOp] = []
-        for op in self.ops:
-            lowered = None
-            if type(op) in (DenseOp, ConvOp):
-                lowered = _lower_int_op(op, precision)
-            ops.append(lowered if lowered is not None else op)
-        twin = InferencePlan(
-            ops=ops, output=self.output, num_slots=self.num_slots,
-            source=self.source, input_shape=self.input_shape,
-            precision=precision,
-        )
-        self._cast_cache[precision] = twin
-        return twin
-
-    def precision_stats(self) -> Dict[str, object]:
-        """Integer-op accounting of this plan (JSON-ready).
-
-        ``int_ops`` / ``float_ops`` split the weight-bearing ops by whether
-        they lowered to the integer path; the batch counters report how many
-        executed batches actually ran integer arithmetic versus falling back
-        to float (activations that did not quantise losslessly).
-        """
-        int_ops = [op for op in self.ops if isinstance(op, _IntOpMixin)]
-        bearing = [op for op in self.ops if isinstance(op, (DenseOp, ConvOp))]
-        return {
-            "precision": self.precision,
-            "int_ops": len(int_ops),
-            "float_ops": len(bearing) - len(int_ops),
-            "int_batches": sum(op.int_batches for op in int_ops),
-            "fallback_batches": sum(op.fallback_batches for op in int_ops),
-        }
 
     @property
     def num_crossbar_layers(self) -> int:
@@ -735,10 +529,9 @@ class InferencePlan:
     # ------------------------------------------------------------------ #
     # Serialization
     # ------------------------------------------------------------------ #
-    _ARRAY_FIELDS = ("weight", "bias", "mean", "var", "gamma", "beta",
-                     "q_weight", "scales")
+    _ARRAY_FIELDS = ("weight", "bias", "mean", "var", "gamma", "beta")
     _SCALAR_FIELDS = ("kind", "kernel_shape", "stride", "padding", "kernel", "eps",
-                      "param_shape", "precision")
+                      "param_shape")
 
     @staticmethod
     def _normalize_path(path) -> str:
@@ -787,7 +580,6 @@ class InferencePlan:
             "num_slots": self.num_slots,
             "source": self.source,
             "input_shape": list(self.input_shape) if self.input_shape else None,
-            "precision": self.precision,
         }
         np.savez_compressed(
             self._normalize_path(path),
@@ -797,19 +589,37 @@ class InferencePlan:
 
     @classmethod
     def load(cls, path) -> "InferencePlan":
-        """Load a plan previously produced by :meth:`save`."""
+        """Load a plan previously produced by :meth:`save`.
+
+        Artifacts lowered to an integer or float32 execution mode (a meta
+        ``precision`` other than ``float64``, or integer op entries) are
+        refused with a ``ValueError`` naming the precision or op type:
+        plans execute in float64 only, and the float64 artifact is the one
+        to republish.
+        """
         op_types = {
             klass.__name__: klass
-            for klass in (DenseOp, ConvOp, IntDenseOp, IntConvOp, ActivationOp,
-                          BatchNormOp, MaxPoolOp, AvgPoolOp, GlobalAvgPoolOp,
-                          FlattenOp, AddOp)
+            for klass in (DenseOp, ConvOp, ActivationOp, BatchNormOp, MaxPoolOp,
+                          AvgPoolOp, GlobalAvgPoolOp, FlattenOp, AddOp)
         }
         tuple_fields = {"kernel_shape", "stride", "padding", "kernel", "param_shape"}
         with np.load(cls._normalize_path(path)) as archive:
             meta = json.loads(bytes(archive["__plan__"]).decode())
+            precision = meta.get("precision", "float64")
+            if precision != "float64":
+                raise ValueError(
+                    f"plan artifact was lowered to precision {precision!r}; "
+                    f"only float64 plans are supported"
+                )
             ops: List[PlanOp] = []
             for index, entry in enumerate(meta["ops"]):
-                klass = op_types[entry.pop("type")]
+                op_type = entry.pop("type")
+                klass = op_types.get(op_type)
+                if klass is None:
+                    raise ValueError(
+                        f"plan artifact op {index} has unsupported type "
+                        f"{op_type!r}; only float64 plans are supported"
+                    )
                 kwargs = {"inputs": tuple(entry.pop("inputs")),
                           "output": entry.pop("output")}
                 spec_meta = entry.pop("spec", None)
@@ -832,5 +642,4 @@ class InferencePlan:
         input_shape = meta.get("input_shape")
         return cls(ops=ops, output=meta["output"], num_slots=meta["num_slots"],
                    source=meta.get("source", ""),
-                   input_shape=tuple(input_shape) if input_shape else None,
-                   precision=meta.get("precision", "float64"))
+                   input_shape=tuple(input_shape) if input_shape else None)

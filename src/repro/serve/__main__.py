@@ -82,12 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="reject (HTTP 429 + Retry-After) ensemble "
                              "requests once this many are mid-flight "
                              "(default: unlimited)")
-    parser.add_argument("--precision", default=None,
-                        choices=("float64", "float32", "int8", "int16"),
-                        help="execution precision every served plan is "
-                             "lowered to; int8/int16 run grid-exact weight "
-                             "ops on the integer kernels (default: float64, "
-                             "serve artifacts as stored)")
     parser.add_argument("--auto-restart", action="store_true",
                         help="self-heal the cluster: respawn dead worker "
                              "processes with exponential backoff, opening a "
@@ -160,8 +154,6 @@ def build_backend(args: argparse.Namespace):
         options["max_queue_depth"] = args.max_queue_depth
     if args.max_concurrent_ensembles is not None:
         options["max_concurrent_ensembles"] = args.max_concurrent_ensembles
-    if args.precision is not None:
-        options["precision"] = args.precision
     if args.workers >= 1:
         options["workers"] = args.workers
         options["replicas"] = args.replicas
@@ -210,8 +202,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"R={min(args.replicas, args.workers)} replication"
         if args.workers >= 1 else "in-process service"
     )
-    if args.precision is not None:
-        topology += f", {args.precision} execution"
     if args.async_edge:
         topology += ", asyncio edge"
     print(f"serving {len(models)} plan(s) at {server.url} ({topology})")

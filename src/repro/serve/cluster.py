@@ -96,7 +96,6 @@ from repro.obs import (
     log_event,
     relabel,
 )
-from repro.runtime.intkernels import PRECISIONS
 from repro.api.types import (
     EnsembleRequest,
     EnsembleResult,
@@ -157,7 +156,6 @@ def _worker_main(
     max_queue_depth: Optional[int] = None,
     max_concurrent_ensembles: Optional[int] = None,
     shm_threshold: Optional[int] = None,
-    precision: str = "float64",
     shm_prefix: str = "",
     worker_index: int = 0,
     log_path: Optional[str] = None,
@@ -189,7 +187,6 @@ def _worker_main(
                                max_wait_ms=max_wait_ms,
                                max_queue_depth=max_queue_depth,
                                max_concurrent_ensembles=max_concurrent_ensembles,
-                               precision=precision,
                                shard=worker_index)
     send_lock = threading.Lock()
     segment_seq = itertools.count()
@@ -286,7 +283,6 @@ class _WorkerClient:
                  max_queue_depth: Optional[int] = None,
                  max_concurrent_ensembles: Optional[int] = None,
                  shm_threshold: Optional[int] = None,
-                 precision: str = "float64",
                  shm_base: str = "", incarnation: int = 0,
                  log_dir: Optional[str] = None) -> None:
         self.index = index
@@ -311,7 +307,7 @@ class _WorkerClient:
             target=_worker_main,
             args=(child_conn, directory, capacity, max_batch, max_wait_ms,
                   handler_threads, max_queue_depth, max_concurrent_ensembles,
-                  shm_threshold, precision, self._worker_prefix,
+                  shm_threshold, self._worker_prefix,
                   index, log_path),
             name=f"plan-worker-{index}",
             daemon=True,
@@ -510,10 +506,7 @@ class PlanCluster:
     ``shm_threshold`` switches request/response arrays of at least that
     many bytes onto the shared-memory transport (``None`` or a negative
     value keeps everything on the pipe; ``0`` forces every array through
-    shared memory — useful in tests).  ``precision`` is forwarded to every
-    worker's service: each worker lowers the plans it serves with
-    :meth:`~repro.runtime.plan.InferencePlan.with_precision` when pinning
-    them, so a whole cluster can serve through the integer kernels.  ``auto_restart=True`` starts the
+    shared memory — useful in tests).  ``auto_restart=True`` starts the
     self-healing supervisor: dead workers respawn with exponential backoff
     (``restart_backoff`` doubling per consecutive crash up to
     ``max_restart_backoff``); ``max_restarts`` consecutive crashes — a
@@ -536,7 +529,6 @@ class PlanCluster:
         max_queue_depth: Optional[int] = None,
         max_concurrent_ensembles: Optional[int] = None,
         shm_threshold: Optional[int] = DEFAULT_SHM_THRESHOLD,
-        precision: str = "float64",
         auto_restart: bool = False,
         max_restarts: int = 5,
         restart_backoff: float = 0.05,
@@ -554,11 +546,6 @@ class PlanCluster:
             raise ValueError("max_restarts must be at least 1")
         if restart_backoff < 0 or max_restart_backoff < 0:
             raise ValueError("restart backoffs must be non-negative")
-        if precision not in PRECISIONS:
-            # Fail in the parent, not nine spawned workers later.
-            raise ValueError(
-                f"unknown precision {precision!r}; expected one of {PRECISIONS}"
-            )
         # The parent never deserialises a plan; its registry is the
         # catalogue index used for listings (capacity 1 keeps it tiny).
         self.catalogue = PlanRegistry(directory, capacity=1)
@@ -586,7 +573,7 @@ class PlanCluster:
         self._worker_config = (str(self.catalogue.directory), capacity,
                                max_batch, max_wait_ms, handler_threads,
                                max_queue_depth, max_concurrent_ensembles,
-                               shm_threshold, precision)
+                               shm_threshold)
         self._workers = [
             self._spawn_worker(index, incarnation=0)
             for index in range(num_workers)

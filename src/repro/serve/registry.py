@@ -535,9 +535,6 @@ class PlanRegistry:
             self._rollout_cache = (signature, entries)
         return entries
 
-    def rollout_entry(self, base_canonical: str) -> Optional[RolloutEntry]:
-        return self.rollout_entries().get(base_canonical)
-
     def rollout_status(self) -> Dict[str, Dict[str, object]]:
         """The rollout table as JSON-ready dicts (``GET /admin/rollout``)."""
         return {
@@ -548,7 +545,13 @@ class PlanRegistry:
     def resolve_key(
         self, key: PlanKey, request_id: Optional[str] = None
     ) -> PlanKey:
-        """Apply the rollout table to an unversioned key.
+        """Apply the rollout table to an unversioned key (see :meth:`route`)."""
+        return self.route(key, request_id)[0]
+
+    def route(
+        self, key: PlanKey, request_id: Optional[str] = None
+    ) -> Tuple[PlanKey, bool]:
+        """The served key, and whether the rollout table governed it.
 
         Explicitly versioned keys pass through untouched (a pinned version
         is a pinned version); version-1 keys with a rollout entry route to
@@ -556,16 +559,16 @@ class PlanRegistry:
         ``canary_fraction`` slice of request ids.
         """
         if key.version != 1:
-            return key
+            return key, False
         entry = self.rollout_entries().get(key.canonical())
         if entry is None:
-            return key
+            return key, False
         version = entry.resolve(request_id)
         if version == key.version:
-            return key
+            return key, True
         return PlanKey(
             model=key.model, bits=key.bits, mapping=key.mapping, version=version
-        )
+        ), True
 
     def _write_rollout(self, entries: Dict[str, RolloutEntry]) -> None:
         """Atomically replace the rollout table (write-rename)."""

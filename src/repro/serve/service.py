@@ -61,7 +61,6 @@ from repro.runtime.montecarlo import (
     run_plan_samples,
     sample_crossbar_weights,
 )
-from repro.runtime.intkernels import PRECISIONS
 from repro.runtime.plan import InferencePlan
 from repro.serve.registry import PlanKey, PlanRegistry
 from repro.serve.scheduler import (
@@ -93,7 +92,6 @@ class InferenceService:
         ensemble_cache_size: int = 8,
         max_queue_depth: Optional[int] = None,
         max_concurrent_ensembles: Optional[int] = None,
-        precision: str = "float64",
         metrics: Optional[MetricsRegistry] = None,
         shard: Optional[int] = None,
     ) -> None:
@@ -102,10 +100,6 @@ class InferenceService:
         if max_concurrent_ensembles is not None and max_concurrent_ensembles < 0:
             raise ValueError(
                 "max_concurrent_ensembles must be non-negative or None"
-            )
-        if precision not in PRECISIONS:
-            raise ValueError(
-                f"unknown precision {precision!r}; expected one of {PRECISIONS}"
             )
         if max_batch != AUTO_MAX_BATCH and (
             isinstance(max_batch, bool)
@@ -116,10 +110,6 @@ class InferenceService:
                 f"max_batch must be a positive int or 'auto', got {max_batch!r}"
             )
         self.registry = registry
-        # Execution precision every served plan is lowered to when pinned
-        # (InferencePlan.with_precision).  "float64" serves artifacts as-is —
-        # including pre-lowered integer artifacts a publisher stored.
-        self.precision = precision
         self.max_batch = max_batch
         self.max_wait_ms = max_wait_ms
         # Backpressure threshold: a deterministic request whose scheduler
@@ -242,17 +232,6 @@ class InferenceService:
             "Entries resident in the ensemble weight-stack cache.",
             lambda: [({}, float(len(self._ensemble_cache)))],
         )
-        metrics.register_callback(
-            "repro_precision_ops_total", "counter",
-            "Plan ops executed per model by kernel path (int/float).",
-            self._collect_precision_ops,
-        )
-        metrics.register_callback(
-            "repro_precision_batches_total", "counter",
-            "Executed batches per model by precision path "
-            "(int vs per-batch float fallback).",
-            self._collect_precision_batches,
-        )
 
     # Collect-time callbacks: exported live, never double-counted.
     def _collect_rollout_versions(
@@ -278,42 +257,6 @@ class InferenceService:
             ({"model": name}, float(depth))
             for name, depth in sorted(self.queue_depths().items())
         ]
-
-    def _pinned_precision_stats(self) -> List[Tuple[str, Dict[str, int]]]:
-        with self._lock:
-            pinned = [
-                (key.canonical(), plan) for key, plan in self._plans.items()
-            ]
-        return sorted((name, plan.precision_stats()) for name, plan in pinned)
-
-    def _collect_precision_ops(
-        self,
-    ) -> Sequence[Tuple[Mapping[str, str], float]]:
-        samples: List[Tuple[Mapping[str, str], float]] = []
-        for name, stats in self._pinned_precision_stats():
-            samples.append((
-                {"model": name, "path": "int"}, float(stats.get("int_ops", 0))
-            ))
-            samples.append((
-                {"model": name, "path": "float"},
-                float(stats.get("float_ops", 0)),
-            ))
-        return samples
-
-    def _collect_precision_batches(
-        self,
-    ) -> Sequence[Tuple[Mapping[str, str], float]]:
-        samples: List[Tuple[Mapping[str, str], float]] = []
-        for name, stats in self._pinned_precision_stats():
-            samples.append((
-                {"model": name, "path": "int"},
-                float(stats.get("int_batches", 0)),
-            ))
-            samples.append((
-                {"model": name, "path": "fallback"},
-                float(stats.get("fallback_batches", 0)),
-            ))
-        return samples
 
     # Legacy counter attributes, now registry-backed (same names, same
     # semantics — stats_summary() keeps its exact shape).
@@ -344,26 +287,18 @@ class InferenceService:
         return scheduler
 
     def _routed_key(self, key: PlanKey, request_id: Optional[str]) -> PlanKey:
-        """Apply the registry's rollout table to an unversioned request key.
+        """Route a request key through the registry's rollout rule.
 
-        Explicit versions pass through; version-1 keys with a rollout entry
-        serve the active version, or the canary version for the
-        deterministic ``canary_fraction`` slice of request ids.  Each
-        resolved version gets its own scheduler/plan pin/ensemble-cache
-        identity downstream, so versions never share state.
+        :meth:`PlanRegistry.route` owns the rule; the service only counts
+        the requests the rollout table governed.  Each resolved version
+        gets its own scheduler/plan pin/ensemble-cache identity downstream,
+        so versions never share state.
         """
-        if key.version != 1:
-            return key
-        entry = self.registry.rollout_entries().get(key.canonical())
-        if entry is None:
-            return key
-        version = entry.resolve(request_id)
-        self._m_canary.inc(model=key.canonical(), version=f"v{version}")
-        if version == key.version:
-            return key
-        return PlanKey(
-            model=key.model, bits=key.bits, mapping=key.mapping, version=version
-        )
+        routed, governed = self.registry.route(key, request_id)
+        if governed:
+            self._m_canary.inc(model=key.canonical(),
+                               version=f"v{routed.version}")
+        return routed
 
     def _pinned_plan(self, key: PlanKey) -> InferencePlan:
         """The plan this service serves for ``key``, pinned on first use.
@@ -380,8 +315,6 @@ class InferenceService:
                 plan = self.registry.get(
                     key.model, key.bits, key.mapping, version=key.version
                 )
-                if self.precision != "float64":
-                    plan = plan.with_precision(self.precision)
                 self._plans[key] = plan
             return plan
 
@@ -517,14 +450,7 @@ class InferenceService:
         return max(depths.values()) if depths else 0
 
     def stats_summary(self) -> Dict[str, dict]:
-        """The batching statistics as JSON-ready dicts (HTTP ``/v1/stats``).
-
-        Each pinned model additionally reports its execution-precision
-        counters (``precision_stats``): how many ops run integer kernels and
-        how many batches took the integer path versus the per-batch float
-        fallback — the measured integer-op counts behind any Table-1-style
-        latency/energy claim.
-        """
+        """The batching statistics as JSON-ready dicts (HTTP ``/v1/stats``)."""
         summary = {}
         depths = self.queue_depths()
         with self._lock:
@@ -542,10 +468,6 @@ class InferenceService:
                 "queue_depth": depths.get(name, 0),
                 "max_batch": caps.get(name),
             }
-        with self._lock:
-            pinned = {key.canonical(): plan for key, plan in self._plans.items()}
-        for name, plan in pinned.items():
-            summary.setdefault(name, {})["precision"] = plan.precision_stats()
         summary["ensemble_cache"] = {
             "hits": self.ensemble_cache_hits,
             "misses": self.ensemble_cache_misses,

@@ -143,6 +143,12 @@ class TestConnectTargets:
         with pytest.raises(ValueError):
             connect(f"local:{tmp_path}/plans", bogus=1)
 
+    @pytest.mark.parametrize("scheme", ["local", "cluster"])
+    def test_precision_is_not_a_parameter(self, scheme, tmp_path):
+        # Plans execute in float64 only, so no scheme takes a precision.
+        with pytest.raises(ValueError, match="parameter 'precision'"):
+            connect(f"{scheme}:{tmp_path}/plans?precision=int8")
+
     def test_http_target_builds_http_client(self):
         client = connect("http://127.0.0.1:59999", token="t", retries=0)
         assert isinstance(client, HttpClient)
@@ -182,8 +188,7 @@ class TestConnectTargets:
             assert client.backend.restart_backoff == 0.03
             assert client.backend.max_restart_backoff == 0.5
             assert client.backend.stability_window == 1.5
-            assert client.backend._worker_config[-1] == "float64"  # precision
-            assert client.backend._worker_config[-2] is None  # shm off
+            assert client.backend._worker_config[-1] is None  # shm off
 
     def test_cluster_ensemble_timeout_default_exceeds_predict_timeout(self):
         from repro.api import ClusterClient

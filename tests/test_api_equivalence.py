@@ -254,117 +254,6 @@ class TestErrorEquivalence:
                                 mapping="acm", bits=4, num_samples=0)
 
 
-class TestIntegerPrecisionEquivalence:
-    """The same matrix served through the integer execution path.
-
-    Every backend accepts ``precision=int8`` (query parameter for
-    ``local:``/``cluster:``, service constructor for HTTP); on grid-aligned
-    inputs the int8-served answers must agree with the float64 reference
-    plan in argmax bit-for-bit and in logits to 1e-6, and all int8 backends
-    must be bit-identical to *each other* — quantisation is deterministic,
-    so the transport may not introduce a single ulp of drift.
-    """
-
-    @pytest.fixture(scope="class")
-    def int8_matrix(self, tmp_path_factory):
-        directory = tmp_path_factory.mktemp("int8-equivalence-plans")
-        registry = PlanRegistry(directory)
-        plans = {}
-        for seed, (name, bits, mapping) in enumerate(MODELS):
-            model = make_mlp(input_size=16, hidden_sizes=(8,), mapping=mapping,
-                             quantizer_bits=bits, seed=seed)
-            registry.publish_model(model, name, bits, mapping)
-            plans[name] = compile_model(model)
-
-        http_service = InferenceService(PlanRegistry(directory), max_batch=16,
-                                        precision="int8")
-        server = PlanServer(http_service, own_backend=True).start()
-        aio_service = InferenceService(PlanRegistry(directory), max_batch=16,
-                                       precision="int8")
-        aio_server = AsyncPlanServer(aio_service, own_backend=True).start()
-        clients = {
-            "local": connect(f"local:{directory}?max_batch=16&precision=int8"),
-            "http": connect(server.url),
-            "aio": connect(aio_server.url),
-            "cluster": connect(
-                f"cluster:{directory}?workers=2&max_batch=16"
-                f"&shm_threshold=off&precision=int8"
-            ),
-            "cluster-shm": connect(
-                f"cluster:{directory}?workers=2&max_batch=16"
-                f"&shm_threshold=0&precision=int8"
-            ),
-        }
-        clients["cluster"].backend.wait_ready(timeout=120)
-        clients["cluster-shm"].backend.wait_ready(timeout=120)
-        # Dyadic-grid images (k / 64): losslessly int8-quantisable, so the
-        # integer kernels genuinely run instead of falling back to float.
-        rng = np.random.default_rng(23)
-        images = rng.integers(-64, 65, size=(8, 16)) / 64.0
-        yield SimpleNamespace(plans=plans, clients=clients, images=images)
-        for client in clients.values():
-            client.close()
-        server.close()
-        aio_server.close()
-
-    def _predict(self, client, name, bits, mapping, images):
-        return np.asarray(client.predict(PredictRequest(
-            images=images, model=name, mapping=mapping, bits=bits)).logits)
-
-    def test_int8_agrees_with_float64_reference(self, int8_matrix):
-        for backend, client in int8_matrix.clients.items():
-            for name, bits, mapping in MODELS:
-                logits = self._predict(client, name, bits, mapping,
-                                       int8_matrix.images)
-                expected = int8_matrix.plans[name].run(int8_matrix.images)
-                np.testing.assert_array_equal(
-                    logits.argmax(axis=1), expected.argmax(axis=1),
-                    err_msg=f"{backend}:{name} argmax drifted under int8",
-                )
-                np.testing.assert_allclose(
-                    logits, expected, atol=1e-6, rtol=0,
-                    err_msg=f"{backend}:{name} int8 logits off the float64 path",
-                )
-
-    def test_int8_backends_bit_identical_to_each_other(self, int8_matrix):
-        reference = {
-            name: self._predict(int8_matrix.clients["local"], name, bits,
-                                mapping, int8_matrix.images)
-            for name, bits, mapping in MODELS
-        }
-        for backend in BACKENDS[1:]:
-            client = int8_matrix.clients[backend]
-            for name, bits, mapping in MODELS:
-                np.testing.assert_array_equal(
-                    self._predict(client, name, bits, mapping,
-                                  int8_matrix.images),
-                    reference[name],
-                    err_msg=f"{backend}:{name} not bit-identical under int8",
-                )
-
-    def test_catalogue_and_health_unchanged_by_precision(self, int8_matrix):
-        listings = {
-            backend: {info.name: info.digest for info in client.models()}
-            for backend, client in int8_matrix.clients.items()
-        }
-        for backend in BACKENDS[1:]:
-            assert listings["local"] == listings[backend], backend
-        assert set(listings["local"]) == {"alpha__4b__acm", "beta__fp32__de"}
-        for backend, client in int8_matrix.clients.items():
-            health = client.health()
-            assert health.ok and health.models == len(MODELS), backend
-
-    def test_integer_path_actually_engaged(self, int8_matrix):
-        # The quantised 4-bit model must report integer-lowered ops and at
-        # least one batch through the integer kernels; the unquantised
-        # model legitimately keeps the float path.
-        stats = int8_matrix.clients["local"].stats()
-        block = stats["alpha__4b__acm"]["precision"]
-        assert block["precision"] == "int8"
-        assert block["int_ops"] > 0 and block["int_batches"] >= 1
-        assert stats["beta__fp32__de"]["precision"]["int_ops"] == 0
-
-
 class TestEnsembleBackpressureEquivalence:
     """A saturated ensemble lane 429s identically through every backend."""
 

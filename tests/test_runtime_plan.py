@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.runtime import (
     trace_shapes,
     try_compile,
 )
+from repro.serve import PlanArtifactError, PlanRegistry
 from repro.tensor import Tensor, no_grad
 
 
@@ -313,6 +316,93 @@ class TestPlanSerialization:
         reloaded = monte_carlo_logits(loaded, inputs, 0.1, 4,
                                       rng=np.random.default_rng(9), dtype=np.float64)
         np.testing.assert_allclose(original, reloaded, atol=1e-12)
+
+    def test_float_plan_cast_still_converts_weights(self):
+        plan = compile_model(make_mlp(input_size=16, hidden_sizes=(8,),
+                                      mapping="acm", quantizer_bits=4, seed=0))
+        cast = plan.cast(np.float32)
+        dense = [op for op in cast.ops if isinstance(op, DenseOp)]
+        assert dense and all(op.weight.dtype == np.float32 for op in dense)
+
+    def test_cast_shares_crossbar_specs(self):
+        plan = compile_model(make_mlp(input_size=16, hidden_sizes=(8,),
+                                      mapping="acm", quantizer_bits=4, seed=0))
+        cast = plan.cast(np.float32)
+        assert plan.crossbar_ops
+        for original, twin in zip(plan.crossbar_ops, cast.crossbar_ops):
+            assert twin.spec is original.spec  # shared, never recast
+            assert twin.spec.conductances.dtype == np.float64
+
+
+def _rewrite_artifact(path, edit) -> None:
+    """Re-save a plan artifact after ``edit`` mutates its (meta, arrays)."""
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    meta = json.loads(bytes(arrays.pop("__plan__")).decode())
+    edit(meta, arrays)
+    np.savez_compressed(
+        path,
+        __plan__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        **arrays,
+    )
+
+
+def _lower_first_dense(meta, arrays) -> None:
+    """Rewrite the first dense op as the entry int8 artifacts used to carry."""
+    index, entry = next((index, entry) for index, entry in enumerate(meta["ops"])
+                        if entry["type"] == "DenseOp")
+    weight = arrays[entry["weight"]]
+    entry.update(type="Int" + entry["type"], precision="int8",
+                 q_weight=f"op{index}.q_weight", scales=f"op{index}.scales")
+    arrays[f"op{index}.q_weight"] = np.zeros(weight.shape, dtype=np.int8)
+    arrays[f"op{index}.scales"] = np.ones(weight.shape[0])
+    meta["precision"] = "int8"
+
+
+class TestLegacyArtifacts:
+    """Artifacts written when plans still carried an execution precision."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        model = make_mlp(input_size=16, hidden_sizes=(8,), mapping="acm",
+                         quantizer_bits=4, seed=0)
+        plan = compile_model(model)
+        path = tmp_path / "plan.npz"
+        plan.save(path)
+        return plan, path
+
+    def test_float64_precision_meta_loads_bit_identically(self, saved, rng):
+        plan, path = saved
+        _rewrite_artifact(path, lambda meta, _: meta.update(precision="float64"))
+        loaded = InferencePlan.load(path)
+        inputs = rng.normal(size=(5, 1, 4, 4))
+        np.testing.assert_array_equal(loaded.run(inputs), plan.run(inputs))
+
+    def test_integer_op_entries_are_refused(self, saved):
+        _, path = saved
+
+        def edit(meta, arrays):
+            _lower_first_dense(meta, arrays)
+            meta.pop("precision")  # the op type alone must be enough
+
+        _rewrite_artifact(path, edit)
+        with pytest.raises(ValueError, match=r"unsupported type 'IntDense"):
+            InferencePlan.load(path)
+
+    def test_lowered_precision_meta_is_refused(self, saved):
+        _, path = saved
+        _rewrite_artifact(path, lambda meta, _: meta.update(precision="float32"))
+        with pytest.raises(ValueError, match="float32"):
+            InferencePlan.load(path)
+
+    def test_registry_surfaces_refusal_as_artifact_error(self, tmp_path):
+        model = make_mlp(input_size=16, hidden_sizes=(8,), mapping="acm",
+                         quantizer_bits=4, seed=0)
+        entry = PlanRegistry(tmp_path).publish(compile_model(model),
+                                               "alpha", 4, "acm")
+        _rewrite_artifact(entry.path, _lower_first_dense)
+        with pytest.raises(PlanArtifactError, match="int8"):
+            PlanRegistry(tmp_path).get("alpha", 4, "acm")
 
 
 class TestAdaptiveStackingTarget:

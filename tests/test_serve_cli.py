@@ -35,6 +35,11 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args([])
 
+    def test_precision_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["--plan-dir", "plans", "--precision", "int8"])
+        assert exit_info.value.code == 2
+
     def test_backend_selection(self, tmp_path):
         service_args = cli.build_parser().parse_args(
             ["--plan-dir", str(tmp_path / "a")]
@@ -64,8 +69,7 @@ class TestArgumentParsing:
             assert isinstance(backend, PlanCluster)
             assert backend.auto_restart is True
             assert backend.max_restarts == 7
-            assert backend._worker_config[-1] == "float64"  # precision
-            assert backend._worker_config[-2] == 1024  # shm_threshold
+            assert backend._worker_config[-1] == 1024  # shm_threshold
         finally:
             backend.close()
 
@@ -86,7 +90,7 @@ class TestArgumentParsing:
         ])
         backend = cli.build_backend(args)
         try:
-            assert backend._worker_config[-2] is None
+            assert backend._worker_config[-1] is None
         finally:
             backend.close()
 
