@@ -18,7 +18,8 @@ implementation detail selected at :func:`connect` time:
   :mod:`repro.api.aio`) — the :class:`Client` protocol and its three
   interchangeable implementations: :class:`LocalClient` (in-process
   :class:`~repro.serve.service.InferenceService`), :class:`HttpClient`
-  (wire protocol against either HTTP edge, with a keep-alive connection
+  (wire protocol against :class:`~repro.serve.http.PlanServer`, with a
+  keep-alive connection
   pool, idempotent-request retries, and bearer-token auth), and
   :class:`ClusterClient` (sharded
   :class:`~repro.serve.cluster.PlanCluster`) — plus :class:`AsyncClient`,

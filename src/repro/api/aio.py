@@ -18,9 +18,7 @@ closes the connection; only a fully-read keep-alive exchange releases it
 for reuse.  A pooled connection the server quietly closed while idle
 costs one transparent re-issue on a fresh socket, not an error.
 
-Works against either edge — the threaded
-:class:`~repro.serve.http.PlanServer` or the event-loop
-:class:`~repro.serve.aio.AsyncPlanServer` — over HTTP or TLS::
+Talks to :class:`~repro.serve.http.PlanServer` over HTTP or TLS::
 
     async with connect_async("http://127.0.0.1:8000", token="s3cret") as api:
         result = await api.predict(PredictRequest(images=batch, model="mlp"))

@@ -14,9 +14,8 @@ site:
     jobs (``client.submit_study``) checkpoint and resume there.
 ``http://host:port``  (or ``https://``)
     Return an :class:`~repro.api.http_client.HttpClient` for a running
-    server — the threaded :class:`~repro.serve.http.PlanServer` or the
-    event-loop :class:`~repro.serve.aio.AsyncPlanServer`, which speak
-    one protocol (options: ``token``, ``timeout``, ``retries``,
+    :class:`~repro.serve.http.PlanServer` (options: ``token``,
+    ``timeout``, ``retries``,
     ``retry_backoff``, ``encoding``, ``pool_size`` / ``keepalive_timeout``
     for the keep-alive connection pool; for ``https://``: ``cafile`` to
     pin a CA bundle, ``insecure=true`` to skip verification in test

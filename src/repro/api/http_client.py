@@ -207,7 +207,7 @@ class _ConnectionPool:
 
 
 class HttpClient:
-    """Typed client for a served HTTP endpoint (threaded or async edge).
+    """Typed client for a served :class:`~repro.serve.http.PlanServer`.
 
     Parameters
     ----------
@@ -237,8 +237,8 @@ class HttpClient:
         pooling and restores one-connection-per-request behaviour).
     keepalive_timeout:
         Seconds an idle pooled connection stays eligible for reuse; keep
-        it at or below the server's idle timeout so the pool never hands
-        out a socket the server is about to close.
+        it at or below the server's idle timeout (30 s on ``PlanServer``)
+        so the pool never hands out a socket the server is about to close.
 
     Every request carries an ``X-Request-Id`` (the request dataclass's, or
     client-minted) so client, edge, and worker logs line up; transport

@@ -1,17 +1,10 @@
 """HTTP front-end: the serving stack as a stdlib JSON-over-HTTP endpoint.
 
-Two interchangeable edges serve the same protocol:
-
-* :class:`PlanServer` — the threaded ``http.server`` edge (one handler
-  thread per connection);
-* :class:`~repro.serve.aio.AsyncPlanServer` — the ``asyncio`` edge
-  (event-loop accept, keep-alive reuse, pipelined parsing, bounded
-  executor into the same micro-batch schedulers).
-
-Both delegate every parsed request to one shared :class:`EdgeCore` — the
-transport-agnostic route table, auth check, drain flag, study-job
-manager, and metrics registry — so the two edges *cannot* diverge: a new
-route, a changed error mapping, or an auth tweak lands in both at once.
+:class:`PlanServer` is a threaded ``http.server`` edge: one handler
+thread per HTTP/1.1 keep-alive connection, requests on a connection
+answered in order.  The thread only does socket plumbing; every parsed
+request goes to :class:`EdgeCore` — the transport-agnostic route table,
+auth check, drain flag, study-job manager, and metrics registry.
 The wire protocol:
 
 ``POST /v1/predict``
@@ -76,12 +69,15 @@ compare is constant-time.  A request body shorter than its declared
 ``Content-Length`` (the client died or lied) answers 400 with an explicit
 "truncated" message instead of a misleading JSON-parse failure — the body
 is read in a loop until the declared length or EOF, so a slow client
-dribbling its body in segments is served normally.  Responses carried
-base64-packed as float64 are bit-equivalent to in-process results.
+dribbling its body in segments is served normally.  A request line
+``http.server`` cannot parse answers the same JSON 400.  Every error
+response closes the connection.  Responses carried base64-packed as
+float64 are bit-equivalent to in-process results.
 
 Shutdown is graceful: :meth:`PlanServer.close` stops accepting
-connections, waits for in-flight requests to finish, and then closes the
-backend — which drains every in-flight micro-batch — before returning.
+connections, waits for in-flight requests to finish, hangs up the idle
+keep-alive connections, and then closes the backend — which drains every
+in-flight micro-batch — before returning.
 
 The handlers are thin codecs (:mod:`repro.api.codec`) over the shared
 request/response dataclasses: the backend contract (satisfied by
@@ -97,12 +93,14 @@ import hmac
 import json
 import logging
 import math
+import socket
 import ssl
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Set, Tuple
 
 from repro.api.codec import (
     _key_fields,
@@ -184,9 +182,6 @@ def _error_body(status: int, error: BaseException) -> dict:
     return encode_error(error, status=status)
 
 
-# ---------------------------------------------------------------------- #
-# Shared body plumbing (used by both the threaded and the asyncio edge)
-# ---------------------------------------------------------------------- #
 def parse_content_length(headers: Mapping[str, str]) -> Optional[int]:
     """Validate a (lower-cased) header map's ``Content-Length``.
 
@@ -209,18 +204,6 @@ def parse_content_length(headers: Mapping[str, str]) -> Optional[int]:
     return length
 
 
-def truncated_body_error(got: int, expected: int) -> RequestError:
-    """The 400 a body shorter than its declared Content-Length maps to.
-
-    One constructor for both edges, so the sync and async servers answer
-    a truncating client with the identical message.
-    """
-    return RequestError(
-        400,
-        f"request body truncated: expected {expected} bytes, got {got}",
-    )
-
-
 def read_exact(read: Callable[[int], bytes], length: int) -> bytes:
     """Read exactly ``length`` bytes from a blocking ``read`` callable.
 
@@ -241,7 +224,11 @@ def read_exact(read: Callable[[int], bytes], length: int) -> bytes:
         remaining -= len(chunk)
     data = b"".join(chunks)
     if len(data) < length:
-        raise truncated_body_error(len(data), length)
+        raise RequestError(
+            400,
+            f"request body truncated: expected {length} bytes, "
+            f"got {len(data)}",
+        )
     return data
 
 
@@ -271,8 +258,7 @@ class EdgeCore:
     request accounting.  A transport parses one request off its
     connection (method, path, lower-cased headers, raw body bytes) and
     calls :meth:`handle`; everything after that — dispatch, typed-error
-    mapping, metrics, structured logging — happens here, identically for
-    the threaded and the asyncio edge.
+    mapping, metrics, structured logging — happens here.
     """
 
     def __init__(
@@ -332,19 +318,6 @@ class EdgeCore:
         }
         self._route_paths = {path for _, path in self._routes}
 
-    # -------------------------------------------------------------- #
-    # In-flight accounting (drain support for both transports)
-    # -------------------------------------------------------------- #
-    def request_started(self) -> None:
-        with self._inflight_cv:
-            self._inflight += 1
-
-    def request_finished(self) -> None:
-        with self._inflight_cv:
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._inflight_cv.notify_all()
-
     def drain(self, timeout: Optional[float]) -> bool:
         """Wait until no request is mid-handling; True if fully drained."""
         with self._inflight_cv:
@@ -387,7 +360,8 @@ class EdgeCore:
         )
         status = 0
         started = time.monotonic()
-        self.request_started()
+        with self._inflight_cv:
+            self._inflight += 1
         try:
             try:
                 # The liveness probe and metrics scrape stay open so
@@ -421,7 +395,10 @@ class EdgeCore:
             status = response.status
             return response
         finally:
-            self.request_finished()
+            with self._inflight_cv:
+                self._inflight -= 1
+                if self._inflight == 0:
+                    self._inflight_cv.notify_all()
             elapsed = time.monotonic() - started
             # Unknown paths collapse onto one label value so a scanner
             # cannot grow the metric cardinality without bound.
@@ -429,20 +406,15 @@ class EdgeCore:
                 route = "/v1/studies/{id}"
             else:
                 route = path if path in self._route_paths else "unknown"
-            self.observe_request(route, method, status, elapsed)
+            try:
+                self._m_requests.inc(route=route, method=method,
+                                     status=str(status))
+                self._m_latency.observe(elapsed, route=route)
+            except Exception:  # noqa: BLE001 - telemetry must never fail a request
+                pass
             log_event(_LOG, "http_request", request_id=request_id,
                       route=route, method=method, status=status,
                       latency_ms=elapsed * 1000.0)
-
-    def observe_request(
-        self, route: str, method: str, status: int, elapsed: float
-    ) -> None:
-        try:
-            self._m_requests.inc(route=route, method=method,
-                                 status=str(status))
-            self._m_latency.observe(elapsed, route=route)
-        except Exception:  # noqa: BLE001 - telemetry must never fail a request
-            pass
 
     # -------------------------------------------------------------- #
     # Response construction
@@ -738,14 +710,39 @@ class _Handler(BaseHTTPRequestHandler):
     """Thin transport: socket/body plumbing; the protocol lives in EdgeCore."""
 
     protocol_version = "HTTP/1.1"
-    # Idle keep-alive connections drop after this long, so they can never
-    # hold the server open across a shutdown.
+    # Idle keep-alive connections drop after this long.
     timeout = 30.0
     server_version = "repro-serve/1.0"
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if self.server.verbose:  # pragma: no cover - disabled in tests
             super().log_message(format, *args)
+
+    def send_error(self, code, message=None, explain=None):
+        # Failures http.server detects before a request exists (malformed
+        # request line, oversized header section, unsupported method)
+        # answer the protocol's JSON error body instead of an HTML page.
+        # A request line too garbled to name its version still gets a
+        # full HTTP/1.1 status line and headers, not a bare HTTP/0.9 body.
+        if self.request_version == "HTTP/0.9":
+            self.request_version = self.protocol_version
+        error = RequestError(code, message or HTTPStatus(code).phrase)
+        payload = json.dumps(_error_body(code, error)).encode("utf-8")
+        self._send(EdgeResponse(status=code, payload=payload, close=True))
+
+    def parse_request(self) -> bool:
+        # A request line arrived: the connection is busy until answered.
+        self.server.set_idle(self.connection, False)
+        return super().parse_request()
+
+    def handle_one_request(self) -> None:
+        super().handle_one_request()
+        # Back to waiting for the next request — unless close() has begun,
+        # in which case the connection is hung up instead of kept alive.
+        if not self.close_connection and not self.server.set_idle(
+            self.connection, True
+        ):
+            self.close_connection = True
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         self._dispatch("GET")
@@ -755,6 +752,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
         self._dispatch("DELETE")
+
+    def do_PUT(self) -> None:  # noqa: N802 - stdlib naming
+        # No route takes PUT; the core answers 405 on a known path, 404 else.
+        self._dispatch("PUT")
 
     def _dispatch(self, method: str) -> None:
         core = self.server.core
@@ -767,7 +768,9 @@ class _Handler(BaseHTTPRequestHandler):
                 body = read_exact(self.rfile.read, length)
         except Exception as error:  # noqa: BLE001 - mapped by the core
             body_error = error
-        response = core.handle(method, self.path, headers, body, body_error)
+        self._send(core.handle(method, self.path, headers, body, body_error))
+
+    def _send(self, response: EdgeResponse) -> None:
         if response.close:
             self.close_connection = True
         self.send_response(response.status)
@@ -788,8 +791,9 @@ class _PlanHTTPServer(ThreadingHTTPServer):
     """Threaded HTTP server: socket lifecycle around one EdgeCore."""
 
     # Handler threads are daemonic: an idle keep-alive connection must not
-    # block shutdown.  In-flight *requests* are tracked explicitly instead
-    # (by the core), so close() can drain real work and ignore idle sockets.
+    # block shutdown.  In-flight *requests* are tracked by the core and
+    # idle connections here, so close() can drain real work first and then
+    # hang up the connections waiting for a next request.
     daemon_threads = True
     # With daemon threads there is nothing for server_close() to join.
     block_on_close = False
@@ -801,7 +805,49 @@ class _PlanHTTPServer(ThreadingHTTPServer):
     def __init__(self, address, core: EdgeCore, verbose: bool) -> None:
         self.core = core
         self.verbose = verbose
+        self._idle: Set[socket.socket] = set()
+        self._idle_lock = threading.Lock()
+        self._closing = False
         super().__init__(address, _Handler)
+
+    def process_request(self, request, client_address) -> None:
+        self.set_idle(request, True)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        self.set_idle(request, False)
+        super().shutdown_request(request)
+
+    def set_idle(self, connection: socket.socket, idle: bool) -> bool:
+        """Record whether ``connection`` waits for its next request.
+
+        Returns False, recording nothing, when a connection turns idle
+        after :meth:`hang_up_idle` began: its handler must hang up.
+        """
+        with self._idle_lock:
+            if not idle:
+                self._idle.discard(connection)
+            elif self._closing:
+                return False
+            else:
+                self._idle.add(connection)
+        return True
+
+    def hang_up_idle(self) -> None:
+        """Shut down every connection waiting for a next request.
+
+        Its handler, blocked reading, sees EOF and exits; the peer sees
+        the connection close.  A connection still mid-request is left to
+        finish its response, then hangs up through :meth:`set_idle`.
+        """
+        with self._idle_lock:
+            self._closing = True
+            idle, self._idle = self._idle, set()
+        for connection in idle:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer or the handler closed it first
 
 
 class PlanServer:
@@ -819,10 +865,10 @@ class PlanServer:
     listening socket; :attr:`url` turns ``https://`` and clients verify
     with ``HttpClient(url, cafile=...)``.
 
-    :class:`~repro.serve.aio.AsyncPlanServer` is the drop-in asyncio
-    flavour of this class — same constructor surface, same routes (they
-    share one :class:`EdgeCore`), event-loop concurrency instead of a
-    thread per connection.
+    Connections are HTTP/1.1 keep-alive, one handler thread each; a
+    connection idle for ``_Handler.timeout`` seconds (30) is closed.  Both
+    ``HttpClient`` and the awaitable ``AsyncClient`` pool connections to
+    it.
     """
 
     def __init__(
@@ -897,7 +943,8 @@ class PlanServer:
         return self
 
     def close(self, timeout: Optional[float] = 10.0) -> None:
-        """Graceful shutdown: stop accepting, drain in-flight, close backend."""
+        """Graceful shutdown: stop accepting, drain in-flight, hang up idle
+        keep-alive connections, close backend."""
         if self._closed:
             return
         self._closed = True
@@ -905,6 +952,7 @@ class PlanServer:
             self._httpd.shutdown()
             self._thread.join(timeout=timeout)
         self.core.drain(timeout)
+        self._httpd.hang_up_idle()
         # Jobs close before the backend they execute through; an unfinished
         # study stays checkpointed on disk and resumes on the next start.
         self.core.jobs.close()

@@ -27,21 +27,19 @@ from repro.api.study import variation_sweep_via_client
 from repro.api.types import EnsembleRequest, PredictRequest
 from repro.models import make_mlp
 from repro.runtime import compile_model
-from repro.serve import AsyncPlanServer, InferenceService, PlanRegistry, PlanServer
+from repro.serve import InferenceService, PlanRegistry, PlanServer
 
 MODELS = (("alpha", 4, "acm"), ("beta", None, "de"))
 #: "cluster-shm" is the same sharded backend with ``shm_threshold=0``:
 #: every request/response array is forced over the shared-memory
 #: transport, so its bit-identity with the pipe-based "cluster" (and with
-#: everything else) is enforced by every test in this module.  "aio" is the
-#: same HTTP client against the *asyncio* edge (AsyncPlanServer): keep-alive
-#: event-loop serving may not change a single bit either.
-BACKENDS = ("local", "http", "aio", "cluster", "cluster-shm")
+#: everything else) is enforced by every test in this module.
+BACKENDS = ("local", "http", "cluster", "cluster-shm")
 
 
 @pytest.fixture(scope="module")
 def matrix(tmp_path_factory):
-    """One plan directory, five live backends, shared evaluation data."""
+    """One plan directory, four live backends, shared evaluation data."""
     directory = tmp_path_factory.mktemp("equivalence-plans")
     registry = PlanRegistry(directory)
     plans = {}
@@ -53,12 +51,9 @@ def matrix(tmp_path_factory):
 
     http_service = InferenceService(PlanRegistry(directory), max_batch=16)
     server = PlanServer(http_service, own_backend=True).start()
-    aio_service = InferenceService(PlanRegistry(directory), max_batch=16)
-    aio_server = AsyncPlanServer(aio_service, own_backend=True).start()
     clients = {
         "local": connect(f"local:{directory}?max_batch=16&max_wait_ms=2"),
         "http": connect(server.url),
-        "aio": connect(aio_server.url),
         "cluster": connect(
             f"cluster:{directory}?workers=2&max_batch=16&shm_threshold=off"
         ),
@@ -73,12 +68,11 @@ def matrix(tmp_path_factory):
     labels = rng.integers(0, 10, size=8)
     yield SimpleNamespace(directory=directory, plans=plans, clients=clients,
                           images=images, labels=labels,
-                          server=server, aio_server=aio_server)
+                          server=server)
     shm_base = clients["cluster-shm"].backend._shm_base
     for client in clients.values():
         client.close()
     server.close()
-    aio_server.close()
     # The shm-forced cluster may not leave a single orphaned segment.
     from repro.serve.shm import list_segments
 
@@ -304,20 +298,19 @@ class TestEnsembleBackpressureEquivalence:
 
 
 class TestAsyncClientEquivalence:
-    """The ``await``-able client is a fourth transport, not a fourth truth.
+    """The ``await``-able client is another transport, not another truth.
 
     Drives :class:`repro.api.AsyncClient` (via :func:`connect_async`)
-    against *both* HTTP edges — the threaded ``PlanServer`` and the
-    event-loop ``AsyncPlanServer`` — and every result must be
+    against the ``PlanServer`` edge, and every result must be
     bit-identical to the in-process reference, every failure the same
     typed error.
     """
 
-    EDGES = ("http", "aio")
+    EDGES = ("http",)
 
     @staticmethod
     def _url(matrix, edge):
-        return (matrix.server if edge == "http" else matrix.aio_server).url
+        return matrix.server.url
 
     @pytest.mark.parametrize("edge", EDGES)
     def test_results_bit_identical_to_local(self, matrix, edge):

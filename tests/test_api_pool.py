@@ -1,11 +1,11 @@
 """Connection pooling: keep-alive reuse and poisoned-socket hygiene.
 
 Covers both pooled transports — the blocking :class:`HttpClient` and the
-``await``-able :class:`AsyncClient` — against both edges, plus hostile
-servers (half-written responses, silent hangs, idle-closing peers) built
-from raw listening sockets.  The invariant under test: the pool only ever
-re-issues requests on sockets that finished their previous exchange
-cleanly; everything else is closed, never parked.
+``await``-able :class:`AsyncClient` — against :class:`PlanServer`, plus
+hostile servers (half-written responses, silent hangs, idle-closing
+peers) built from raw listening sockets.  The invariant under test: the
+pool only ever re-issues requests on sockets that finished their
+previous exchange cleanly; everything else is closed, never parked.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ from repro.api import (
     connect,
     connect_async,
 )
+import repro.serve.http
 from repro.models import make_mlp
 from repro.runtime import compile_model
-from repro.serve import AsyncPlanServer, InferenceService, PlanRegistry, PlanServer
+from repro.serve import InferenceService, PlanRegistry, PlanServer
 
 
 @pytest.fixture(scope="module")
@@ -170,16 +171,18 @@ class TestHttpClientPooling:
         finally:
             server.close()
 
-    def test_server_closing_idle_socket_costs_one_free_retry(self, env):
-        # An async edge with a very short keep-alive window hangs up on
-        # idle sockets; the pooled client must transparently re-issue on a
+    def test_server_closing_idle_socket_costs_one_free_retry(
+        self, env, monkeypatch
+    ):
+        # A server with a very short keep-alive window hangs up on idle
+        # sockets; the pooled client must transparently re-issue on a
         # fresh connection instead of surfacing the stale socket's EOF.
-        aio_server = AsyncPlanServer(
+        monkeypatch.setattr(repro.serve.http._Handler, "timeout", 0.3)
+        server = PlanServer(
             InferenceService(PlanRegistry(env.directory), max_batch=16),
-            own_backend=True, keepalive_timeout=0.3,
         ).start()
         try:
-            with HttpClient(aio_server.url, retries=0) as client:
+            with HttpClient(server.url, retries=0) as client:
                 assert client.health().ok
                 time.sleep(0.8)  # server reaps the idle connection
                 assert client.health().ok  # transparently redialed
@@ -187,7 +190,7 @@ class TestHttpClientPooling:
                 assert stats["stale_retries"] == 1
                 assert stats["connections_opened"] == 2
         finally:
-            aio_server.close()
+            server.close()
 
     def test_timeout_closes_socket_and_maps_to_api_timeout(self):
         server = _HostileServer(_never_answer)
@@ -212,22 +215,14 @@ class TestHttpClientPooling:
 
 class TestAsyncClientPooling:
     def test_pool_size_caps_concurrent_sockets(self, env):
-        aio_server = AsyncPlanServer(
-            InferenceService(PlanRegistry(env.directory), max_batch=16),
-            own_backend=True,
-        ).start()
-
         async def script():
-            async with AsyncClient(aio_server.url, pool_size=2) as api:
+            async with AsyncClient(env.server.url, pool_size=2) as api:
                 await asyncio.gather(*(api.health() for _ in range(10)))
                 return api.client_stats()
 
-        try:
-            stats = asyncio.run(script())
-            assert stats["connections_opened"] <= 2
-            assert stats["connections_reused"] >= 8
-        finally:
-            aio_server.close()
+        stats = asyncio.run(script())
+        assert stats["connections_opened"] <= 2
+        assert stats["connections_reused"] >= 8
 
     def test_mid_body_disconnect_discards_the_socket(self):
         server = _HostileServer(_half_body)
@@ -245,14 +240,16 @@ class TestAsyncClientPooling:
         finally:
             server.close()
 
-    def test_server_closing_idle_socket_costs_one_free_retry(self, env):
-        aio_server = AsyncPlanServer(
+    def test_server_closing_idle_socket_costs_one_free_retry(
+        self, env, monkeypatch
+    ):
+        monkeypatch.setattr(repro.serve.http._Handler, "timeout", 0.3)
+        server = PlanServer(
             InferenceService(PlanRegistry(env.directory), max_batch=16),
-            own_backend=True, keepalive_timeout=0.3,
         ).start()
 
         async def script():
-            async with AsyncClient(aio_server.url, retries=0) as api:
+            async with AsyncClient(server.url, retries=0) as api:
                 assert (await api.health()).ok
                 await asyncio.sleep(0.8)
                 assert (await api.health()).ok
@@ -263,7 +260,7 @@ class TestAsyncClientPooling:
             assert stats["stale_retries"] == 1
             assert stats["connections_opened"] == 2
         finally:
-            aio_server.close()
+            server.close()
 
     def test_timeout_maps_to_api_timeout_without_retry(self):
         server = _HostileServer(_never_answer)

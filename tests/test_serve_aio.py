@@ -1,17 +1,14 @@
-"""The asyncio HTTP edge: same protocol, event-loop transport.
+"""PlanServer spot-checks over a small MLP plan.
 
-:class:`~repro.serve.aio.AsyncPlanServer` shares its entire route table
-with the threaded edge through :class:`~repro.serve.http.EdgeCore`, so
-these tests focus on what is *new*: keep-alive connection reuse,
-pipelined request parsing, idle-timeout and drain behaviour, and the
-robust body reading the bugfix sweep hardened.  Route/auth semantics get
-a spot-check to pin the shared core to the async transport.
+A second, smaller fixture than ``test_serve_http.py`` (one 16-input MLP
+instead of LeNet) pins the edge's routes, auth, body reading, keep-alive
+idle reaping, study jobs and lifecycle with cheap requests.  The raw-socket
+helpers are shared with ``test_serve_http.py``.
 """
 
 from __future__ import annotations
 
 import http.client
-import json
 import socket
 import time
 from types import SimpleNamespace
@@ -19,100 +16,52 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import repro.serve.http
 from repro.models import make_mlp
 from repro.runtime import compile_model
-from repro.runtime.wire import encode_array
-from repro.serve import AsyncPlanServer, InferenceService, PlanRegistry
-
-
-# ---------------------------------------------------------------------- #
-# Raw-socket HTTP plumbing (keep-alive and pipelining need byte control)
-# ---------------------------------------------------------------------- #
-def _raw_request(method, path, body=None, headers=None, version="1.1"):
-    """Serialize one HTTP request to bytes."""
-    payload = b"" if body is None else json.dumps(body).encode("utf-8")
-    lines = [f"{method} {path} HTTP/{version}", "Host: test"]
-    if body is not None:
-        lines.append("Content-Type: application/json")
-        lines.append(f"Content-Length: {len(payload)}")
-    for name, value in (headers or {}).items():
-        lines.append(f"{name}: {value}")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + payload
-
-
-def _read_response(reader):
-    """Parse one response off a socket file; (status, headers, json body)."""
-    status_line = reader.readline()
-    if not status_line:
-        raise EOFError("connection closed before a status line")
-    status = int(status_line.split(b" ", 2)[1])
-    headers = {}
-    while True:
-        line = reader.readline()
-        if line in (b"\r\n", b"\n"):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    raw = reader.read(int(headers.get("content-length", 0)))
-    return status, headers, json.loads(raw.decode("utf-8")) if raw else None
-
-
-def _connect(address, timeout=30.0):
-    sock = socket.create_connection(address, timeout=timeout)
-    return sock, sock.makefile("rb")
-
-
-def _request(address, method, path, body=None):
-    """One request on a fresh connection; returns (status, json body)."""
-    connection = http.client.HTTPConnection(*address, timeout=60)
-    try:
-        payload = None if body is None else json.dumps(body).encode("utf-8")
-        connection.request(method, path, body=payload,
-                           headers={"Content-Type": "application/json"})
-        response = connection.getresponse()
-        return response.status, json.loads(response.read().decode("utf-8"))
-    finally:
-        connection.close()
-
-
-def _predict_body(images, model="mlp", bits=4, mapping="acm", **extra):
-    return {"model": model, "bits": bits, "mapping": mapping,
-            "images": encode_array(np.asarray(images)), **extra}
+from repro.runtime.wire import decode_array
+from repro.serve import InferenceService, PlanRegistry, PlanServer
+from tests.test_serve_http import (
+    _connect,
+    _predict_body,
+    _raw_request,
+    _read_response,
+    _request,
+)
 
 
 @pytest.fixture(scope="module")
 def served(tmp_path_factory):
-    """A live AsyncPlanServer over one published plan."""
-    directory = tmp_path_factory.mktemp("aio-plans")
+    """A live PlanServer over one published MLP plan."""
+    directory = tmp_path_factory.mktemp("mlp-plans")
     model = make_mlp(input_size=16, hidden_sizes=(8,), mapping="acm",
                      quantizer_bits=4, seed=0)
-    registry = PlanRegistry(directory)
-    registry.publish_model(model, "mlp", 4, "acm")
-    service = InferenceService(registry, max_batch=16, max_wait_ms=2.0)
-    server = AsyncPlanServer(service, own_backend=True).start()
-    images = np.random.default_rng(7).normal(size=(4, 16))
+    PlanRegistry(directory).publish_model(model, "mlp", 4, "acm")
+    service = InferenceService(PlanRegistry(directory), max_batch=16,
+                               max_wait_ms=2.0)
+    server = PlanServer(service, own_backend=True).start()
     yield SimpleNamespace(
-        address=server.address, server=server, service=service,
-        images=images, plan=compile_model(model), directory=directory,
+        address=server.address, directory=directory,
+        images=np.random.default_rng(7).normal(size=(4, 16)),
+        plan=compile_model(model),
     )
     server.close()
 
 
 def _fresh_server(directory, **kwargs):
     service = InferenceService(PlanRegistry(directory), max_batch=16)
-    return AsyncPlanServer(service, own_backend=True, **kwargs).start()
+    return PlanServer(service, own_backend=True, **kwargs).start()
 
 
-# ---------------------------------------------------------------------- #
-# Shared-core routes over the async transport
-# ---------------------------------------------------------------------- #
+def _mlp_body(images):
+    return _predict_body(images, model="mlp")
+
+
 class TestRoutes:
     def test_predict_bit_identical_to_plan(self, served):
         status, body = _request(served.address, "POST", "/v1/predict",
-                                _predict_body(served.images))
+                                _mlp_body(served.images))
         assert status == 200
-        from repro.runtime.wire import decode_array
-
         np.testing.assert_array_equal(decode_array(body["logits"]),
                                       served.plan.run(served.images))
 
@@ -131,10 +80,9 @@ class TestRoutes:
     def test_invalid_json_is_400(self, served):
         sock, reader = _connect(served.address)
         try:
-            head = (b"POST /v1/predict HTTP/1.1\r\nHost: t\r\n"
-                    b"Content-Type: application/json\r\n"
-                    b"Content-Length: 9\r\n\r\nnot json!")
-            sock.sendall(head)
+            sock.sendall(b"POST /v1/predict HTTP/1.1\r\nHost: t\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: 9\r\n\r\nnot json!")
             status, _, body = _read_response(reader)
             assert status == 400
             assert body["error"]["code"] == "invalid_request"
@@ -148,16 +96,6 @@ class TestRoutes:
             status, _, body = _read_response(reader)
             assert status == 400
             assert "Content-Length" in body["error"]["message"]
-        finally:
-            sock.close()
-
-    def test_malformed_request_line_is_400(self, served):
-        sock, reader = _connect(served.address)
-        try:
-            sock.sendall(b"WHAT\r\n\r\n")
-            status, _, body = _read_response(reader)
-            assert status == 400
-            assert body["error"]["code"] == "invalid_request"
         finally:
             sock.close()
 
@@ -189,74 +127,12 @@ class TestRoutes:
             connection.close()
 
 
-# ---------------------------------------------------------------------- #
-# Keep-alive semantics
-# ---------------------------------------------------------------------- #
 class TestKeepAlive:
-    def test_second_request_reuses_the_same_socket(self, served):
-        sock, reader = _connect(served.address)
-        try:
-            for _ in range(2):
-                sock.sendall(_raw_request("POST", "/v1/predict",
-                                          _predict_body(served.images)))
-                status, headers, body = _read_response(reader)
-                assert status == 200
-                assert headers.get("connection") != "close"
-                assert "logits" in body
-        finally:
-            sock.close()
-
-    def test_pipelined_pair_answered_in_order(self, served):
-        # Both requests are on the wire before either response is read.
-        sock, reader = _connect(served.address)
-        try:
-            sock.sendall(_raw_request("GET", "/healthz") +
-                         _raw_request("GET", "/v1/models"))
-            status, _, body = _read_response(reader)
-            assert status == 200 and body["status"] == "ok"
-            status, _, body = _read_response(reader)
-            assert status == 200 and "models" in body
-        finally:
-            sock.close()
-
-    def test_connection_close_header_is_honoured(self, served):
-        sock, reader = _connect(served.address)
-        try:
-            sock.sendall(_raw_request("GET", "/healthz",
-                                      headers={"Connection": "close"}))
-            status, headers, _ = _read_response(reader)
-            assert status == 200
-            assert headers.get("connection") == "close"
-            assert reader.read() == b""  # server hangs up after the response
-        finally:
-            sock.close()
-
-    def test_http10_without_keepalive_closes(self, served):
-        sock, reader = _connect(served.address)
-        try:
-            sock.sendall(_raw_request("GET", "/healthz", version="1.0"))
-            status, headers, _ = _read_response(reader)
-            assert status == 200
-            assert headers.get("connection") == "close"
-            assert reader.read() == b""
-        finally:
-            sock.close()
-
-    def test_error_response_closes_the_connection(self, served):
-        # Errors always close: the request body may sit half-read on the
-        # socket and would corrupt the framing of a follow-up request.
-        sock, reader = _connect(served.address)
-        try:
-            sock.sendall(_raw_request("GET", "/nope"))
-            status, headers, _ = _read_response(reader)
-            assert status == 404
-            assert headers.get("connection") == "close"
-            assert reader.read() == b""
-        finally:
-            sock.close()
-
-    def test_idle_connection_closed_after_keepalive_timeout(self, served):
-        server = _fresh_server(served.directory, keepalive_timeout=0.4)
+    def test_idle_connection_closed_after_keepalive_timeout(
+        self, served, monkeypatch
+    ):
+        monkeypatch.setattr(repro.serve.http._Handler, "timeout", 0.4)
+        server = _fresh_server(served.directory)
         try:
             sock, reader = _connect(server.address)
             try:
@@ -271,38 +147,14 @@ class TestKeepAlive:
         finally:
             server.close()
 
-    def test_close_drains_idle_keepalive_connections(self, served):
-        server = _fresh_server(served.directory)
-        sock, reader = _connect(server.address)
-        try:
-            sock.sendall(_raw_request("GET", "/healthz"))
-            assert _read_response(reader)[0] == 200
-            # The connection is idle mid-keep-alive; a graceful close must
-            # not hang on it, and must hang *it* up.
-            start = time.monotonic()
-            server.close()
-            assert time.monotonic() - start < 8.0
-            sock.settimeout(5.0)
-            assert reader.read() == b""
-        finally:
-            sock.close()
 
-
-# ---------------------------------------------------------------------- #
-# Robust body reading (the bugfix sweep)
-# ---------------------------------------------------------------------- #
 class TestBodyReading:
     def test_dribbled_body_is_read_to_completion(self, served):
-        # A well-behaved but slow client: the body arrives in single-byte
-        # dribbles.  One read() call would see a short body; the edge must
-        # loop until Content-Length bytes arrived.
-        payload = json.dumps(_predict_body(served.images)).encode("utf-8")
-        head = (f"POST /v1/predict HTTP/1.1\r\nHost: t\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(payload)}\r\n\r\n").encode("latin-1")
+        # The body arrives in small dribbles: one read() would see a short
+        # body, so the edge must loop until Content-Length bytes arrived.
+        payload = _raw_request("POST", "/v1/predict", _mlp_body(served.images))
         sock, reader = _connect(served.address)
         try:
-            sock.sendall(head)
             for offset in range(0, len(payload), 256):
                 sock.sendall(payload[offset:offset + 256])
                 time.sleep(0.005)
@@ -332,15 +184,11 @@ class TestBodyReading:
             sock.sendall(_raw_request(
                 "POST", "/v1/predict",
                 headers={"Content-Length": str(1 << 31)}))
-            status, _, body = _read_response(reader)
-            assert status == 413
+            assert _read_response(reader)[0] == 413
         finally:
             sock.close()
 
 
-# ---------------------------------------------------------------------- #
-# Study jobs over the async edge (incl. DELETE cancellation)
-# ---------------------------------------------------------------------- #
 class TestStudyRoutes:
     def test_submit_poll_cancel_lifecycle(self, served):
         from repro.api.codec import encode_study_spec
@@ -374,9 +222,6 @@ class TestStudyRoutes:
         assert body["error"]["code"] == "model_not_found"
 
 
-# ---------------------------------------------------------------------- #
-# Lifecycle
-# ---------------------------------------------------------------------- #
 class TestLifecycle:
     def test_double_close_is_safe(self, served):
         server = _fresh_server(served.directory)

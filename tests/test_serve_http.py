@@ -114,6 +114,41 @@ def _predict_body(images, model="lenet", bits=4, mapping="acm", **extra):
             "images": encode_array(np.asarray(images)), **extra}
 
 
+# Raw-socket plumbing: keep-alive and pipelining need byte control.
+def _raw_request(method, path, body=None, headers=None, version="1.1"):
+    """Serialize one HTTP request to bytes."""
+    payload = b"" if body is None else json.dumps(body).encode("utf-8")
+    lines = [f"{method} {path} HTTP/{version}", "Host: test"]
+    if body is not None:
+        lines.append("Content-Type: application/json")
+        lines.append(f"Content-Length: {len(payload)}")
+    for name, value in (headers or {}).items():
+        lines.append(f"{name}: {value}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + payload
+
+
+def _read_response(reader):
+    """Parse one response off a socket file; (status, headers, json body)."""
+    status_line = reader.readline()
+    if not status_line:
+        raise EOFError("connection closed before a status line")
+    status = int(status_line.split(b" ", 2)[1])
+    headers = {}
+    while True:
+        line = reader.readline()
+        if line in (b"\r\n", b"\n"):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    raw = reader.read(int(headers.get("content-length", 0)))
+    return status, headers, json.loads(raw.decode("utf-8")) if raw else None
+
+
+def _connect(address, timeout=30.0):
+    sock = socket.create_connection(address, timeout=timeout)
+    return sock, sock.makefile("rb")
+
+
 # ---------------------------------------------------------------------- #
 # End-to-end over a live server
 # ---------------------------------------------------------------------- #
@@ -320,6 +355,17 @@ class TestErrorMapping:
         assert response.status == 400
         assert "Content-Length" in body["error"]["message"]
 
+    def test_malformed_request_line_is_400(self, served):
+        sock, reader = _connect(served.address)
+        try:
+            sock.sendall(b"WHAT\r\n\r\n")
+            status, headers, body = _read_response(reader)
+            assert status == 400
+            assert body["error"]["code"] == "invalid_request"
+            assert headers.get("connection") == "close"
+        finally:
+            sock.close()
+
     @pytest.mark.parametrize("mutate,expected_status", [
         (lambda b: b.update(model="missing-model"), 404),
         (lambda b: b.update(bits=9), 404),
@@ -504,6 +550,86 @@ class TestKeepAlive:
             assert json.loads(response.read())["status"] == "ok"
         finally:
             connection.close()
+
+    def test_second_request_reuses_the_same_socket(self, served):
+        sock, reader = _connect(served.address)
+        try:
+            for _ in range(2):
+                sock.sendall(_raw_request("POST", "/v1/predict",
+                                          _predict_body(served.images[:2])))
+                status, headers, body = _read_response(reader)
+                assert status == 200
+                assert headers.get("connection") != "close"
+                assert "logits" in body
+        finally:
+            sock.close()
+
+    def test_pipelined_pair_answered_in_order(self, served):
+        # Both requests are on the wire before either response is read.
+        sock, reader = _connect(served.address)
+        try:
+            sock.sendall(_raw_request("GET", "/healthz") +
+                         _raw_request("GET", "/v1/models"))
+            status, _, body = _read_response(reader)
+            assert status == 200 and body["status"] == "ok"
+            status, _, body = _read_response(reader)
+            assert status == 200 and "models" in body
+        finally:
+            sock.close()
+
+    def test_connection_close_header_is_honoured(self, served):
+        sock, reader = _connect(served.address)
+        try:
+            sock.sendall(_raw_request("GET", "/healthz",
+                                      headers={"Connection": "close"}))
+            status, headers, _ = _read_response(reader)
+            assert status == 200
+            assert headers.get("connection") == "close"
+            assert reader.read() == b""  # server hangs up after the response
+        finally:
+            sock.close()
+
+    def test_http10_without_keepalive_closes(self, served):
+        sock, reader = _connect(served.address)
+        try:
+            sock.sendall(_raw_request("GET", "/healthz", version="1.0"))
+            status, headers, _ = _read_response(reader)
+            assert status == 200
+            assert headers.get("connection") == "close"
+            assert reader.read() == b""
+        finally:
+            sock.close()
+
+    def test_error_response_closes_the_connection(self, served):
+        # Errors always close: the request body may sit half-read on the
+        # socket and would corrupt the framing of a follow-up request.
+        sock, reader = _connect(served.address)
+        try:
+            sock.sendall(_raw_request("GET", "/nope"))
+            status, headers, _ = _read_response(reader)
+            assert status == 404
+            assert headers.get("connection") == "close"
+            assert reader.read() == b""
+        finally:
+            sock.close()
+
+    def test_close_drains_idle_keepalive_connections(self, served):
+        server = PlanServer(InferenceService(PlanRegistry(served.directory)))
+        server.start()
+        sock, reader = _connect(server.address)
+        try:
+            sock.sendall(_raw_request("GET", "/healthz"))
+            assert _read_response(reader)[0] == 200
+            # The connection is idle mid-keep-alive; a graceful close must
+            # not hang on it, and must hang *it* up rather than leave a
+            # handler thread answering on it.
+            start = time.monotonic()
+            server.close()
+            assert time.monotonic() - start < 8.0
+            sock.settimeout(5.0)
+            assert reader.read() == b""
+        finally:
+            sock.close()
 
 
 class TestLifecycle:
