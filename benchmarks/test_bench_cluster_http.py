@@ -4,8 +4,10 @@ The scaling claim of the cluster: serving four *distinct* models from four
 worker processes must beat a single-process service handling the same
 mixed traffic, because each model executes behind its own GIL on its own
 core.  Both sides run the identical serving stack (registry, validation,
-micro-batching) over the identical plans — the measured ratio isolates
-exactly what cross-process sharding adds.
+micro-batching) over the identical plans — the single process through
+each model's scheduler future API, the cluster through client threads on
+its typed entry point — so the measured ratio isolates exactly what
+cross-process sharding adds.
 
 The scaling floor (>= 2x with 4 workers) is asserted when the machine
 actually has multiple cores; on a single-core container the cluster cannot
@@ -26,6 +28,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import print_header, run_once
+from repro.api import PredictRequest
 from repro.models import make_lenet
 from repro.runtime import compile_model, decode_array, encode_array
 from repro.serve import (
@@ -67,19 +70,25 @@ def _pick_model_names(num_models: int, num_workers: int) -> list:
     return names
 
 
+def _predict(backend, name, images):
+    return backend.predict_request(PredictRequest(
+        images, model=name, bits=4, mapping="acm",
+    )).logits
+
+
 def _request_rows(images, index):
     start = (index * ROWS_PER_REQUEST) % len(images)
     return images[start:start + ROWS_PER_REQUEST]
 
 
-def _drive(backend, names, images, repeats: int) -> float:
-    """Fan the mixed-model batch-request workload through a backend; best time."""
+def _drive(submit, names, images, repeats: int) -> float:
+    """Fan the mixed-model batch-request workload through ``submit(name,
+    rows) -> Future``; best time."""
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
         futures = [
-            backend.predict_async(_request_rows(images, i), model=name,
-                                  bits=4, mapping="acm")
+            submit(name, _request_rows(images, i))
             for i in range(REQUESTS_PER_MODEL)
             for name in names
         ]
@@ -106,12 +115,17 @@ def _cluster_http_throughput(tmp_path):
 
     # -- single-process service ---------------------------------------- #
     with InferenceService(registry, max_batch=64, max_wait_ms=5.0) as service:
-        service.predict(images[:4], model=names[0], bits=4, mapping="acm")
-        single_seconds = _drive(service, names, images, repeats=2)
+        schedulers = {name: service.scheduler_for(name, 4, "acm")
+                      for name in names}
+        schedulers[names[0]].submit(images[:4]).result(timeout=300)
+        single_seconds = _drive(
+            lambda name, rows: schedulers[name].submit(rows),
+            names, images, repeats=2,
+        )
         # Correctness of the single-process side, one full batch per model.
         for name in names:
             np.testing.assert_allclose(
-                service.predict(images, model=name, bits=4, mapping="acm"),
+                _predict(service, name, images),
                 plans[name].run(images), atol=EQUIV_ATOL, rtol=0,
             )
 
@@ -121,11 +135,19 @@ def _cluster_http_throughput(tmp_path):
         cluster.wait_ready(timeout=300)
         shards = {name: cluster.worker_for(name, 4, "acm") for name in names}
         for name in names:  # warm every worker's plan + schedulers
-            cluster.predict(images[:4], model=name, bits=4, mapping="acm")
-        cluster_seconds = _drive(cluster, names, images, repeats=2)
+            _predict(cluster, name, images[:4])
+        # One client thread per request, so the whole workload is in
+        # flight at once; each worker serves handler_threads of it at a time.
+        with ThreadPoolExecutor(
+            max_workers=len(names) * REQUESTS_PER_MODEL
+        ) as clients:
+            cluster_seconds = _drive(
+                lambda name, rows: clients.submit(_predict, cluster, name,
+                                                  rows),
+                names, images, repeats=2,
+            )
         cluster_logits = {
-            name: cluster.predict(images, model=name, bits=4, mapping="acm")
-            for name in names
+            name: _predict(cluster, name, images) for name in names
         }
 
         # -- HTTP front-end over the cluster ---------------------------- #

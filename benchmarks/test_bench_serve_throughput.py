@@ -3,11 +3,13 @@
 The serving claim the subsystem has to earn: coalescing concurrent
 single-image requests into stacked plan executions must beat executing the
 same requests one at a time.  Both sides run the identical serving stack on
-the identical 4-bit ACM LeNet plan — the serial side with batching disabled
-(``max_batch=1``, no coalescing window), the batched side with dynamic
-micro-batching — so the measured ratio isolates exactly what the scheduler
-adds.  The raw ``plan.run`` loop (no serving layer at all) is printed as a
-reference point.
+the identical 4-bit ACM LeNet plan — each submits rows to the service's
+per-model scheduler (``service.scheduler_for(...).submit``, its future
+API) — the serial side with batching disabled (``max_batch=1``, no
+coalescing window), the batched side with dynamic micro-batching — so the
+measured ratio isolates exactly what the scheduler adds.  The raw
+``plan.run`` loop (no serving layer at all) is printed as a reference
+point.
 """
 
 from __future__ import annotations
@@ -43,9 +45,10 @@ def _serve_throughput(tmp_path):
     # One-request-at-a-time serving: batching disabled, the client waits for
     # each response before issuing the next request.
     with InferenceService(registry, max_batch=1, max_wait_ms=0.0) as service:
+        scheduler = service.scheduler_for("lenet", 4, "acm")
         start = time.perf_counter()
         serial_logits = np.stack([
-            service.predict(images[i], model="lenet", bits=4, mapping="acm")
+            scheduler.submit(images[i:i + 1]).result(120)[0]
             for i in range(NUM_REQUESTS)
         ])
         serial_seconds = time.perf_counter() - start
@@ -55,13 +58,14 @@ def _serve_throughput(tmp_path):
     # pass on a shared box is at the mercy of scheduler noise.
     batched_seconds = float("inf")
     with InferenceService(registry, max_batch=64, max_wait_ms=10.0) as service:
+        scheduler = service.scheduler_for("lenet", 4, "acm")
         for _ in range(2):
             start = time.perf_counter()
             futures = [
-                service.predict_async(images[i], model="lenet", bits=4, mapping="acm")
-                for i in range(NUM_REQUESTS)
+                scheduler.submit(images[i:i + 1]) for i in range(NUM_REQUESTS)
             ]
-            batched_logits = np.stack([future.result(120) for future in futures])
+            batched_logits = np.stack([future.result(120)[0]
+                                       for future in futures])
             batched_seconds = min(batched_seconds, time.perf_counter() - start)
         stats = service.stats["lenet__4b__acm"]
 

@@ -13,9 +13,10 @@ such plans to concurrent clients over the network":
   ``max_wait_ms``) into single stacked plan executions whose rows scatter
   back onto per-request futures.
 * :class:`InferenceService` (:mod:`repro.serve.service`) — the in-process
-  façade: deterministic ``predict`` (bit-equivalent to the evaluation
-  helpers) and seeded ``predict_under_variation`` Monte-Carlo ensembles
-  whose sampled weight stacks are cached per (plan, sigma, samples, seed).
+  façade with two typed request methods: ``predict_request`` (deterministic
+  logits, bit-equivalent to the evaluation helpers) and
+  ``ensemble_request`` (seeded Monte-Carlo ensembles whose sampled weight
+  stacks are cached per (plan, sigma, samples, seed)).
 * :class:`PlanServer` (:mod:`repro.serve.http`) — the stdlib HTTP/JSON
   front-end: ``POST /v1/predict``, ``POST /v1/predict_under_variation``,
   ``GET /v1/models``, ``GET /v1/stats``, ``GET /healthz``, with arrays
@@ -50,8 +51,9 @@ Consumers should not usually code against these classes directly:
 :mod:`repro.api` is the typed, transport-agnostic facade —
 ``repro.api.connect("local:DIR" | "http://host:port" |
 "cluster:DIR?workers=N")`` returns interchangeable clients speaking the
-shared request/response dataclasses, and both backends here implement its
-typed entry points (``predict_request`` / ``ensemble_request``) natively.
+shared request/response dataclasses.  ``predict_request`` /
+``ensemble_request`` are the only request methods of both backends here,
+so every client and the HTTP edge call the same two entry points.
 """
 
 from repro.serve.registry import (
@@ -69,7 +71,7 @@ from repro.serve.scheduler import (
     MicroBatchScheduler,
     SchedulerStats,
 )
-from repro.serve.service import InferenceService, VariationPrediction
+from repro.serve.service import InferenceService
 from repro.serve.http import PlanServer, RequestError
 from repro.serve.cluster import PlanCluster, shard_index
 from repro.serve.shm import DEFAULT_SHM_THRESHOLD, ShmRef
@@ -94,7 +96,6 @@ __all__ = [
     "SchedulerStats",
     "ShmRef",
     "StudyCell",
-    "VariationPrediction",
     "canary_bucket",
     "parse_bits",
     "run_study_cell",

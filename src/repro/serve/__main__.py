@@ -39,7 +39,7 @@ import signal
 import threading
 from typing import List, Optional
 
-from repro.api.connect import connect
+from repro.api import connect
 from repro.serve.http import PlanServer
 
 #: Set by tests (or a signal handler) to stop a running ``main`` promptly.

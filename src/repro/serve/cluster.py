@@ -25,12 +25,13 @@ clockwise from its ring position, so:
 * with ``replicas=1`` the ring degrades to the pre-replication semantics
   exactly: one owner per key, fail-fast on a dead shard.
 
-The parent/worker protocol is asynchronous: requests carry a correlation
-id down the pipe, a pool of handler threads inside the worker serves them
-concurrently (so micro-batches still form), and a receiver thread in the
-parent scatters replies back onto per-request futures.  Results are exact
-— the same float64 arrays an in-process service would return, moved across
-a pickle boundary.
+The parent/worker protocol is asynchronous: each typed request dataclass
+travels down the pipe under a correlation id, a pool of handler threads
+inside the worker serves them concurrently through the worker service's
+own typed entry points (so micro-batches still form), and a receiver
+thread in the parent scatters the typed results back onto per-request
+futures.  Results are exact — the same float64 arrays an in-process
+service would return, moved across a pickle boundary.
 
 **Shared-memory transport** (:mod:`repro.serve.shm`): request/response
 arrays at or above ``shm_threshold`` bytes do not ride the pickle stream —
@@ -68,9 +69,8 @@ drain their schedulers (:meth:`InferenceService.close`), acknowledge, and
 exit.
 
 ``PlanCluster`` satisfies the same backend contract as
-``InferenceService`` — including the typed
-:meth:`~PlanCluster.predict_request` / :meth:`~PlanCluster.ensemble_request`
-entry points of the ``repro.api`` layer — so
+``InferenceService`` — :meth:`~PlanCluster.predict_request` /
+:meth:`~PlanCluster.ensemble_request` are its only request methods — so
 :class:`~repro.serve.http.PlanServer` can front either interchangeably.
 """
 
@@ -83,12 +83,12 @@ import os
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.api.backend import typed_ensemble, typed_predict
-from repro.api.errors import WorkerDied
+from repro.api.errors import ApiError, ModelNotFound, WorkerDied, map_exception
 from repro.obs import (
     LogfmtFormatter,
     MetricFamily,
@@ -96,6 +96,7 @@ from repro.obs import (
     log_event,
     relabel,
 )
+from repro.obs.tracing import ensure_request_id
 from repro.api.types import (
     EnsembleRequest,
     EnsembleResult,
@@ -109,7 +110,7 @@ from repro.serve.ring import (
     HashRing,
     get_ring,
 )
-from repro.serve.service import InferenceService, VariationPrediction
+from repro.serve.service import InferenceService
 from repro.serve.shm import (
     DEFAULT_SHM_THRESHOLD,
     SegmentStats,
@@ -222,7 +223,7 @@ def _worker_main(
         if kind == "predict" or kind == "ensemble":
             try:
                 return _run_request(kind, payload)
-            except KeyError:
+            except ModelNotFound:
                 # The plan may have been published after this worker
                 # indexed the directory; re-scan once and retry.
                 registry.refresh()
@@ -230,7 +231,7 @@ def _worker_main(
         if kind == "refresh":
             # Parent-broadcast re-scan (a plan was published after this
             # worker indexed the directory): every replica picks up the
-            # new key, not just the one that happened to hit the KeyError.
+            # new key, not just the one that happened to hit ModelNotFound.
             registry.refresh()
             return len(registry)
         if kind == "models":
@@ -245,10 +246,10 @@ def _worker_main(
             return "pong"
         raise ValueError(f"unknown request kind {kind!r}")
 
-    def _run_request(kind, payload):
+    def _run_request(kind, request):
         if kind == "predict":
-            return service.predict(**payload)
-        return service.predict_under_variation(**payload)
+            return service.predict_request(request)
+        return service.ensemble_request(request)
 
     with ThreadPoolExecutor(
         max_workers=handler_threads, thread_name_prefix="plan-worker"
@@ -991,7 +992,7 @@ class PlanCluster:
         the scan finds it (the plan was published after cluster start),
         every live worker is told to re-index too — otherwise only the
         replica that happened to receive a request would heal via its
-        KeyError path, leaving the other R-1 replicas serving 404s.
+        ModelNotFound retry, leaving the other R-1 replicas serving 404s.
         """
         key = PlanKey(model, bits, mapping)
         if key in self.catalogue:
@@ -1042,7 +1043,7 @@ class PlanCluster:
         The refresh broadcast makes every replica index the versioned
         artifact *before* the first canaried request can route to it —
         without it only the replica that happened to take the first
-        request would heal via its KeyError path.
+        request would heal via its ModelNotFound retry.
         """
         state = self.catalogue.set_canary(model, bits, mapping, version,
                                           fraction)
@@ -1234,10 +1235,7 @@ class PlanCluster:
     def _submit_routed(
         self,
         kind: str,
-        payload: Dict[str, object],
-        model: str,
-        bits: Optional[int],
-        mapping: str,
+        request: Union[PredictRequest, EnsembleRequest],
         excluded: Dict[int, BaseException],
     ) -> Tuple[_WorkerClient, Future]:
         """Select an owner and submit, failing over on submit-time races.
@@ -1248,9 +1246,10 @@ class PlanCluster:
         recorded error when the key has no owner left.
         """
         while True:
-            worker = self._select_worker(model, bits, mapping, excluded)
+            worker = self._select_worker(request.model, request.bits,
+                                         request.mapping, excluded)
             try:
-                return worker, worker.submit(kind, payload)
+                return worker, worker.submit(kind, request)
             except WorkerDied as error:
                 excluded[worker.index] = error
             except RuntimeError as error:
@@ -1261,123 +1260,57 @@ class PlanCluster:
     def _request(
         self,
         kind: str,
-        payload: Dict[str, object],
-        model: str,
-        bits: Optional[int],
-        mapping: str,
+        request: Union[PredictRequest, EnsembleRequest],
         timeout: Optional[float],
     ):
-        """One synchronous request with immediate replica failover.
+        """One typed request with immediate replica failover.
 
-        A ``WorkerDied`` from an in-flight request does not wait for the
-        supervisor's respawn: the same (idempotent, deterministic) payload
+        The request dataclass itself crosses the pipe (its arrays over
+        shared memory above ``shm_threshold``), stamped first with its
+        trace id so the worker's service logs the id the caller holds.  A
+        ``WorkerDied`` from an in-flight request does not wait for the
+        supervisor's respawn: the same (idempotent, deterministic) request
         is resubmitted to the key's next live owner right away.  Only when
         every owner has been tried or is unavailable does the typed error
         surface to the caller — at which point ``ClusterClient``'s
         backoff-retry loop takes over (or, for ``breaker_open=True``, the
-        caller fails fast).
+        caller fails fast).  Parent-side failures (a closed cluster, an
+        unroutable key) fold into the same typed errors the worker raises.
         """
-        self._ensure_catalogued(model, bits, mapping)
-        excluded: Dict[int, BaseException] = {}
-        while True:
-            worker, future = self._submit_routed(
-                kind, payload, model, bits, mapping, excluded
-            )
-            try:
-                return future.result(timeout=timeout)
-            except WorkerDied as error:
-                excluded[worker.index] = error
+        request_id = ensure_request_id(request.request_id)
+        images = np.asarray(request.images)
+        if request_id != request.request_id or images is not request.images:
+            request = replace(request, images=images, request_id=request_id)
+        try:
+            self._ensure_catalogued(request.model, request.bits,
+                                    request.mapping)
+            excluded: Dict[int, BaseException] = {}
+            while True:
+                worker, future = self._submit_routed(kind, request, excluded)
+                try:
+                    return future.result(timeout=timeout)
+                except WorkerDied as error:
+                    excluded[worker.index] = error
+        except ApiError:
+            raise
+        except Exception as error:
+            raise map_exception(error) from error
 
-    def predict_async(
-        self,
-        images: np.ndarray,
-        *,
-        model: str,
-        mapping: str,
-        bits: Optional[int] = None,
-        request_id: Optional[str] = None,
-    ) -> Future:
-        """Submit a deterministic request to a live owner; resolves to logits.
-
-        ``request_id`` crosses the pipe inside the payload, so the worker's
-        service logs the same trace id the caller holds.  Submit-time
-        failover applies, but once the future is handed out the request is
-        pinned to its worker — a death after that surfaces as
-        ``WorkerDied`` on the future (callers wanting transparent failover
-        use :meth:`predict`).
-        """
-        self._ensure_catalogued(model, bits, mapping)
-        payload = {"images": np.asarray(images), "model": model, "bits": bits,
-                   "mapping": mapping, "request_id": request_id}
-        _, future = self._submit_routed("predict", payload, model, bits,
-                                        mapping, {})
-        return future
-
-    def predict(
-        self,
-        images: np.ndarray,
-        *,
-        model: str,
-        mapping: str,
-        bits: Optional[int] = None,
-        timeout: Optional[float] = 60.0,
-        request_id: Optional[str] = None,
-    ) -> np.ndarray:
+    def predict_request(
+        self, request: PredictRequest, timeout: Optional[float] = 60.0
+    ) -> PredictResult:
         """Deterministic logits from a live owner of this model."""
-        payload = {"images": np.asarray(images), "model": model, "bits": bits,
-                   "mapping": mapping, "request_id": request_id}
-        return self._request("predict", payload, model, bits, mapping,
-                             timeout)
+        return self._request("predict", request, timeout)
 
-    def predict_under_variation(
-        self,
-        images: np.ndarray,
-        *,
-        model: str,
-        mapping: str,
-        bits: Optional[int] = None,
-        sigma_fraction: float = 0.1,
-        num_samples: int = 25,
-        seed: int = 0,
-        timeout: Optional[float] = 120.0,
-        request_id: Optional[str] = None,
-    ) -> VariationPrediction:
+    def ensemble_request(
+        self, request: EnsembleRequest, timeout: Optional[float] = 120.0
+    ) -> EnsembleResult:
         """Seeded Monte-Carlo ensemble request, served by a live owner.
 
         Ensemble sampling is a pure function of the request (model digest,
         sigma, samples, seed), so failover between replicas is bit-exact.
         """
-        payload = {
-            "images": np.asarray(images), "model": model, "bits": bits,
-            "mapping": mapping, "sigma_fraction": sigma_fraction,
-            "num_samples": num_samples, "seed": seed,
-            "request_id": request_id,
-        }
-        return self._request("ensemble", payload, model, bits, mapping,
-                             timeout)
-
-    # ------------------------------------------------------------------ #
-    # Typed entry points (the repro.api backend contract)
-    # ------------------------------------------------------------------ #
-    def predict_request(
-        self, request: PredictRequest, timeout: Optional[float] = 60.0
-    ) -> PredictResult:
-        """Serve one typed deterministic request via the owning shard.
-
-        Exceptions crossing the pickle boundary (``KeyError`` for unknown
-        plans, ``ValueError`` for bad geometry, typed ``ApiError`` raised
-        inside the worker's service) go through the same shared fold
-        (:mod:`repro.api.backend`) the in-process service uses, so a
-        cluster-backed client reports the identical typed failure.
-        """
-        return typed_predict(self.predict, request, timeout=timeout)
-
-    def ensemble_request(
-        self, request: EnsembleRequest, timeout: Optional[float] = 120.0
-    ) -> EnsembleResult:
-        """Serve one typed ensemble request via the owning shard."""
-        return typed_ensemble(self.predict_under_variation, request,
-                              timeout=timeout)
+        return self._request("ensemble", request, timeout)
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -7,33 +7,33 @@ the request/response layer of the plan-serving subsystem.  Each published
 the same model coalesce into stacked plan executions while different models
 run independently.
 
-Two request flavours mirror the paper's two readouts:
+Two typed entry points mirror the paper's two readouts; each consumes and
+produces the shared ``repro.api`` dataclasses:
 
-* :meth:`InferenceService.predict` — deterministic logits from the frozen
-  plan (the sigma=0 operating point).  Execution is ``InferencePlan.run`` in
-  float64, so results are bit-equivalent to
+* :meth:`InferenceService.predict_request` — deterministic logits from the
+  frozen plan (the sigma=0 operating point).  Execution is
+  ``InferencePlan.run`` in float64, so results are bit-equivalent to
   ``evaluate_accuracy(use_runtime=True)`` regardless of how requests were
   micro-batched (row-independent matmuls).
-* :meth:`InferenceService.predict_under_variation` — a seeded Monte-Carlo
+* :meth:`InferenceService.ensemble_request` — a seeded Monte-Carlo
   ensemble over device-variation draws (the Fig. 6 protocol as a serving
   scenario): per-request sigma and sample count, returning mean logits plus
   a majority-vote class and its vote confidence.  A fixed seed makes the
   whole response reproducible.
 
-Both flavours also exist as *typed* entry points —
-:meth:`InferenceService.predict_request` /
-:meth:`InferenceService.ensemble_request` — consuming and producing the
-shared ``repro.api`` dataclasses and raising the typed
-:class:`~repro.api.errors.ApiError` hierarchy.  The HTTP front-end and the
-:class:`~repro.api.client.LocalClient` both route through them, so every
-transport shares one request/response vocabulary.  ``max_queue_depth``
-adds backpressure: a deterministic request that finds its scheduler queue
-past the threshold is rejected with the typed
-:class:`~repro.api.errors.ApiBackpressure` (HTTP 429) instead of deepening
-the queue.  ``max_concurrent_ensembles`` is the ensemble lane's
-counterpart: ensembles execute synchronously in their caller's thread, so
-the pressure signal there is the number mid-flight, and one past the cap
-is rejected the same typed way before any sampling happens.
+Each entry point assigns the request's trace id and folds every failure
+into the typed :class:`~repro.api.errors.ApiError` hierarchy once
+(:func:`~repro.api.errors.map_exception`), so the HTTP front-end, the
+cluster workers and :class:`~repro.api.client.LocalClient` all report the
+identical typed error.  ``max_queue_depth`` adds backpressure: a
+deterministic request that finds its scheduler queue past the threshold is
+rejected with the typed :class:`~repro.api.errors.ApiBackpressure` (HTTP
+429) instead of deepening the queue.  ``max_concurrent_ensembles`` is the
+ensemble lane's counterpart: ensembles execute synchronously in their
+caller's thread, so the pressure signal there is the number mid-flight,
+and one past the cap is rejected the same typed way before any sampling
+happens.  Callers that want a future rather than a blocking call submit
+rows to :meth:`InferenceService.scheduler_for` directly.
 """
 
 from __future__ import annotations
@@ -42,13 +42,11 @@ import logging
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.api.backend import typed_ensemble, typed_predict
-from repro.api.errors import ApiBackpressure
+from repro.api.errors import ApiBackpressure, ApiError, map_exception
 from repro.api.types import (
     EnsembleRequest,
     EnsembleResult,
@@ -56,11 +54,8 @@ from repro.api.types import (
     PredictResult,
 )
 from repro.obs import MetricFamily, MetricsRegistry, log_event
-from repro.runtime.montecarlo import (
-    _prepare,
-    run_plan_samples,
-    sample_crossbar_weights,
-)
+from repro.obs.tracing import ensure_request_id
+from repro.runtime.montecarlo import run_plan_samples, sample_crossbar_weights
 from repro.runtime.plan import InferencePlan
 from repro.serve.registry import PlanKey, PlanRegistry
 from repro.serve.scheduler import (
@@ -68,11 +63,6 @@ from repro.serve.scheduler import (
     MicroBatchScheduler,
     SchedulerStats,
 )
-
-#: Backwards-compatible name: the ensemble response *is* the shared API
-#: dataclass now, so service, cluster, HTTP, and clients all hand around
-#: the identical type (it crosses the cluster's pickle boundary verbatim).
-VariationPrediction = EnsembleResult
 
 _LOG = logging.getLogger("repro.serve.service")
 
@@ -131,15 +121,15 @@ class InferenceService:
         # created with even after the registry evicts it.
         self._plans: Dict[PlanKey, InferencePlan] = {}
         # Sampled Monte-Carlo weight stacks, keyed by the full draw identity
-        # (plan key, sigma, sample count, seed, execution dtype).  Sampling
-        # is the per-request cost of an ensemble response that does not
-        # depend on the request's images, so ensemble-heavy traffic that
+        # (plan key, sigma, sample count, seed).  Sampling is the
+        # per-request cost of an ensemble response that does not depend on
+        # the request's images, so ensemble-heavy traffic that
         # repeats (sigma, seed) points — dashboards polling a fixed
         # operating point, robustness sweeps re-reading the same grid —
         # skips the resampling entirely.  Bounded LRU: one entry holds
         # every crossbar's (num_samples, NO, NI) stack, which for large
         # plans is the dominant memory of a request.
-        self._ensemble_cache: "OrderedDict[tuple, Tuple[InferencePlan, Dict[int, np.ndarray]]]" = (
+        self._ensemble_cache: "OrderedDict[tuple, Dict[int, np.ndarray]]" = (
             OrderedDict()
         )
         self.ensemble_cache_size = ensemble_cache_size
@@ -500,51 +490,6 @@ class InferenceService:
     # ------------------------------------------------------------------ #
     # Deterministic requests
     # ------------------------------------------------------------------ #
-    def predict_async(
-        self,
-        images: np.ndarray,
-        *,
-        model: str,
-        mapping: str,
-        bits: Optional[int] = None,
-        request_id: Optional[str] = None,
-    ) -> Future:
-        """Submit a deterministic request; resolves to the logits ndarray.
-
-        ``images`` may be a single sample (the plan's input shape) or a
-        pre-batched array; the future's result matches — single samples
-        resolve to ``(classes,)`` logits.  ``request_id`` selects the served
-        plan version when a canary rollout is configured for the model.
-        """
-        key = self._routed_key(PlanKey(model, bits, mapping), request_id)
-        scheduler, plan = self._serving_pair(key)
-        array, single = self._normalize(plan, images)
-        if self.max_queue_depth is not None:
-            depth = scheduler.queue_depth
-            if depth >= self.max_queue_depth:
-                # Reject before enqueueing: a 429'd client retries against a
-                # queue that can only have shrunk, instead of deepening it.
-                raise ApiBackpressure(
-                    f"scheduler queue for {key.canonical()!r} holds {depth} "
-                    f"request(s), at or over the max_queue_depth of "
-                    f"{self.max_queue_depth}; retry shortly",
-                    retry_after=1.0,
-                )
-        future = scheduler.submit(array)
-        if not single:
-            return future
-        unwrapped: Future = Future()
-
-        def _unwrap(done: Future) -> None:
-            error = done.exception()
-            if error is not None:
-                unwrapped.set_exception(error)
-            else:
-                unwrapped.set_result(done.result()[0])
-
-        future.add_done_callback(_unwrap)
-        return unwrapped
-
     def _observe(
         self,
         name: str,
@@ -568,51 +513,53 @@ class InferenceService:
             status=outcome if error is None else type(error).__name__,
         )
 
-    def predict(
-        self,
-        images: np.ndarray,
-        *,
-        model: str,
-        mapping: str,
-        bits: Optional[int] = None,
-        timeout: Optional[float] = 60.0,
-        request_id: Optional[str] = None,
-    ) -> np.ndarray:
-        """Deterministic logits, micro-batched with concurrent requests."""
-        name = PlanKey(model, bits, mapping).canonical()
-        started = time.monotonic()
-        try:
-            logits = self.predict_async(
-                images, model=model, bits=bits, mapping=mapping,
-                request_id=request_id,
-            ).result(timeout=timeout)
-        except BaseException as error:
-            self._observe(name, "predict", started, request_id, error)
-            raise
-        self._observe(name, "predict", started, request_id)
-        return logits
-
-    # ------------------------------------------------------------------ #
-    # Typed entry points (the repro.api backend contract)
-    # ------------------------------------------------------------------ #
     def predict_request(
         self, request: PredictRequest, timeout: Optional[float] = 60.0
     ) -> PredictResult:
-        """Serve one typed deterministic request; typed errors on failure.
+        """Deterministic logits, micro-batched with concurrent requests.
 
-        This is the entry point the HTTP front-end and
-        :class:`~repro.api.client.LocalClient` share: legacy exceptions
-        (``KeyError`` for unknown plans, ``ValueError`` for bad geometry,
-        ``RuntimeError`` for a closed service) are folded into the
-        :class:`~repro.api.errors.ApiError` hierarchy by the one shared
-        fold (:mod:`repro.api.backend`), so every transport reports the
-        identical typed failure.
+        ``request.images`` may be a single sample (the plan's input shape)
+        or a pre-batched array; the logits mirror the choice — a single
+        sample comes back as ``(classes,)``.  The request's trace id
+        (assigned here when it carries none) selects the served plan
+        version when a canary rollout is configured, and is stamped onto
+        the result.
         """
-        return typed_predict(self.predict, request, timeout=timeout)
-
-    def ensemble_request(self, request: EnsembleRequest) -> EnsembleResult:
-        """Serve one typed ensemble request; typed errors on failure."""
-        return typed_ensemble(self.predict_under_variation, request)
+        request_id = ensure_request_id(request.request_id)
+        started = time.monotonic()
+        try:
+            key = self._routed_key(
+                PlanKey(request.model, request.bits, request.mapping),
+                request_id,
+            )
+            scheduler, plan = self._serving_pair(key)
+            array, single = self._normalize(plan, request.images)
+            if self.max_queue_depth is not None:
+                depth = scheduler.queue_depth
+                if depth >= self.max_queue_depth:
+                    # Reject before enqueueing: a 429'd client retries
+                    # against a queue that can only have shrunk, instead
+                    # of deepening it.
+                    raise ApiBackpressure(
+                        f"scheduler queue for {key.canonical()!r} holds "
+                        f"{depth} request(s), at or over the "
+                        f"max_queue_depth of {self.max_queue_depth}; retry "
+                        f"shortly",
+                        retry_after=1.0,
+                    )
+            logits = scheduler.submit(array).result(timeout=timeout)
+            if single:
+                logits = logits[0]
+        except Exception as error:
+            self._observe(request.name, "predict", started, request_id, error)
+            if isinstance(error, ApiError):
+                raise
+            raise map_exception(error) from error
+        self._observe(request.name, "predict", started, request_id)
+        return PredictResult(
+            model=request.model, bits=request.bits, mapping=request.mapping,
+            logits=logits, request_id=request_id,
+        )
 
     # ------------------------------------------------------------------ #
     # Variation-aware requests
@@ -647,18 +594,17 @@ class InferenceService:
         sigma_fraction: float,
         num_samples: int,
         seed: int,
-        dtype,
-    ) -> Tuple[InferencePlan, Dict[int, np.ndarray]]:
-        """The (cast plan, sampled weight stacks) pair of one draw identity.
+    ) -> Dict[int, np.ndarray]:
+        """The sampled weight stacks of one draw identity.
 
         Draws are seeded, so the stack for a given ``(key, sigma,
-        num_samples, seed, dtype)`` is immutable — repeated identical
-        ensemble requests reuse it bit-identically instead of re-running
-        the perturb/clip/quantise/periphery pipeline per request.  The
-        stacks are only ever read (batched matmuls), so cache entries are
-        safe to share across threads.
+        num_samples, seed)`` is immutable — repeated identical ensemble
+        requests reuse it bit-identically instead of re-running the
+        perturb/clip/quantise/periphery pipeline per request.  The stacks
+        are only ever read (batched matmuls), so cache entries are safe to
+        share across threads.
         """
-        cache_key = (key, sigma_fraction, num_samples, seed, np.dtype(dtype).str)
+        cache_key = (key, sigma_fraction, num_samples, seed)
         with self._lock:
             cached = self._ensemble_cache.get(cache_key)
             if cached is not None:
@@ -671,64 +617,55 @@ class InferenceService:
         # deterministic, so whichever insertion wins the cache is correct.
         rng = np.random.default_rng(seed)
         sampled = sample_crossbar_weights(plan, sigma_fraction, num_samples, rng=rng)
-        exec_plan, sampled = _prepare(plan, sampled, dtype)
         with self._lock:
             self._m_cache_misses.inc()
-            self._ensemble_cache[cache_key] = (exec_plan, sampled)
+            self._ensemble_cache[cache_key] = sampled
             self._ensemble_cache.move_to_end(cache_key)
             while len(self._ensemble_cache) > self.ensemble_cache_size:
                 self._ensemble_cache.popitem(last=False)
-        return exec_plan, sampled
+        return sampled
 
-    def predict_under_variation(
-        self,
-        images: np.ndarray,
-        *,
-        model: str,
-        mapping: str,
-        bits: Optional[int] = None,
-        sigma_fraction: float = 0.1,
-        num_samples: int = 25,
-        seed: int = 0,
-        dtype=np.float64,
-        request_id: Optional[str] = None,
-    ) -> VariationPrediction:
+    def ensemble_request(self, request: EnsembleRequest) -> EnsembleResult:
         """Seeded Monte-Carlo ensemble prediction under device variation.
 
         Draws ``num_samples`` variation perturbations of every crossbar in
         the plan (one seeded generator, so the whole response is
         reproducible), executes the vectorized sample-stacked plan once, and
         aggregates: mean logits, per-draw argmax votes, the majority class
-        and its vote fraction.
+        and its vote fraction.  Single samples come back without a batch
+        axis, as in :meth:`predict_request`.
         """
-        if num_samples < 1:
-            raise ValueError("num_samples must be at least 1")
-        base = PlanKey(model, bits, mapping)
-        # Metrics/log labels stay base-canonical; the served version is
-        # visible separately via repro_canary_requests_total.
-        name = base.canonical()
-        key = self._routed_key(base, request_id)
+        request_id = ensure_request_id(request.request_id)
+        sigma_fraction = float(request.sigma_fraction)
+        num_samples = int(request.num_samples)
+        seed = int(request.seed)
         started = time.monotonic()
         try:
+            key = self._routed_key(
+                PlanKey(request.model, request.bits, request.mapping),
+                request_id,
+            )
             plan = self._pinned_plan(key)
-            array, single = self._normalize(plan, images)
+            array, single = self._normalize(plan, request.images)
             # Backpressure gates the expensive part only: validation above
             # fails a malformed request with its real typed error even when
             # the lane is saturated.
             self._acquire_ensemble_slot(key)
             try:
-                exec_plan, sampled = self._sampled_stacks(
-                    key, plan, float(sigma_fraction), int(num_samples),
-                    int(seed), dtype,
+                sampled = self._sampled_stacks(
+                    key, plan, sigma_fraction, num_samples, seed
                 )
-                logits = run_plan_samples(exec_plan, array, sampled,
-                                          num_samples, dtype=dtype)
+                logits = run_plan_samples(plan, array, sampled, num_samples)
             finally:
                 self._release_ensemble_slot()
-        except BaseException as error:
-            self._observe(name, "ensemble", started, request_id, error)
-            raise
-        self._observe(name, "ensemble", started, request_id)
+        except Exception as error:
+            # Metrics/log labels stay base-canonical; the served version
+            # is visible separately via repro_canary_requests_total.
+            self._observe(request.name, "ensemble", started, request_id, error)
+            if isinstance(error, ApiError):
+                raise
+            raise map_exception(error) from error
+        self._observe(request.name, "ensemble", started, request_id)
         mean_logits = logits.mean(axis=0)
         votes = logits.argmax(axis=-1)  # (num_samples, batch)
         num_classes = logits.shape[-1]
@@ -741,15 +678,15 @@ class InferenceService:
             predictions = predictions[0]
             confidence = confidence[0]
         return EnsembleResult(
-            model=model,
-            bits=bits,
-            mapping=mapping,
+            model=request.model,
+            bits=request.bits,
+            mapping=request.mapping,
             mean_logits=mean_logits,
             predictions=predictions,
             confidence=confidence,
             vote_counts=vote_counts,
-            sigma_fraction=float(sigma_fraction),
-            num_samples=int(num_samples),
-            seed=int(seed),
+            sigma_fraction=sigma_fraction,
+            num_samples=num_samples,
+            seed=seed,
             request_id=request_id,
         )

@@ -29,9 +29,9 @@ Segment lifecycle is explicit, not left to the interpreter:
 
 The helpers are deliberately transport-shaped rather than cluster-shaped:
 :func:`offload_payload` / :func:`restore_payload` walk the small set of
-message shapes the cluster protocol actually sends — bare ndarrays, flat
-payload dicts, and array-carrying frozen dataclasses (the shared
-``EnsembleResult``) — leaving everything else to pickle untouched.
+message shapes the cluster protocol actually sends — bare ndarrays and the
+array-carrying frozen request/result dataclasses of :mod:`repro.api.types`
+— leaving everything else to pickle untouched.
 """
 
 from __future__ import annotations
@@ -220,9 +220,9 @@ def offload_payload(
 ) -> Tuple[Any, List[str]]:
     """Replace large arrays inside one protocol message by descriptors.
 
-    Walks the cluster protocol's message shapes — a bare ndarray, a flat
-    ``{field: value}`` payload dict, or an array-carrying (frozen)
-    dataclass such as ``EnsembleResult`` — offloading each qualifying array
+    Walks the cluster protocol's message shapes — a bare ndarray or an
+    array-carrying (frozen) dataclass such as ``PredictRequest`` or
+    ``EnsembleResult`` — offloading each qualifying array
     via ``allocate_name()`` (a callable yielding a fresh segment name).
     Returns the rewritten message plus the created segment names, so the
     sender can sweep them if the message never reaches its receiver.
@@ -245,9 +245,6 @@ def offload_payload(
 
     if isinstance(payload, np.ndarray):
         return lift(payload), names
-    if isinstance(payload, dict):
-        encoded = {field: lift(value) for field, value in payload.items()}
-        return (encoded if names else payload), names
     if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
         changes = {
             field.name: lift(getattr(payload, field.name))
@@ -261,18 +258,8 @@ def offload_payload(
 
 def restore_payload(payload: Any, stats: Optional[SegmentStats] = None) -> Any:
     """Inverse of :func:`offload_payload`: resolve descriptors back to arrays."""
-
-    def lower(value: Any) -> Any:
-        if isinstance(value, ShmRef):
-            return restore_array(value, stats)
-        return value
-
     if isinstance(payload, ShmRef):
         return restore_array(payload, stats)
-    if isinstance(payload, dict):
-        if any(isinstance(value, ShmRef) for value in payload.values()):
-            return {field: lower(value) for field, value in payload.items()}
-        return payload
     if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
         changes = {
             field.name: restore_array(getattr(payload, field.name), stats)

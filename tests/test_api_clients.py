@@ -111,7 +111,9 @@ class TestLocalClient:
                                       mapping="acm", bits=4))
         client.close()
         # Still serving: the module-scoped HTTP tests depend on it too.
-        env.service.predict(env.images, model="mlp", bits=4, mapping="acm")
+        env.service.predict_request(PredictRequest(
+            env.images, model="mlp", bits=4, mapping="acm",
+        ))
 
 
 class TestConnectTargets:

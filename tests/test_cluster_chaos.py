@@ -210,10 +210,11 @@ class TestChaosMixedLoad:
                         err_msg=f"request {key} not bit-identical",
                     )
                 else:
-                    expected = chaos_env.reference.predict_under_variation(
+                    reference = chaos_env.reference
+                    expected = reference.ensemble_request(EnsembleRequest(
                         batch, model=name, bits=4, mapping="acm",
                         sigma_fraction=0.1, num_samples=5, seed=seed,
-                    )
+                    ))
                     np.testing.assert_array_equal(record[5],
                                                   expected.mean_logits)
                     np.testing.assert_array_equal(record[6],
@@ -324,10 +325,10 @@ class TestRingReplication:
                     err_msg=f"request {key} not bit-identical",
                 )
             else:
-                expected = chaos_env.reference.predict_under_variation(
+                expected = chaos_env.reference.ensemble_request(EnsembleRequest(
                     batch, model=name, bits=4, mapping="acm",
                     sigma_fraction=0.1, num_samples=5, seed=seed,
-                )
+                ))
                 np.testing.assert_array_equal(record[5],
                                               expected.mean_logits)
                 np.testing.assert_array_equal(record[6],
@@ -481,10 +482,10 @@ class TestKillPoints:
         healing_cluster.cluster._workers[shard].process.kill()
         thread.join(timeout=300)
         assert not thread.is_alive() and len(done) == 1
-        expected = healing_cluster.reference.predict_under_variation(
+        expected = healing_cluster.reference.ensemble_request(EnsembleRequest(
             batch, model=name, bits=4, mapping="acm", sigma_fraction=0.1,
             num_samples=25, seed=3,
-        )
+        ))
         np.testing.assert_array_equal(done[0].mean_logits,
                                       expected.mean_logits)
         np.testing.assert_array_equal(done[0].predictions,

@@ -16,12 +16,20 @@ The transport contract certified here:
 from __future__ import annotations
 
 import dataclasses
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from types import SimpleNamespace
 
-from repro.api.types import EnsembleResult
+from repro.api import (
+    EnsembleRequest,
+    EnsembleResult,
+    InvalidRequest,
+    ModelNotFound,
+    PredictRequest,
+    WorkerDied,
+)
 from repro.models import make_mlp
 from repro.runtime import compile_model
 from repro.serve import PlanCluster, PlanRegistry
@@ -37,6 +45,7 @@ from repro.serve.shm import (
     restore_payload,
     unlink_segment,
 )
+from tests.test_serve_cluster import _wait_pending
 
 PREFIX = "rpstest_"
 
@@ -95,19 +104,29 @@ class TestOffloadRestore:
         assert unlink_segment(f"{PREFIX}unlink") is False
 
 
+def _result(mean_logits, confidence):
+    rows = len(confidence)
+    return EnsembleResult(
+        model="m", bits=4, mapping="acm", mean_logits=mean_logits,
+        predictions=np.zeros(rows, dtype=np.int64), confidence=confidence,
+        vote_counts=np.zeros((rows, 1), dtype=np.int64),
+        sigma_fraction=0.1, num_samples=5, seed=0,
+    )
+
+
 class TestPayloadWalk:
-    def test_threshold_partitions_dict_payloads(self):
+    def test_threshold_partitions_dataclass_payloads(self):
         big = np.zeros((64, 64), dtype=np.float64)   # 32 KiB
         small = np.zeros(4, dtype=np.float64)
-        payload = {"images": big, "bias": small, "model": "m", "bits": 4}
+        payload = _result(big, small)
         encoded, names = offload_payload(payload, big.nbytes, _names())
         assert len(names) == 1
-        assert isinstance(encoded["images"], ShmRef)
-        assert encoded["bias"] is small          # under threshold: pickled
-        assert encoded["model"] == "m"
+        assert isinstance(encoded.mean_logits, ShmRef)
+        assert encoded.confidence is small       # under threshold: pickled
+        assert encoded.model == "m"
         decoded = restore_payload(encoded)
-        np.testing.assert_array_equal(decoded["images"], big)
-        assert decoded["bias"] is small
+        np.testing.assert_array_equal(decoded.mean_logits, big)
+        assert decoded.confidence is small
 
     def test_disabled_thresholds_pass_through(self):
         array = np.zeros((32, 32))
@@ -116,11 +135,11 @@ class TestPayloadWalk:
             assert encoded is array and names == []
 
     def test_threshold_zero_moves_everything(self):
-        payload = {"images": np.ones(2), "tiny": np.zeros(1)}
+        payload = _result(np.ones((1, 2)), np.zeros(1))
         encoded, names = offload_payload(payload, 0, _names())
-        assert len(names) == 2
+        assert len(names) == 4
         decoded = restore_payload(encoded)
-        np.testing.assert_array_equal(decoded["images"], np.ones(2))
+        np.testing.assert_array_equal(decoded.mean_logits, np.ones((1, 2)))
 
     def test_dataclass_round_trip(self):
         result = EnsembleResult(
@@ -190,9 +209,9 @@ class TestClusterShmTransport:
 
     def test_predict_bit_identical_and_segments_accounted(self, shm_cluster):
         before = list_segments(shm_cluster.cluster._shm_base)
-        logits = shm_cluster.cluster.predict(
-            shm_cluster.images, model="shmmlp", bits=4, mapping="acm"
-        )
+        logits = shm_cluster.cluster.predict_request(PredictRequest(
+            shm_cluster.images, model="shmmlp", bits=4, mapping="acm",
+        )).logits
         np.testing.assert_array_equal(logits,
                                       shm_cluster.plan.run(shm_cluster.images))
         assert logits.dtype == np.float64
@@ -208,15 +227,15 @@ class TestClusterShmTransport:
 
         kwargs = dict(model="shmmlp", bits=4, mapping="acm",
                       sigma_fraction=0.15, num_samples=5, seed=9)
-        via_shm = shm_cluster.cluster.predict_under_variation(
-            shm_cluster.images, **kwargs
-        )
+        via_shm = shm_cluster.cluster.ensemble_request(EnsembleRequest(
+            shm_cluster.images, **kwargs,
+        ))
         with InferenceService(
             PlanRegistry(shm_cluster.cluster.catalogue.directory)
         ) as reference:
-            in_process = reference.predict_under_variation(
-                shm_cluster.images, **kwargs
-            )
+            in_process = reference.ensemble_request(EnsembleRequest(
+                shm_cluster.images, **kwargs,
+            ))
         for field in ("mean_logits", "predictions", "confidence",
                       "vote_counts"):
             np.testing.assert_array_equal(getattr(via_shm, field),
@@ -224,12 +243,14 @@ class TestClusterShmTransport:
         assert list_segments(shm_cluster.cluster._shm_base) == []
 
     def test_errors_still_cross_the_boundary(self, shm_cluster):
-        with pytest.raises(KeyError):
-            shm_cluster.cluster.predict(shm_cluster.images, model="ghost",
-                                        bits=4, mapping="acm")
-        with pytest.raises(ValueError, match="incompatible"):
-            shm_cluster.cluster.predict(np.zeros((2, 3)), model="shmmlp",
-                                        bits=4, mapping="acm")
+        with pytest.raises(ModelNotFound):
+            shm_cluster.cluster.predict_request(PredictRequest(
+                shm_cluster.images, model="ghost", bits=4, mapping="acm",
+            ))
+        with pytest.raises(InvalidRequest, match="incompatible"):
+            shm_cluster.cluster.predict_request(PredictRequest(
+                np.zeros((2, 3)), model="shmmlp", bits=4, mapping="acm",
+            ))
         assert list_segments(shm_cluster.cluster._shm_base) == []
 
 
@@ -243,17 +264,21 @@ class TestLeakRegression:
                          quantizer_bits=4, seed=1)
         registry.publish_model(model, "m", 4, "acm")
         images = np.random.default_rng(1).normal(size=(64, 64))
+        # A long coalescing window keeps the requests in flight (two
+        # handler threads serve them pairwise) while close() runs.
         cluster = PlanCluster(directory, num_workers=1, shm_threshold=0,
-                              max_batch=256, handler_threads=2)
+                              max_batch=256, handler_threads=2,
+                              max_wait_ms=100.0)
         base = cluster._shm_base
         cluster.wait_ready(timeout=180)
-        futures = [
-            cluster.predict_async(images, model="m", bits=4, mapping="acm")
-            for _ in range(6)
-        ]
-        cluster.close()  # drains in-flight work first
-        for future in futures:
-            assert future.result(timeout=30).shape == (64, 10)
+        request = PredictRequest(images, model="m", bits=4, mapping="acm")
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(cluster.predict_request, request)
+                       for _ in range(6)]
+            _wait_pending(cluster._workers[0], len(futures))
+            cluster.close()  # drains in-flight work first
+            for future in futures:
+                assert future.result(timeout=30).logits.shape == (64, 10)
         assert list_segments(base) == []
 
     def test_worker_sigkill_triggers_parent_sweep(self, tmp_path):
@@ -272,17 +297,14 @@ class TestLeakRegression:
             # when the SIGKILL lands.
             worker = cluster._workers[0]
             futures = [
-                worker.submit("ensemble", {
-                    "images": images, "model": "big", "bits": 4,
-                    "mapping": "acm", "sigma_fraction": 0.1,
-                    "num_samples": 64, "seed": seed,
-                })
+                worker.submit("ensemble", EnsembleRequest(
+                    images, model="big", bits=4, mapping="acm",
+                    sigma_fraction=0.1, num_samples=64, seed=seed,
+                ))
                 for seed in range(3)
             ]
             worker.process.kill()
             worker.process.join(timeout=60)
-            from repro.api.errors import WorkerDied
-
             for future in futures:
                 with pytest.raises(WorkerDied):
                     future.result(timeout=60)

@@ -48,7 +48,12 @@ from repro.api.errors import (
     ModelNotFound,
     WorkerDied,
 )
-from repro.api.types import EnsembleRequest, StudyStatus, study_spec
+from repro.api.types import (
+    EnsembleRequest,
+    PredictRequest,
+    StudyStatus,
+    study_spec,
+)
 from repro.models import make_mlp
 from repro.serve import (
     AdaptiveMaxBatch,
@@ -628,8 +633,10 @@ class TestVersionedRollout:
         for index in range(120):
             request_id = f"canary-req-{index:03d}"
             expected = 2 if canary_bucket(request_id) < fraction else 1
-            logits = service.predict(images, model="roll", mapping="acm",
-                                     bits=4, request_id=request_id)
+            logits = service.predict_request(PredictRequest(
+                images, model="roll", mapping="acm", bits=4,
+                request_id=request_id,
+            )).logits
             assert np.array_equal(logits, oracles[expected]), request_id
             routed[expected] += 1
         # Both sides of the split must actually carry traffic, and the
@@ -641,10 +648,19 @@ class TestVersionedRollout:
         assert counter.value(model="roll__4b__acm", version="v2") == routed[2]
 
     def test_requests_without_id_serve_active_version(self, rollout_env):
+        # The entry point assigns an id to an id-less request before
+        # routing, so it serves the active version unless its assigned id
+        # falls in the canary slice — and the echoed id reproduces which.
         service, images, oracles = rollout_env
-        service.set_canary("roll", 4, "acm", version=2, fraction=1.0)
-        logits = service.predict(images, model="roll", mapping="acm", bits=4)
-        assert np.array_equal(logits, oracles[1])
+        request = PredictRequest(images, model="roll", mapping="acm", bits=4)
+        service.set_canary("roll", 4, "acm", version=2, fraction=0.0)
+        assert np.array_equal(service.predict_request(request).logits,
+                              oracles[1])
+        service.set_canary("roll", 4, "acm", version=2, fraction=0.5)
+        for _ in range(20):
+            result = service.predict_request(request)
+            expected = 2 if canary_bucket(result.request_id) < 0.5 else 1
+            assert np.array_equal(result.logits, oracles[expected])
 
     def test_promote_then_rollback_flips_all_traffic(self, rollout_env):
         service, images, oracles = rollout_env
@@ -653,15 +669,19 @@ class TestVersionedRollout:
         assert state == {"active": 2, "canary_version": None,
                          "canary_fraction": 0.0, "previous": 1}
         for index in range(20):
-            logits = service.predict(images, model="roll", mapping="acm",
-                                     bits=4, request_id=f"post-promote-{index}")
+            logits = service.predict_request(PredictRequest(
+                images, model="roll", mapping="acm", bits=4,
+                request_id=f"post-promote-{index}",
+            )).logits
             assert np.array_equal(logits, oracles[2])
         state = service.rollback("roll", 4, "acm")
         assert state == {"active": 1, "canary_version": None,
                          "canary_fraction": 0.0, "previous": 2}
         for index in range(20):
-            logits = service.predict(images, model="roll", mapping="acm",
-                                     bits=4, request_id=f"post-rollback-{index}")
+            logits = service.predict_request(PredictRequest(
+                images, model="roll", mapping="acm", bits=4,
+                request_id=f"post-rollback-{index}",
+            )).logits
             assert np.array_equal(logits, oracles[1])
 
     def test_rollout_admin_validation(self, rollout_env):
@@ -699,9 +719,10 @@ class TestVersionedRollout:
                 request_id = f"load-{worker}-{index}"
                 index += 1
                 try:
-                    logits = service.predict(
+                    logits = service.predict_request(PredictRequest(
                         images, model="roll", mapping="acm", bits=4,
-                        request_id=request_id)
+                        request_id=request_id,
+                    )).logits
                 except Exception as error:  # noqa: BLE001 - collected
                     errors.append(error)
                     return
@@ -874,8 +895,9 @@ class TestAdaptiveMaxBatch:
         service = InferenceService(PlanRegistry(plan_dir), max_batch="auto")
         try:
             images = np.random.default_rng(3).normal(size=(4, 16))
-            logits = service.predict(images, model="alpha", mapping="acm",
-                                     bits=4)
+            logits = service.predict_request(PredictRequest(
+                images, model="alpha", mapping="acm", bits=4,
+            )).logits
             assert logits.shape == (4, 10)
             summary = service.stats_summary()
             assert summary["alpha__4b__acm"]["max_batch"] >= 1

@@ -36,6 +36,7 @@ from repro.api.errors import (
     ApiAuthError,
     ApiConnectionError,
     ApiTimeout,
+    InvalidRequest,
     ModelNotFound,
 )
 from repro.api.http_client import HttpClient
@@ -176,6 +177,25 @@ class TestMetricsScrape:
         predict_route = (("method", "POST"), ("route", "/v1/predict"),
                          ("status", "200"))
         assert edge[predict_route] >= 3
+
+    def test_bad_geometry_counts_as_error_outcome(self, stack):
+        client = stack.clients["http"]
+        bad = np.zeros((1, 3))  # the plan takes 16 features per row
+        before = prometheus.counter_values(
+            _scrape(stack), "repro_requests_total")
+        with pytest.raises(InvalidRequest):
+            client.predict(PredictRequest(
+                images=bad, model="mlp", mapping="acm", bits=4))
+        with pytest.raises(InvalidRequest):
+            client.ensemble(EnsembleRequest(
+                images=bad, model="mlp", mapping="acm", bits=4,
+                sigma_fraction=0.1, num_samples=5, seed=1))
+        after = prometheus.counter_values(
+            _scrape(stack), "repro_requests_total")
+        for lane in ("predict", "ensemble"):
+            errors = (("lane", lane), ("model", "mlp__4b__acm"),
+                      ("outcome", "error"))
+            assert after[errors] - before.get(errors, 0) == 1, lane
 
     def test_counters_are_monotonic_across_scrapes(self, stack):
         before = _scrape(stack)

@@ -9,6 +9,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.api import (
+    BackendClosed,
+    EnsembleRequest,
+    InvalidRequest,
+    PredictRequest,
+)
 from repro.data.dataset import ArrayDataset
 from repro.models import make_lenet, make_mlp
 from repro.runtime import compile_model
@@ -275,8 +281,9 @@ class TestInferenceService:
         model, registry, dataset = served
         plan = compile_model(model)
         with InferenceService(registry, max_batch=16, max_wait_ms=5) as service:
-            logits = service.predict(dataset.images, model="lenet", bits=4,
-                                     mapping="acm")
+            logits = service.predict_request(PredictRequest(
+                dataset.images, model="lenet", bits=4, mapping="acm"
+            )).logits
             np.testing.assert_allclose(logits, plan.run(dataset.images),
                                        atol=1e-10, rtol=0)
             served_accuracy = float(
@@ -291,8 +298,9 @@ class TestInferenceService:
         with InferenceService(registry, max_batch=16, max_wait_ms=20) as service:
             with ThreadPoolExecutor(max_workers=8) as clients:
                 results = list(clients.map(
-                    lambda i: service.predict(dataset.images[i], model="lenet",
-                                              bits=4, mapping="acm"),
+                    lambda i: service.predict_request(PredictRequest(
+                        dataset.images[i], model="lenet", bits=4, mapping="acm"
+                    )).logits,
                     range(len(dataset)),
                 ))
             stats = service.stats["lenet__4b__acm"]
@@ -303,8 +311,9 @@ class TestInferenceService:
     def test_single_sample_request_drops_batch_axis(self, served):
         model, registry, dataset = served
         with InferenceService(registry) as service:
-            logits = service.predict(dataset.images[0], model="lenet", bits=4,
-                                     mapping="acm")
+            logits = service.predict_request(PredictRequest(
+                dataset.images[0], model="lenet", bits=4, mapping="acm"
+            )).logits
         assert logits.shape == (10,)
 
     def test_ensemble_deterministic_under_fixed_seed(self, served):
@@ -313,11 +322,11 @@ class TestInferenceService:
         with InferenceService(registry) as service:
             kwargs = dict(model="lenet", bits=4, mapping="acm",
                           sigma_fraction=0.2, num_samples=9, seed=11)
-            first = service.predict_under_variation(images, **kwargs)
-            second = service.predict_under_variation(images, **kwargs)
-            other_seed = service.predict_under_variation(
-                images, **{**kwargs, "seed": 12}
-            )
+            first = service.ensemble_request(EnsembleRequest(images, **kwargs))
+            second = service.ensemble_request(EnsembleRequest(images, **kwargs))
+            other_seed = service.ensemble_request(EnsembleRequest(
+                images, **{**kwargs, "seed": 12},
+            ))
         np.testing.assert_array_equal(first.mean_logits, second.mean_logits)
         np.testing.assert_array_equal(first.predictions, second.predictions)
         np.testing.assert_array_equal(first.confidence, second.confidence)
@@ -326,10 +335,10 @@ class TestInferenceService:
     def test_ensemble_aggregates_votes(self, served):
         _, registry, dataset = served
         with InferenceService(registry) as service:
-            response = service.predict_under_variation(
+            response = service.ensemble_request(EnsembleRequest(
                 dataset.images[:5], model="lenet", bits=4, mapping="acm",
                 sigma_fraction=0.15, num_samples=7, seed=3,
-            )
+            ))
         assert response.mean_logits.shape == (5, 10)
         assert response.vote_counts.shape == (5, 10)
         assert (response.vote_counts.sum(axis=-1) == 7).all()
@@ -343,12 +352,13 @@ class TestInferenceService:
         model, registry, dataset = served
         images = dataset.images[:4]
         with InferenceService(registry) as service:
-            deterministic = service.predict(images, model="lenet", bits=4,
-                                            mapping="acm")
-            ensemble = service.predict_under_variation(
+            deterministic = service.predict_request(PredictRequest(
+                images, model="lenet", bits=4, mapping="acm"
+            )).logits
+            ensemble = service.ensemble_request(EnsembleRequest(
                 images, model="lenet", bits=4, mapping="acm",
                 sigma_fraction=0.0, num_samples=3, seed=0,
-            )
+            ))
         np.testing.assert_allclose(ensemble.mean_logits, deterministic, atol=1e-12)
         assert (ensemble.confidence == 1.0).all()
 
@@ -356,44 +366,60 @@ class TestInferenceService:
         """A bad shape must fail its own caller, not poison the micro-batch."""
         _, registry, dataset = served
         with InferenceService(registry, max_batch=16, max_wait_ms=30) as service:
-            good = service.predict_async(dataset.images[0], model="lenet",
-                                         bits=4, mapping="acm")
-            with pytest.raises(ValueError, match="incompatible"):
-                service.predict(np.zeros((2, 3, 16, 16)), model="lenet",
-                                bits=4, mapping="acm")
-            with pytest.raises(ValueError, match="incompatible"):
-                service.predict(np.zeros((1, 9, 9)), model="lenet",
-                                bits=4, mapping="acm")
+            # A valid request waits in the scheduler's coalescing window
+            # while the malformed ones arrive.
+            good = service.scheduler_for("lenet", 4, "acm").submit(
+                dataset.images[:1]
+            )
+            with pytest.raises(InvalidRequest, match="incompatible"):
+                service.predict_request(PredictRequest(
+                    np.zeros((2, 3, 16, 16)), model="lenet", bits=4,
+                    mapping="acm",
+                ))
+            with pytest.raises(InvalidRequest, match="incompatible"):
+                service.predict_request(PredictRequest(
+                    np.zeros((1, 9, 9)), model="lenet", bits=4, mapping="acm"
+                ))
             # The concurrent valid request is unaffected.
-            assert good.result(timeout=10).shape == (10,)
+            assert good.result(timeout=10).shape == (1, 10)
 
     def test_closed_service_rejects_requests(self, served):
         _, registry, dataset = served
         service = InferenceService(registry)
-        service.predict(dataset.images[:2], model="lenet", bits=4, mapping="acm")
+        service.predict_request(PredictRequest(
+            dataset.images[:2], model="lenet", bits=4, mapping="acm"
+        ))
         service.close()
         with pytest.raises(RuntimeError):
             service.scheduler_for("lenet", 4, "acm")
-        with pytest.raises(RuntimeError):
-            service.predict_under_variation(
+        with pytest.raises(BackendClosed):
+            service.predict_request(PredictRequest(
+                dataset.images[:2], model="lenet", bits=4, mapping="acm"
+            ))
+        with pytest.raises(BackendClosed):
+            service.ensemble_request(EnsembleRequest(
                 dataset.images[:2], model="lenet", bits=4, mapping="acm",
                 sigma_fraction=0.1, num_samples=2,
-            )
+            ))
 
     def test_both_request_flavours_serve_the_same_pinned_plan(self, served):
         """A republish must not split deterministic vs ensemble responses."""
         model, registry, dataset = served
         images = dataset.images[:3]
         with InferenceService(registry) as service:
-            before = service.predict(images, model="lenet", bits=4, mapping="acm")
+            before = service.predict_request(PredictRequest(
+                images, model="lenet", bits=4, mapping="acm"
+            )).logits
             # Republish different weights under the same key mid-flight.
             other = make_lenet(mapping="acm", quantizer_bits=4, seed=99)
             registry.publish_model(other, "lenet", 4, "acm")
-            after = service.predict(images, model="lenet", bits=4, mapping="acm")
-            ensemble = service.predict_under_variation(
+            after = service.predict_request(PredictRequest(
+                images, model="lenet", bits=4, mapping="acm"
+            )).logits
+            ensemble = service.ensemble_request(EnsembleRequest(
                 images, model="lenet", bits=4, mapping="acm",
                 sigma_fraction=0.0, num_samples=2, seed=0,
-            )
+            ))
         np.testing.assert_array_equal(after, before)
         np.testing.assert_allclose(ensemble.mean_logits, before, atol=1e-12)
 
@@ -406,7 +432,7 @@ class TestEnsembleWeightStackCache:
 
     Sampling the per-crossbar weight stacks is the image-independent cost of
     an ensemble request; the service caches them per
-    ``(plan, sigma, num_samples, seed, dtype)`` draw identity.
+    ``(plan, sigma, num_samples, seed)`` draw identity.
     """
 
     @pytest.fixture
@@ -438,8 +464,8 @@ class TestEnsembleWeightStackCache:
         kwargs = dict(model="mlp", bits=4, mapping="acm",
                       sigma_fraction=0.2, num_samples=6, seed=9)
         with InferenceService(registry) as service:
-            first = service.predict_under_variation(images, **kwargs)
-            second = service.predict_under_variation(images, **kwargs)
+            first = service.ensemble_request(EnsembleRequest(images, **kwargs))
+            second = service.ensemble_request(EnsembleRequest(images, **kwargs))
             assert len(calls) == 1  # the regression: no resampling
             assert service.ensemble_cache_hits == 1
             assert service.ensemble_cache_misses == 1
@@ -448,7 +474,7 @@ class TestEnsembleWeightStackCache:
             np.testing.assert_array_equal(first.predictions, second.predictions)
             # Different images under the same draw identity: still no
             # resampling (the stacks are image-independent).
-            service.predict_under_variation(images[:2], **kwargs)
+            service.ensemble_request(EnsembleRequest(images[:2], **kwargs))
             assert len(calls) == 1
 
     @pytest.mark.parametrize("change", [
@@ -460,8 +486,12 @@ class TestEnsembleWeightStackCache:
         kwargs = dict(model="mlp", bits=4, mapping="acm",
                       sigma_fraction=0.2, num_samples=6, seed=9)
         with InferenceService(registry) as service:
-            baseline = service.predict_under_variation(images, **kwargs)
-            changed = service.predict_under_variation(images, **{**kwargs, **change})
+            baseline = service.ensemble_request(
+                EnsembleRequest(images, **kwargs)
+            )
+            changed = service.ensemble_request(
+                EnsembleRequest(images, **{**kwargs, **change})
+            )
             assert len(calls) == 2
             assert not np.array_equal(baseline.mean_logits, changed.mean_logits)
 
@@ -470,20 +500,21 @@ class TestEnsembleWeightStackCache:
         calls = self._counting(monkeypatch)
         with InferenceService(registry, ensemble_cache_size=2) as service:
             for seed in (1, 2, 3):  # seed 1 evicted by seed 3
-                service.predict_under_variation(
+                service.ensemble_request(EnsembleRequest(
                     images, model="mlp", bits=4, mapping="acm",
                     sigma_fraction=0.1, num_samples=3, seed=seed,
-                )
+                ))
             assert len(calls) == 3
-            service.predict_under_variation(  # seed 3 still cached
+            service.ensemble_request(EnsembleRequest(  # seed 3 still cached
                 images, model="mlp", bits=4, mapping="acm",
                 sigma_fraction=0.1, num_samples=3, seed=3,
-            )
+            ))
             assert len(calls) == 3
-            evicted = service.predict_under_variation(  # seed 1 re-samples
+            # seed 1 re-samples
+            evicted = service.ensemble_request(EnsembleRequest(
                 images, model="mlp", bits=4, mapping="acm",
                 sigma_fraction=0.1, num_samples=3, seed=1,
-            )
+            ))
             assert len(calls) == 4
             assert evicted.seed == 1
 
@@ -493,10 +524,10 @@ class TestEnsembleWeightStackCache:
         kwargs = dict(model="mlp", bits=4, mapping="acm",
                       sigma_fraction=0.15, num_samples=5, seed=4)
         with InferenceService(registry) as warm:
-            warm.predict_under_variation(images, **kwargs)
-            hit = warm.predict_under_variation(images, **kwargs)
+            warm.ensemble_request(EnsembleRequest(images, **kwargs))
+            hit = warm.ensemble_request(EnsembleRequest(images, **kwargs))
         with InferenceService(registry) as cold:
-            fresh = cold.predict_under_variation(images, **kwargs)
+            fresh = cold.ensemble_request(EnsembleRequest(images, **kwargs))
         np.testing.assert_array_equal(hit.mean_logits, fresh.mean_logits)
         np.testing.assert_array_equal(hit.vote_counts, fresh.vote_counts)
 
@@ -534,7 +565,9 @@ class TestServiceCatalogue:
         registry.publish_model(small_mlp(), "mlp", 4, "acm")
         images = np.zeros((3, 1, 4, 4))
         with InferenceService(registry) as service:
-            service.predict(images, model="mlp", bits=4, mapping="acm")
+            service.predict_request(PredictRequest(
+                images, model="mlp", bits=4, mapping="acm"
+            ))
             summary = service.stats_summary()
         assert summary["mlp__4b__acm"]["num_requests"] == 1
         assert summary["mlp__4b__acm"]["num_rows"] == 3

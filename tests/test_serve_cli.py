@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -90,6 +93,21 @@ class TestArgumentParsing:
             assert backend._worker_config[-1] is None
         finally:
             backend.close()
+
+
+class TestImportOrder:
+    def test_cli_import_keeps_repro_api_connect_callable(self):
+        # Importing the CLI first must not bind the repro.api.connect
+        # *submodule* over the connect() function on the package.  Import
+        # order is the trigger, so run in a fresh interpreter.
+        script = (
+            "import repro.serve.__main__\n"
+            "from repro.api import connect\n"
+            "assert callable(connect), type(connect)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        subprocess.run([sys.executable, "-c", script], check=True, env=env)
 
 
 class TestMainLoop:

@@ -9,10 +9,20 @@ worker processes is the expensive part.
 
 from __future__ import annotations
 
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from types import SimpleNamespace
 
+from repro.api import (
+    BackendClosed,
+    EnsembleRequest,
+    InvalidRequest,
+    ModelNotFound,
+    PredictRequest,
+)
 from repro.models import make_mlp
 from repro.runtime import compile_model, decode_array
 from repro.serve import (
@@ -26,6 +36,18 @@ from repro.serve import (
 from tests.test_serve_http import _predict_body, _request
 
 MODEL_NAMES = ("alpha", "beta", "gamma")
+
+
+def _wait_pending(worker, count, timeout=60.0):
+    """Block until ``count`` requests sit in a worker handle's pending
+    table, so a following ``close()`` provably has them in flight."""
+    deadline = time.monotonic() + timeout
+    while worker.load() < count:
+        if time.monotonic() > deadline:
+            raise AssertionError(
+                f"only {worker.load()} of {count} requests reached the worker"
+            )
+        time.sleep(0.001)
 
 
 @pytest.fixture(scope="module")
@@ -81,47 +103,52 @@ class TestSharding:
 class TestClusterRequests:
     def test_predict_exact_for_every_model(self, cluster_env):
         for name, plan in cluster_env.plans.items():
-            logits = cluster_env.cluster.predict(
-                cluster_env.images, model=name, bits=4, mapping="acm"
-            )
+            logits = cluster_env.cluster.predict_request(PredictRequest(
+                cluster_env.images, model=name, bits=4, mapping="acm",
+            )).logits
             np.testing.assert_array_equal(logits, plan.run(cluster_env.images))
 
     def test_single_sample_request_drops_batch_axis(self, cluster_env):
         # The MLP plans take flat (16,) samples; a single flat vector must
         # come back as (10,) logits, not a one-row batch.
         sample = cluster_env.images[0].reshape(-1)
-        logits = cluster_env.cluster.predict(
-            sample, model="alpha", bits=4, mapping="acm"
-        )
+        logits = cluster_env.cluster.predict_request(PredictRequest(
+            sample, model="alpha", bits=4, mapping="acm",
+        )).logits
         assert logits.shape == (10,)
         np.testing.assert_array_equal(
             logits, cluster_env.plans["alpha"].run(sample[None])[0]
         )
 
     def test_concurrent_requests_across_models_all_exact(self, cluster_env):
-        futures = [
-            (name, index, cluster_env.cluster.predict_async(
-                cluster_env.images[index], model=name, bits=4, mapping="acm"))
-            for index in range(len(cluster_env.images))
-            for name in MODEL_NAMES
-        ]
-        for name, index, future in futures:
-            expected = cluster_env.plans[name].run(
-                cluster_env.images[index:index + 1]
-            )
-            np.testing.assert_allclose(future.result(timeout=60), expected,
-                                       atol=1e-10, rtol=0)
+        def predict(name, index):
+            return cluster_env.cluster.predict_request(PredictRequest(
+                cluster_env.images[index], model=name, bits=4, mapping="acm",
+            )).logits
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [
+                (name, index, pool.submit(predict, name, index))
+                for index in range(len(cluster_env.images))
+                for name in MODEL_NAMES
+            ]
+            for name, index, future in futures:
+                expected = cluster_env.plans[name].run(
+                    cluster_env.images[index:index + 1]
+                )
+                np.testing.assert_allclose(future.result(timeout=60),
+                                           expected, atol=1e-10, rtol=0)
 
     def test_ensemble_bit_identical_to_in_process_service(self, cluster_env):
         kwargs = dict(model="beta", bits=4, mapping="acm",
                       sigma_fraction=0.2, num_samples=7, seed=5)
-        via_cluster = cluster_env.cluster.predict_under_variation(
-            cluster_env.images, **kwargs
-        )
+        via_cluster = cluster_env.cluster.ensemble_request(EnsembleRequest(
+            cluster_env.images, **kwargs,
+        ))
         with InferenceService(PlanRegistry(cluster_env.directory)) as reference:
-            in_process = reference.predict_under_variation(
-                cluster_env.images, **kwargs
-            )
+            in_process = reference.ensemble_request(EnsembleRequest(
+                cluster_env.images, **kwargs,
+            ))
         np.testing.assert_array_equal(via_cluster.mean_logits,
                                       in_process.mean_logits)
         np.testing.assert_array_equal(via_cluster.predictions,
@@ -130,24 +157,24 @@ class TestClusterRequests:
                                       in_process.vote_counts)
 
     def test_unknown_model_raises_keyerror_in_caller(self, cluster_env):
-        with pytest.raises(KeyError, match="unknown"):
-            cluster_env.cluster.predict(
-                cluster_env.images, model="unknown", bits=4, mapping="acm"
-            )
+        with pytest.raises(ModelNotFound, match="unknown"):
+            cluster_env.cluster.predict_request(PredictRequest(
+                cluster_env.images, model="unknown", bits=4, mapping="acm",
+            ))
 
     def test_malformed_geometry_raises_valueerror_in_caller(self, cluster_env):
-        with pytest.raises(ValueError, match="incompatible"):
-            cluster_env.cluster.predict(
-                np.zeros((2, 3, 3)), model="alpha", bits=4, mapping="acm"
-            )
+        with pytest.raises(InvalidRequest, match="incompatible"):
+            cluster_env.cluster.predict_request(PredictRequest(
+                np.zeros((2, 3, 3)), model="alpha", bits=4, mapping="acm",
+            ))
 
     def test_late_published_model_is_served_after_refresh(self, cluster_env):
         late = make_mlp(input_size=16, hidden_sizes=(6,), mapping="de",
                         quantizer_bits=6, seed=11)
         cluster_env.registry.publish_model(late, "late", 6, "de")
-        logits = cluster_env.cluster.predict(
-            cluster_env.images, model="late", bits=6, mapping="de"
-        )
+        logits = cluster_env.cluster.predict_request(PredictRequest(
+            cluster_env.images, model="late", bits=6, mapping="de",
+        )).logits
         np.testing.assert_array_equal(logits,
                                       compile_model(late).run(cluster_env.images))
 
@@ -161,9 +188,9 @@ class TestClusterIntrospection:
             assert entry["worker"] == cluster_env.cluster.worker_for(name, 4, "acm")
 
     def test_stats_summary_covers_every_worker(self, cluster_env):
-        cluster_env.cluster.predict(
-            cluster_env.images, model="alpha", bits=4, mapping="acm"
-        )
+        cluster_env.cluster.predict_request(PredictRequest(
+            cluster_env.images, model="alpha", bits=4, mapping="acm",
+        ))
         summary = cluster_env.cluster.stats_summary()
         assert set(summary) == {"worker-0", "worker-1"}
         total_requests = sum(
@@ -196,9 +223,9 @@ class TestClusterIntrospection:
             assert status == 200
             assert {"worker"} <= set(body["models"][0])
         # own_backend=False: the cluster survives the server.
-        cluster_env.cluster.predict(
-            cluster_env.images[:1], model="alpha", bits=4, mapping="acm"
-        )
+        cluster_env.cluster.predict_request(PredictRequest(
+            cluster_env.images[:1], model="alpha", bits=4, mapping="acm",
+        ))
 
 
 class TestClusterLifecycle:
@@ -212,22 +239,24 @@ class TestClusterLifecycle:
         cluster = PlanCluster(tmp_path / "plans", num_workers=1,
                               max_wait_ms=50.0)
         cluster.wait_ready(timeout=120)
-        futures = [
-            cluster.predict_async(images, model="solo", bits=4, mapping="acm")
-            for _ in range(8)
-        ]
-        cluster.close()
-        for future in futures:
-            np.testing.assert_array_equal(future.result(timeout=10),
-                                          plan.run(images))
+        request = PredictRequest(images, model="solo", bits=4, mapping="acm")
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(cluster.predict_request, request)
+                       for _ in range(8)]
+            _wait_pending(cluster._workers[0], len(futures))
+            cluster.close()
+            for future in futures:
+                np.testing.assert_array_equal(future.result(timeout=10).logits,
+                                              plan.run(images))
 
     def test_closed_cluster_rejects_requests(self, tmp_path):
         cluster = PlanCluster(tmp_path / "plans", num_workers=1)
         cluster.close()
         cluster.close()  # idempotent
-        with pytest.raises(RuntimeError):
-            cluster.predict(np.zeros((1, 1, 4, 4)), model="m", bits=4,
-                            mapping="acm")
+        with pytest.raises(BackendClosed):
+            cluster.predict_request(PredictRequest(
+                np.zeros((1, 1, 4, 4)), model="m", bits=4, mapping="acm",
+            ))
         with pytest.raises(RuntimeError):
             cluster.stats_summary()
 
@@ -285,10 +314,10 @@ class TestWorkerDeath:
         images = np.random.default_rng(2).normal(size=(32, 256))
         worker = cluster._workers[shard]
         # A heavyweight ensemble keeps the worker busy while we kill it.
-        future = worker.submit("ensemble", {
-            "images": images, "model": "big", "bits": 4, "mapping": "acm",
-            "sigma_fraction": 0.1, "num_samples": 64, "seed": 0,
-        })
+        future = worker.submit("ensemble", EnsembleRequest(
+            images, model="big", bits=4, mapping="acm", sigma_fraction=0.1,
+            num_samples=64, seed=0,
+        ))
         self._kill_worker(cluster, shard)
         with pytest.raises(WorkerDied):
             future.result(timeout=60)
@@ -307,7 +336,9 @@ class TestWorkerDeath:
         images = np.random.default_rng(3).normal(size=(4, 256))
         # New requests to the dead shard fail fast with the typed error...
         with pytest.raises(WorkerDied):
-            cluster.predict(images, model="big", bits=4, mapping="acm")
+            cluster.predict_request(PredictRequest(
+                images, model="big", bits=4, mapping="acm",
+            ))
         client = ClusterClient(cluster, own_backend=False)
         with pytest.raises(WorkerDied):
             client.predict(PredictRequest(images=images, model="big",
@@ -316,8 +347,9 @@ class TestWorkerDeath:
         for name in other_models:
             small_images = np.random.default_rng(4).normal(size=(3, 16))
             np.testing.assert_array_equal(
-                cluster.predict(small_images, model=name, bits=4,
-                                mapping="acm"),
+                cluster.predict_request(PredictRequest(
+                    small_images, model=name, bits=4, mapping="acm",
+                )).logits,
                 death_env.plans[name].run(small_images),
             )
         # ...and monitoring reports the dead shard instead of failing
@@ -330,7 +362,9 @@ class TestWorkerDeath:
         cluster.restart_worker(shard)
         assert cluster.dead_workers == []
         np.testing.assert_array_equal(
-            cluster.predict(images, model="big", bits=4, mapping="acm"),
+            cluster.predict_request(PredictRequest(
+                images, model="big", bits=4, mapping="acm",
+            )).logits,
             death_env.plans["big"].run(images),
         )
 
@@ -380,7 +414,9 @@ class TestReplicatedDeath:
         images = np.random.default_rng(7).normal(size=(5, 16))
         for name, plan in replica_env.plans.items():
             np.testing.assert_array_equal(
-                cluster.predict(images, model=name, bits=4, mapping="acm"),
+                cluster.predict_request(PredictRequest(
+                    images, model=name, bits=4, mapping="acm",
+                )).logits,
                 plan.run(images),
             )
         # The skips are visible on the failover counter for models whose
@@ -419,7 +455,9 @@ class TestReplicatedDeath:
         self._kill_and_wait(cluster, 1)
         images = np.random.default_rng(8).normal(size=(2, 16))
         with pytest.raises(WorkerDied) as excinfo:
-            cluster.predict(images, model="rep-a", bits=4, mapping="acm")
+            cluster.predict_request(PredictRequest(
+                images, model="rep-a", bits=4, mapping="acm",
+            ))
         assert excinfo.value.breaker_open is False
 
     def test_rolling_restart_is_zero_downtime(self, replica_env):
@@ -431,8 +469,9 @@ class TestReplicatedDeath:
             # no dead window, no WorkerDied, no stale registry.
             for name, plan in replica_env.plans.items():
                 np.testing.assert_array_equal(
-                    cluster.predict(images, model=name, bits=4,
-                                    mapping="acm"),
+                    cluster.predict_request(PredictRequest(
+                        images, model=name, bits=4, mapping="acm",
+                    )).logits,
                     plan.run(images),
                 )
         assert cluster.dead_workers == []
@@ -443,7 +482,9 @@ class TestReplicatedDeath:
     def test_replica_routing_counters_and_admin_detail(self, replica_env):
         cluster = replica_env.cluster
         images = np.random.default_rng(10).normal(size=(2, 16))
-        cluster.predict(images, model="rep-a", bits=4, mapping="acm")
+        cluster.predict_request(PredictRequest(
+            images, model="rep-a", bits=4, mapping="acm",
+        ))
         families = {f.name: f for f in cluster.metrics.collect()}
         routed = {dict(s.labels)["role"]: s.value
                   for s in families["repro_ring_routed_total"].samples}

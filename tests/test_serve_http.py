@@ -20,6 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.api import EnsembleRequest
 from repro.models import make_lenet, make_mlp
 from repro.runtime import compile_model
 from repro.runtime.wire import WireFormatError, decode_array, encode_array
@@ -261,10 +262,10 @@ class TestEnsembleEquivalence:
         # The reference runs on a *fresh* service (no shared ensemble cache),
         # so equality certifies the wire + seeding, not a common cache entry.
         with InferenceService(PlanRegistry(served.directory)) as reference:
-            expected = reference.predict_under_variation(
+            expected = reference.ensemble_request(EnsembleRequest(
                 served.images[:5], model="lenet", bits=4, mapping="acm",
                 sigma_fraction=0.15, num_samples=9, seed=21,
-            )
+            ))
         np.testing.assert_array_equal(
             decode_array(response["mean_logits"]), expected.mean_logits
         )
