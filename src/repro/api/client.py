@@ -20,21 +20,10 @@ backend-equivalence test matrix enforces both properties.
 
 from __future__ import annotations
 
-import time
 from types import TracebackType
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Type,
-    TypeVar,
-    cast,
-)
+from typing import Any, Dict, List, Optional, Protocol, Type, TypeVar, cast
 
-from repro.api.errors import ApiError, WorkerDied, map_exception
+from repro.api.errors import ApiError, map_exception
 from repro.api.types import (
     EnsembleRequest,
     EnsembleResult,
@@ -106,7 +95,6 @@ class Client(Protocol):
 
 
 _ClientT = TypeVar("_ClientT", bound="_BackendClient")
-_ResultT = TypeVar("_ResultT")
 
 
 class _BackendClient:
@@ -239,23 +227,16 @@ class ClusterClient(_BackendClient):
     ``connect("cluster:plans/?workers=4&replicas=2")`` spawns the cluster
     and returns one of these with ``own_backend=True``.
 
-    Worker death is handled, not surfaced — in two layers.  First the
-    cluster itself: every model has ``replicas`` owners on the
-    consistent-hash ring, so a request stranded by a dead (or
-    breaker-open) worker fails over to the next live replica *inside* the
-    backend, and with R >= 2 this client usually never sees the death at
-    all.  Then this client: every protocol request is idempotent/
-    deterministic (the same argument that makes
-    :class:`~repro.api.http_client.HttpClient` retry lost responses), so a
-    request that still failed with :class:`~repro.api.errors.WorkerDied` —
-    every owner down at once — against a *self-healing* cluster
-    (``auto_restart=True``) is transparently retried with exponential
-    backoff while the supervisor respawns workers, up to
-    ``worker_died_retries`` attempts.  ``WorkerDied`` surfaces only when
-    retrying cannot help: every owner's circuit breaker is open
+    Worker death is handled inside the cluster, not here: a request
+    stranded by a dead (or breaker-open) worker fails over to the next
+    live replica, and when no owner is live a self-healing cluster
+    (``auto_restart=True``) holds the request until the supervisor has
+    respawned one — the same for this client and the HTTP edge.
+    :class:`~repro.api.errors.WorkerDied` surfaces only when waiting
+    cannot help: every owner's circuit breaker is open
     (``error.breaker_open``), the cluster does not auto-restart
     (``client.backend.restart_worker(i)`` re-admits manually), or the
-    retry budget is exhausted while the owners are still down.
+    request's ``timeout`` ran out while the owners were still down.
     """
 
     def __init__(
@@ -264,56 +245,28 @@ class ClusterClient(_BackendClient):
         own_backend: bool = True,
         timeout: Optional[float] = 60.0,
         ensemble_timeout: Optional[float] = 120.0,
-        worker_died_retries: int = 10,
-        worker_died_backoff: float = 0.05,
-        worker_died_backoff_cap: float = 1.0,
         jobs_dir: Optional[str] = None,
     ) -> None:
-        if worker_died_retries < 0:
-            raise ValueError("worker_died_retries must be non-negative")
-        if worker_died_backoff < 0 or worker_died_backoff_cap < 0:
-            raise ValueError("worker_died backoffs must be non-negative")
         super().__init__(cluster, own_backend, jobs_dir=jobs_dir)
         self.timeout = timeout
         # Ensembles run num_samples stacked passes, so they get the
         # cluster backend's larger default budget rather than inheriting
         # the deterministic-request timeout.
         self.ensemble_timeout = ensemble_timeout
-        self.worker_died_retries = worker_died_retries
-        self.worker_died_backoff = worker_died_backoff
-        self.worker_died_backoff_cap = worker_died_backoff_cap
 
     @property
     def cluster(self) -> PlanCluster:
         return cast(PlanCluster, self.backend)
 
-    def _retry_worker_died(self, call: Callable[[], _ResultT]) -> _ResultT:
-        """Re-issue an idempotent request while its shard self-heals."""
-        attempt = 0
-        while True:
-            try:
-                return call()
-            except WorkerDied as error:
-                retryable = (
-                    not error.breaker_open
-                    and attempt < self.worker_died_retries
-                    and getattr(self.backend, "auto_restart", False)
-                )
-                if not retryable:
-                    raise
-                time.sleep(min(self.worker_died_backoff * (2 ** attempt),
-                               self.worker_died_backoff_cap))
-                attempt += 1
-
     def predict(self, request: PredictRequest) -> PredictResult:
-        return self._retry_worker_died(lambda: cast(
+        return cast(
             PredictResult,
             self.backend.predict_request(request, timeout=self.timeout),
-        ))
+        )
 
     def ensemble(self, request: EnsembleRequest) -> EnsembleResult:
-        return self._retry_worker_died(lambda: cast(
+        return cast(
             EnsembleResult,
             self.backend.ensemble_request(request,
                                           timeout=self.ensemble_timeout),
-        ))
+        )

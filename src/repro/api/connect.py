@@ -27,15 +27,13 @@ site:
     directory; returns a :class:`~repro.api.client.ClusterClient` that
     owns it.  ``replicas`` is the consistent-hash ring's replication
     factor R (default 2, capped by ``workers``; ``replicas=1`` restores
-    single-owner sharding) and ``vnodes`` its virtual nodes per worker.
-    Self-healing and transport knobs ride along:
+    single-owner sharding).  Self-healing and transport knobs ride along:
     ``auto_restart=true`` (supervised respawn of dead workers, with
     ``max_restarts`` / ``restart_backoff`` / ``stability_window``
-    shaping the crash-loop circuit breaker), ``shm_threshold=BYTES``
-    (shared-memory array transport; ``off`` disables), and
-    ``worker_died_retries`` / ``worker_died_backoff`` for the client's
-    transparent retry of requests a dying worker stranded.
-    ``log_dir=PATH`` writes one logfmt file per worker
+    shaping the crash-loop circuit breaker; a request whose owners are
+    all down waits for the respawn, up to ``timeout``) and
+    ``shm_threshold=BYTES`` (shared-memory array transport; ``off``
+    disables).  ``log_dir=PATH`` writes one logfmt file per worker
     (``worker-N.log``) carrying every request's trace id.
 
 Example — the same script against any backend::
@@ -100,14 +98,12 @@ _LOCAL_PARAMS: Dict[str, Callable[[str], Any]] = {
 _CLUSTER_PARAMS: Dict[str, Callable[[str], Any]] = {
     "workers": int,
     "replicas": int,
-    "vnodes": int,
     "capacity": int,
     "max_batch": _parse_max_batch,
     "max_wait_ms": float,
     "max_queue_depth": int,
     "max_concurrent_ensembles": int,
     "handler_threads": int,
-    "start_method": str,
     "timeout": float,
     "ensemble_timeout": float,
     "shm_threshold": _parse_shm_threshold,
@@ -116,9 +112,6 @@ _CLUSTER_PARAMS: Dict[str, Callable[[str], Any]] = {
     "restart_backoff": float,
     "max_restart_backoff": float,
     "stability_window": float,
-    "worker_died_retries": int,
-    "worker_died_backoff": float,
-    "worker_died_backoff_cap": float,
     "log_dir": str,
     "jobs_dir": str,
 }
@@ -220,17 +213,11 @@ def connect(target: str, **options: Any) -> Client:
         timeout = params.pop("timeout", 60.0)
         ensemble_timeout = params.pop("ensemble_timeout", 120.0)
         jobs_dir = params.pop("jobs_dir", None)
-        client_options = {
-            key: params.pop(key)
-            for key in ("worker_died_retries", "worker_died_backoff",
-                        "worker_died_backoff_cap")
-            if key in params
-        }
         params["num_workers"] = params.pop("workers", 2)
         cluster = PlanCluster(path, **params)
         return ClusterClient(cluster, own_backend=True, timeout=timeout,
                              ensemble_timeout=ensemble_timeout,
-                             jobs_dir=jobs_dir, **client_options)
+                             jobs_dir=jobs_dir)
 
     raise ValueError(
         f"unrecognised connect target {target!r}; expected 'local:DIR', "

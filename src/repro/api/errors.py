@@ -125,9 +125,9 @@ class WorkerDied(ApiError):
       until an operator calls
       :meth:`~repro.serve.cluster.PlanCluster.restart_worker`.  With the
       breaker closed, every protocol request is idempotent/deterministic
-      and safe to retry — a self-healing cluster will have respawned the
-      shard shortly (:class:`~repro.api.client.ClusterClient` retries
-      transparently in exactly this case).
+      and safe to retry; a self-healing cluster already waits out the
+      respawn itself, so a closed-breaker ``WorkerDied`` means the
+      cluster does not auto-restart or the request's timeout ran out.
 
     Extra attributes live in ``__dict__`` and therefore survive pickling
     across the cluster's process boundary (see :class:`ApiError`).

@@ -30,7 +30,8 @@ such plans to concurrent clients over the network":
   Large arrays cross the process boundary over shared memory
   (:mod:`repro.serve.shm`), and ``auto_restart=True`` makes the cluster
   self-healing: dead workers respawn with backoff behind a crash-loop
-  circuit breaker.
+  circuit breaker, and requests whose owners are all down wait for the
+  respawn.
 * :func:`run_variation_study_parallel` (:mod:`repro.serve.pool`) — the
   Fig. 6 study fanned out over a process pool, one worker per independent
   (bits, mapping) training cell.

@@ -52,16 +52,18 @@ surviving ``stability_window`` seconds — trips its shard's *circuit
 breaker*: the supervisor stops respawning it and requests to the shard
 fail fast with :class:`~repro.api.errors.WorkerDied` carrying
 ``breaker_open=True`` until an operator re-admits it via
-:meth:`PlanCluster.restart_worker` (which resets the breaker).  While the
-breaker is *closed*, every protocol request is idempotent/deterministic,
-so :class:`~repro.api.client.ClusterClient` transparently retries requests
-that failed with ``WorkerDied`` — the combination loses zero requests
-across a worker SIGKILL.  Under replication (R >= 2) the ring absorbs the
-death *before* the client ever sees it: a breaker-open or dead owner is
-skipped in favour of a live replica (counted by
-``repro_ring_failover_total``), and ``WorkerDied`` reaches the caller only
-when every one of a key's R owners is unavailable — with
-``breaker_open=True`` only when *all* of them are breaker-open.
+:meth:`PlanCluster.restart_worker` (which resets the breaker).  Under
+replication (R >= 2) the ring absorbs a death first: a breaker-open or
+dead owner is skipped in favour of a live replica (counted by
+``repro_ring_failover_total``).  When *no* owner of a key is live but at
+least one breaker is still closed, the request itself waits for the
+supervisor's respawn (counted by ``repro_cluster_respawn_waits_total``)
+and then routes to the fresh worker — every protocol request is
+idempotent/deterministic, so this loses zero requests across a worker
+SIGKILL, for every front end alike.  ``WorkerDied`` reaches the caller
+only when waiting cannot help: the cluster does not auto-restart, every
+owner's breaker is open (``breaker_open=True``), or the request's
+``timeout`` ran out first.
 
 Shutdown is graceful: :meth:`PlanCluster.close` sends each worker a
 shutdown sentinel; workers stop reading, finish every in-flight request,
@@ -104,12 +106,7 @@ from repro.api.types import (
     PredictResult,
 )
 from repro.serve.registry import PlanKey, PlanRegistry
-from repro.serve.ring import (
-    DEFAULT_REPLICAS,
-    DEFAULT_VNODES,
-    HashRing,
-    get_ring,
-)
+from repro.serve.ring import DEFAULT_REPLICAS, HashRing, get_ring
 from repro.serve.service import InferenceService
 from repro.serve.shm import (
     DEFAULT_SHM_THRESHOLD,
@@ -491,14 +488,12 @@ class PlanCluster:
     ``max_queue_depth`` / ``max_concurrent_ensembles``), plus the process
     topology: ``num_workers`` serving processes and ``handler_threads``
     concurrent requests per worker (keep > 1 or micro-batches cannot
-    form).  ``start_method`` selects the multiprocessing context; the
-    ``spawn`` default gives workers a clean interpreter regardless of
-    parent threads, at the cost of slower startup.
+    form).
 
     ``replicas`` is the replication factor R (capped by ``num_workers``):
     each model's ordered owner list is the first R distinct workers
-    clockwise from its key's position on a consistent-hash ring with
-    ``vnodes`` virtual nodes per worker (:mod:`repro.serve.ring`).
+    clockwise from its key's position on the consistent-hash ring
+    (:mod:`repro.serve.ring`, ``DEFAULT_VNODES`` virtual nodes per worker).
     Requests go to the least-loaded live owner, fail over to the next on a
     worker death, and fail fast with ``breaker_open=True`` only when every
     owner's circuit breaker is open.  ``replicas=1`` reproduces the
@@ -513,7 +508,8 @@ class PlanCluster:
     ``max_restart_backoff``); ``max_restarts`` consecutive crashes — a
     crash "streak" resets once a worker survives ``stability_window``
     seconds — open the shard's circuit breaker instead of retrying
-    forever.
+    forever.  While a respawn is pending, requests for the shard's keys
+    wait for it (bounded by their ``timeout``) instead of failing.
     """
 
     def __init__(
@@ -521,12 +517,10 @@ class PlanCluster:
         directory,
         num_workers: int = 2,
         replicas: int = DEFAULT_REPLICAS,
-        vnodes: int = DEFAULT_VNODES,
         capacity: int = 4,
         max_batch: Union[int, str] = 64,
         max_wait_ms: float = 2.0,
         handler_threads: int = 4,
-        start_method: str = "spawn",
         max_queue_depth: Optional[int] = None,
         max_concurrent_ensembles: Optional[int] = None,
         shm_threshold: Optional[int] = DEFAULT_SHM_THRESHOLD,
@@ -554,13 +548,15 @@ class PlanCluster:
         self.replicas = replicas
         #: R capped by the worker count — what the router actually uses.
         self.effective_replicas = min(replicas, num_workers)
-        self._ring: HashRing = get_ring(num_workers, vnodes)
+        self._ring: HashRing = get_ring(num_workers)
         self.auto_restart = bool(auto_restart)
         self.max_restarts = max_restarts
         self.restart_backoff = restart_backoff
         self.max_restart_backoff = max_restart_backoff
         self.stability_window = stability_window
-        self._context = multiprocessing.get_context(start_method)
+        # spawn: a clean interpreter per worker, whatever threads the
+        # parent runs (slower startup than fork).
+        self._context = multiprocessing.get_context("spawn")
         # The trailing "_" terminates the cluster id so close()'s
         # cleanup_prefix for cluster 1 can never match cluster 11's
         # segments in the same process.
@@ -585,6 +581,9 @@ class PlanCluster:
         # restart_worker) without holding up state reads.
         self._sup_lock = threading.Lock()
         self._restart_lock = threading.Lock()
+        # Signalled on every handle swap, breaker opening, and close():
+        # what a request with no live owner waits on (_await_respawn).
+        self._respawned = threading.Condition(self._sup_lock)
         self._restarts = [0] * num_workers
         self._consecutive = [0] * num_workers
         self._breaker = [False] * num_workers
@@ -628,6 +627,12 @@ class PlanCluster:
             "Requests routed past an unavailable owner to a live replica, "
             "by skipped worker and reason.",
             labels=("worker", "reason"),
+        )
+        self._respawn_waits = metrics.counter(
+            "repro_cluster_respawn_waits_total",
+            "Requests that found no live owner and waited for the "
+            "supervisor's respawn, by the key's primary worker.",
+            labels=("worker",),
         )
         self._refresh_broadcasts = metrics.counter(
             "repro_cluster_registry_refreshes_total",
@@ -911,8 +916,8 @@ class PlanCluster:
             )
         if self.auto_restart:
             return WorkerDied(
-                f"{phrase} died and respawns are in progress; the request "
-                f"is safe to retry shortly",
+                f"{phrase} died and was not respawned within the "
+                f"request's timeout; the request is safe to retry",
                 worker_index=primary,
             )
         return WorkerDied(
@@ -926,16 +931,18 @@ class PlanCluster:
         model: str,
         bits: Optional[int],
         mapping: str,
-        excluded: Mapping[int, BaseException],
+        excluded: Mapping[_WorkerClient, BaseException],
+        timeout: Optional[float],
     ) -> _WorkerClient:
         """The least-loaded live owner of a key, failing over in ring
         order past dead / breaker-open / retiring replicas.
 
-        ``excluded`` maps owner indices this call already tried (the
-        worker died with the request in flight) to the error they raised;
-        when no owner remains the most recent of those errors is re-raised
-        — for ``replicas=1`` that reproduces the single-shard semantics
-        exactly.
+        ``excluded`` maps worker handles this request already tried (the
+        worker died with the request in flight) to the error they raised.
+        It is keyed by handle, not index, so a respawned worker is
+        routable again within the same request.  When no owner is live
+        the call waits for a respawn (:meth:`_await_respawn`), which
+        raises the typed error once waiting cannot help.
         """
         if self._closed:
             raise RuntimeError("cluster is closed")
@@ -946,7 +953,7 @@ class PlanCluster:
         skipped: List[Tuple[int, str]] = []
         for position, index in enumerate(owners):
             worker = workers[index]
-            if index in excluded:
+            if worker in excluded:
                 skipped.append((index, "died_in_flight"))
                 continue
             if worker.dead:
@@ -968,10 +975,9 @@ class PlanCluster:
             skipped.extend((worker.index, "retiring")
                            for _, worker in retiring)
         if not candidates:
-            if excluded:
-                # Re-raise what the last attempt actually saw.
-                raise next(reversed(list(excluded.values())))
-            raise self._no_replica_error(owners, breakers)
+            self._await_respawn(owners, excluded, timeout)
+            return self._select_worker(model, bits, mapping, excluded,
+                                       timeout)
         position, chosen = min(
             candidates, key=lambda entry: (entry[1].load(), entry[0])
         )
@@ -982,6 +988,46 @@ class PlanCluster:
             role="primary" if chosen.index == owners[0] else "replica",
         )
         return chosen
+
+    def _await_respawn(
+        self,
+        owners: Tuple[int, ...],
+        excluded: Mapping[_WorkerClient, BaseException],
+        timeout: Optional[float],
+    ) -> None:
+        """Block until an owner of the key is routable again, or raise.
+
+        Waiting helps only on a self-healing cluster with an owner whose
+        breaker is still closed: the supervisor will swap in a fresh
+        handle (every swap, breaker opening and ``close()`` signals the
+        condition).  Otherwise, or once ``timeout`` is spent, the typed
+        error surfaces: the last in-flight death this request saw, else
+        :meth:`_no_replica_error`.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        counted = False
+        with self._respawned:
+            while True:
+                if self._closed:
+                    raise RuntimeError("cluster is closed")
+                if any(not self._workers[index].dead
+                       and not self._breaker[index]
+                       and self._workers[index] not in excluded
+                       for index in owners):
+                    return
+                all_open = all(self._breaker[index] for index in owners)
+                remaining = (None if deadline is None
+                             else deadline - time.monotonic())
+                if (not self.auto_restart or all_open
+                        or (remaining is not None and remaining <= 0)):
+                    if excluded and not all_open:
+                        # Re-raise what the last attempt actually saw.
+                        raise next(reversed(list(excluded.values())))
+                    raise self._no_replica_error(owners, self._breaker)
+                if not counted:
+                    self._respawn_waits.inc(worker=str(owners[0]))
+                    counted = True
+                self._respawned.wait(remaining)
 
     def _ensure_catalogued(
         self, model: str, bits: Optional[int], mapping: str
@@ -1138,6 +1184,7 @@ class PlanCluster:
                 self._restart_due[index] = None
                 log_event(_LOG, "breaker_open", level=logging.WARNING,
                           worker=index, crashes=self._consecutive[index])
+                self._respawned.notify_all()
                 return
             due = self._restart_due[index]
             if due is None:
@@ -1178,6 +1225,7 @@ class PlanCluster:
                 self._restarts[index] += 1
                 self._last_restart[index] = time.monotonic()
                 self._workers[index] = replacement
+                self._respawned.notify_all()
             log_event(_LOG, "worker_respawned", worker=index,
                       incarnation=incarnation, pid=replacement.process.pid)
 
@@ -1225,6 +1273,7 @@ class PlanCluster:
                 self._restart_due[index] = None
                 self._last_restart[index] = time.monotonic()
                 self._workers[index] = replacement
+                self._respawned.notify_all()
             log_event(_LOG, "worker_restarted", worker=index,
                       incarnation=incarnation,
                       pid=replacement.process.pid)
@@ -1236,26 +1285,27 @@ class PlanCluster:
         self,
         kind: str,
         request: Union[PredictRequest, EnsembleRequest],
-        excluded: Dict[int, BaseException],
+        excluded: Dict[_WorkerClient, BaseException],
+        timeout: Optional[float],
     ) -> Tuple[_WorkerClient, Future]:
         """Select an owner and submit, failing over on submit-time races.
 
         A worker that dies between selection and the pipe send (or a
         handle drained for a rolling restart) is recorded in ``excluded``
-        and the next owner is tried at once; ``_select_worker`` raises the
-        recorded error when the key has no owner left.
+        and the next owner is tried at once; ``_select_worker`` waits for
+        a respawn or raises when the key has no owner left.
         """
         while True:
             worker = self._select_worker(request.model, request.bits,
-                                         request.mapping, excluded)
+                                         request.mapping, excluded, timeout)
             try:
                 return worker, worker.submit(kind, request)
             except WorkerDied as error:
-                excluded[worker.index] = error
+                excluded[worker] = error
             except RuntimeError as error:
                 if self._closed:
                     raise
-                excluded[worker.index] = error
+                excluded[worker] = error
 
     def _request(
         self,
@@ -1263,19 +1313,23 @@ class PlanCluster:
         request: Union[PredictRequest, EnsembleRequest],
         timeout: Optional[float],
     ):
-        """One typed request with immediate replica failover.
+        """One typed request with replica failover and respawn waits.
 
         The request dataclass itself crosses the pipe (its arrays over
         shared memory above ``shm_threshold``), stamped first with its
         trace id so the worker's service logs the id the caller holds.  A
         ``WorkerDied`` from an in-flight request does not wait for the
-        supervisor's respawn: the same (idempotent, deterministic) request
-        is resubmitted to the key's next live owner right away.  Only when
-        every owner has been tried or is unavailable does the typed error
-        surface to the caller — at which point ``ClusterClient``'s
-        backoff-retry loop takes over (or, for ``breaker_open=True``, the
-        caller fails fast).  Parent-side failures (a closed cluster, an
-        unroutable key) fold into the same typed errors the worker raises.
+        supervisor's respawn while another owner is live: the same
+        (idempotent, deterministic) request is resubmitted to the key's
+        next live owner right away.  When no owner is live on a
+        self-healing cluster, the request waits (up to ``timeout``) for the
+        supervisor to respawn one and then routes to it — so every caller,
+        the HTTP edge included, rides out a worker death.  The typed error
+        surfaces only when waiting cannot help: no ``auto_restart``, every
+        owner's breaker open (``breaker_open=True``, fail fast), the wait
+        timed out, or the cluster closed (``BackendClosed``).  Parent-side
+        failures (a closed cluster, an unroutable key) fold into the same
+        typed errors the worker raises.
         """
         request_id = ensure_request_id(request.request_id)
         images = np.asarray(request.images)
@@ -1284,13 +1338,14 @@ class PlanCluster:
         try:
             self._ensure_catalogued(request.model, request.bits,
                                     request.mapping)
-            excluded: Dict[int, BaseException] = {}
+            excluded: Dict[_WorkerClient, BaseException] = {}
             while True:
-                worker, future = self._submit_routed(kind, request, excluded)
+                worker, future = self._submit_routed(kind, request, excluded,
+                                                     timeout)
                 try:
                     return future.result(timeout=timeout)
                 except WorkerDied as error:
-                    excluded[worker.index] = error
+                    excluded[worker] = error
         except ApiError:
             raise
         except Exception as error:
@@ -1386,6 +1441,8 @@ class PlanCluster:
         if self._closed:
             return
         self._closed = True
+        with self._respawned:  # waiters re-check and see the closed cluster
+            self._respawned.notify_all()
         self._sup_stop.set()
         if self._supervisor is not None:
             self._supervisor.join(timeout=timeout)

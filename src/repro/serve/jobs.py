@@ -17,11 +17,14 @@ That idempotence is what the durability story leans on:
   ``{checkpoint_dir}/{job_id}.json`` via atomic write-rename, so a crash
   can never leave a torn checkpoint — readers see the previous complete
   snapshot or the new one;
-* transient failures (:class:`~repro.api.errors.WorkerDied`,
-  :class:`~repro.api.errors.ApiConnectionError`,
-  :class:`~repro.api.errors.ApiTimeout`) retry the *cell* with capped
-  exponential backoff while the cluster's supervisor heals the shard —
-  a SIGKILLed replica mid-study costs retries, never lost cells;
+* a self-healing cluster rides out a SIGKILLed replica inside the
+  request (replica failover, then a wait for the respawn), so a worker
+  death costs a cell latency, never the cell; what still surfaces as a
+  transient failure — :class:`~repro.api.errors.ApiConnectionError` and
+  :class:`~repro.api.errors.ApiTimeout` from a remote backend, or
+  :class:`~repro.api.errors.WorkerDied` from a cluster without
+  ``auto_restart`` or past its timeout — retries the *cell* with capped
+  exponential backoff;
 * :meth:`JobManager.resume` re-indexes the checkpoint directory on
   startup and re-enqueues only the missing cells of interrupted jobs, so
   a manager restart re-executes nothing that already completed.

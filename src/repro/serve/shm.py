@@ -28,10 +28,10 @@ Segment lifecycle is explicit, not left to the interpreter:
   a SIGKILL'd worker from leaking segments.
 
 The helpers are deliberately transport-shaped rather than cluster-shaped:
-:func:`offload_payload` / :func:`restore_payload` walk the small set of
-message shapes the cluster protocol actually sends — bare ndarrays and the
-array-carrying frozen request/result dataclasses of :mod:`repro.api.types`
-— leaving everything else to pickle untouched.
+:func:`offload_payload` / :func:`restore_payload` walk the one message
+shape the cluster protocol actually sends — the array-carrying frozen
+request/result dataclasses of :mod:`repro.api.types` — leaving everything
+else to pickle untouched.
 """
 
 from __future__ import annotations
@@ -204,14 +204,6 @@ def cleanup_prefix(prefix: str, stats: Optional[SegmentStats] = None) -> int:
     return removed
 
 
-def _offload_candidate(value: Any, threshold: int) -> bool:
-    return (
-        isinstance(value, np.ndarray)
-        and not value.dtype.hasobject
-        and value.nbytes >= threshold
-    )
-
-
 def offload_payload(
     payload: Any,
     threshold: Optional[int],
@@ -220,46 +212,39 @@ def offload_payload(
 ) -> Tuple[Any, List[str]]:
     """Replace large arrays inside one protocol message by descriptors.
 
-    Walks the cluster protocol's message shapes — a bare ndarray or an
-    array-carrying (frozen) dataclass such as ``PredictRequest`` or
-    ``EnsembleResult`` — offloading each qualifying array
-    via ``allocate_name()`` (a callable yielding a fresh segment name).
+    Walks the fields of an array-carrying (frozen) dataclass such as
+    ``PredictRequest`` or ``EnsembleResult``, offloading each array of at
+    least ``threshold`` bytes via ``allocate_name()`` (a callable yielding
+    a fresh segment name); any other payload passes through unchanged.
     Returns the rewritten message plus the created segment names, so the
     sender can sweep them if the message never reaches its receiver.
     """
-    if threshold is None or threshold < 0:
-        return payload, []
     names: List[str] = []
-
-    def lift(value: Any) -> Any:
-        if _offload_candidate(value, threshold):
-            try:
-                ref = offload_array(value, allocate_name(), stats)
-            except OSError:
-                # /dev/shm full or unavailable: the pipe path is slower but
-                # always works, so degrade per-array instead of failing.
-                return value
-            names.append(ref.name)
-            return ref
-        return value
-
-    if isinstance(payload, np.ndarray):
-        return lift(payload), names
-    if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
-        changes = {
-            field.name: lift(getattr(payload, field.name))
-            for field in dataclasses.fields(payload)
-            if _offload_candidate(getattr(payload, field.name), threshold)
-        }
-        if changes:
-            return dataclasses.replace(payload, **changes), names
+    if (threshold is None or threshold < 0
+            or not dataclasses.is_dataclass(payload)
+            or isinstance(payload, type)):
+        return payload, names
+    changes = {}
+    for field in dataclasses.fields(payload):
+        value = getattr(payload, field.name)
+        if (not isinstance(value, np.ndarray) or value.dtype.hasobject
+                or value.nbytes < threshold):
+            continue
+        try:
+            ref = offload_array(value, allocate_name(), stats)
+        except OSError:
+            # /dev/shm full or unavailable: the pipe path is slower but
+            # always works, so degrade per-array instead of failing.
+            continue
+        names.append(ref.name)
+        changes[field.name] = ref
+    if changes:
+        payload = dataclasses.replace(payload, **changes)
     return payload, names
 
 
 def restore_payload(payload: Any, stats: Optional[SegmentStats] = None) -> Any:
     """Inverse of :func:`offload_payload`: resolve descriptors back to arrays."""
-    if isinstance(payload, ShmRef):
-        return restore_array(payload, stats)
     if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
         changes = {
             field.name: restore_array(getattr(payload, field.name), stats)

@@ -136,6 +136,13 @@ class TestConnectTargets:
         "local:",
         "plans/",
         "local:plans?bogus=1",
+        # Deleted cluster knobs: the cluster waits out respawns itself and
+        # always spawns its workers on the default ring.
+        "cluster:plans?worker_died_retries=4",
+        "cluster:plans?worker_died_backoff=0.02",
+        "cluster:plans?worker_died_backoff_cap=0.25",
+        "cluster:plans?start_method=fork",
+        "cluster:plans?vnodes=32",
     ])
     def test_bad_targets_raise_value_error(self, target):
         with pytest.raises(ValueError):
@@ -176,15 +183,10 @@ class TestConnectTargets:
 
     def test_cluster_retry_knobs_flow_from_the_target_string(self, tmp_path):
         with connect(
-            f"cluster:{tmp_path / 'rk-plans'}?workers=1"
-            f"&worker_died_retries=4&worker_died_backoff=0.02"
-            f"&worker_died_backoff_cap=0.25&auto_restart=true"
+            f"cluster:{tmp_path / 'rk-plans'}?workers=1&auto_restart=true"
             f"&max_restarts=9&restart_backoff=0.03&max_restart_backoff=0.5"
             f"&stability_window=1.5&shm_threshold=off"
         ) as client:
-            assert client.worker_died_retries == 4
-            assert client.worker_died_backoff == 0.02
-            assert client.worker_died_backoff_cap == 0.25
             assert client.backend.auto_restart is True
             assert client.backend.max_restarts == 9
             assert client.backend.restart_backoff == 0.03

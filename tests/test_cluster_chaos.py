@@ -4,9 +4,9 @@ This is the proof of the self-healing story.  A killer thread SIGKILLs
 random workers at randomized points — before a request is submitted, while
 a micro-batch is mid-execution, and while responses are in flight — under
 concurrent mixed predict/ensemble load from multiple threads.  With
-``auto_restart`` on, the supervisor respawns dead shards and the
-``ClusterClient`` transparently retries the stranded (idempotent)
-requests, so the suite asserts:
+``auto_restart`` on, the supervisor respawns dead shards and the cluster
+holds each stranded (idempotent) request until a live owner is back, so
+the suite asserts:
 
 * **zero lost requests** — every one of the 200+ requests eventually
   succeeds, *bit-identically* to a single-process reference;
@@ -32,12 +32,12 @@ import numpy as np
 import pytest
 from types import SimpleNamespace
 
-from repro.api import (ClusterClient, EnsembleRequest, PredictRequest,
-                       WorkerDied, study_spec)
+from repro.api import (BackendClosed, ClusterClient, EnsembleRequest,
+                       HttpClient, PredictRequest, WorkerDied, study_spec)
 from repro.models import make_mlp
 from repro.runtime import compile_model
 from repro.serve import (InferenceService, JobManager, PlanCluster,
-                         PlanRegistry)
+                         PlanRegistry, PlanServer)
 from repro.serve.shm import list_segments
 
 #: Fixed seeds — the whole suite replays deterministically from these.
@@ -69,6 +69,12 @@ def _wait_for(predicate, timeout, what):
             return
         time.sleep(0.02)
     raise AssertionError(f"timed out waiting for {what}")
+
+
+def _respawn_waits(cluster):
+    families = {f.name: f for f in cluster.metrics.collect()}
+    return sum(s.value for s in
+               families["repro_cluster_respawn_waits_total"].samples)
 
 
 @pytest.fixture
@@ -103,9 +109,7 @@ class TestChaosMixedLoad:
             shm_threshold=1024,                   # batches ride shared memory
         )
         shm_base = cluster._shm_base
-        client = ClusterClient(cluster, own_backend=True,
-                               worker_died_retries=20,
-                               worker_died_backoff=0.05)
+        client = ClusterClient(cluster, own_backend=True)
         try:
             cluster.wait_ready(timeout=180)
             results = {}
@@ -250,11 +254,12 @@ class TestChaosMixedLoad:
 class TestRingReplication:
     """The ring leg: with R=2, a SIGKILL'd replica is *invisible*.
 
-    Stronger than the headline run's "zero lost requests": the client is
-    built with ``worker_died_retries=0``, so the cluster's internal
-    replica failover must absorb the death on its own — any ``WorkerDied``
-    reaching the client (which the HTTP edge would turn into a 503) fails
-    the test.  Zero 503s, bit-identical responses, zero leaked segments.
+    Stronger than the headline run's "zero lost requests": replica
+    failover alone must absorb the death — no request may wait for the
+    supervisor's respawn (``repro_cluster_respawn_waits_total`` stays 0),
+    and any ``WorkerDied`` reaching the client (which the HTTP edge would
+    turn into a 503) fails the test.  Zero 503s, bit-identical responses,
+    zero leaked segments.
     """
 
     def _run_mixed_load(self, chaos_env, client, disruption):
@@ -345,8 +350,7 @@ class TestRingReplication:
             shm_threshold=1024,
         )
         shm_base = cluster._shm_base
-        client = ClusterClient(cluster, own_backend=True,
-                               worker_died_retries=0)
+        client = ClusterClient(cluster, own_backend=True)
         kills_done = []
         try:
             cluster.wait_ready(timeout=180)
@@ -365,9 +369,8 @@ class TestRingReplication:
                 chaos_env, client, kill_one_replica
             )
             assert kills_done, "the killer never fired"
-            # THE claim: no request failed, although the client was
-            # forbidden to retry — failover inside the ring absorbed the
-            # dead replica.
+            # THE claim: no request failed — failover inside the ring
+            # absorbed the dead replica.
             assert failures == [], (
                 f"{len(failures)} request(s) surfaced an error (would be "
                 f"503s at the HTTP edge); first: {failures[0]!r}"
@@ -389,6 +392,9 @@ class TestRingReplication:
                 for s in families["repro_ring_failover_total"].samples
             )
             assert failovers >= 1
+            # ...and no request had to wait for the respawn: the survivor
+            # stayed live for every key throughout.
+            assert _respawn_waits(cluster) == 0
         finally:
             client.close()
         assert list_segments(shm_base) == []
@@ -400,8 +406,7 @@ class TestRingReplication:
             shm_threshold=1024,
         )
         shm_base = cluster._shm_base
-        client = ClusterClient(cluster, own_backend=True,
-                               worker_died_retries=0)
+        client = ClusterClient(cluster, own_backend=True)
         restarted = []
         try:
             cluster.wait_ready(timeout=180)
@@ -437,6 +442,95 @@ class TestRingReplication:
         assert list_segments(shm_base) == []
 
 
+class TestRespawnWait:
+    """With no live owner, the cluster itself holds a request for the
+    respawn — so every front end rides out a worker death, not only
+    ``ClusterClient`` — and the wait ends at the request's timeout or on
+    ``close()``."""
+
+    def test_http_predict_waits_out_the_respawn(self, chaos_env):
+        cluster = PlanCluster(
+            chaos_env.directory, num_workers=1, replicas=1,
+            handler_threads=2, auto_restart=True, restart_backoff=1.0,
+        )
+        server = PlanServer(cluster, own_backend=True).start()
+        name = MODELS[0]
+        batch = chaos_env.images[:4]
+        request = PredictRequest(images=batch, model=name, mapping="acm",
+                                 bits=4)
+        try:
+            cluster.wait_ready(timeout=180)
+            with HttpClient(server.url) as client:
+                client.predict(request)  # the pool now holds a connection
+                worker = cluster._workers[0]
+                worker.process.kill()
+                _wait_for(lambda: cluster.dead_workers == [0], 30,
+                          "worker marked dead")
+                # The respawn is ~1 s away: the edge must hold the request
+                # for it instead of answering 503 worker_died.
+                logits = client.predict(request).logits
+                np.testing.assert_array_equal(
+                    logits, chaos_env.plans[name].run(batch))
+                assert client.client_stats()["connections_opened"] == 1
+            assert _respawn_waits(cluster) == 1
+            assert cluster.stats_summary()["worker-0"]["supervisor"][
+                "restarts"] == 1
+        finally:
+            server.close()
+
+    @pytest.fixture
+    def stalled_cluster(self, chaos_env):
+        """A dead one-worker cluster whose respawn is a minute away."""
+        cluster = PlanCluster(
+            chaos_env.directory, num_workers=1, handler_threads=2,
+            auto_restart=True, restart_backoff=60.0,
+            max_restart_backoff=60.0,
+        )
+        cluster.wait_ready(timeout=180)
+        cluster._workers[0].process.kill()
+        _wait_for(lambda: cluster.dead_workers == [0], 30,
+                  "worker marked dead")
+        yield cluster
+        cluster.close()
+
+    def test_wait_is_bounded_by_the_request_timeout(self, stalled_cluster,
+                                                    chaos_env):
+        start = time.monotonic()
+        with pytest.raises(WorkerDied) as excinfo:
+            stalled_cluster.predict_request(
+                PredictRequest(images=chaos_env.images[:2], model=MODELS[0],
+                               mapping="acm", bits=4),
+                timeout=0.3)
+        elapsed = time.monotonic() - start
+        assert excinfo.value.breaker_open is False
+        assert 0.3 <= elapsed < 5.0
+        assert _respawn_waits(stalled_cluster) == 1
+
+    def test_close_wakes_waiters_with_backend_closed(self, stalled_cluster,
+                                                     chaos_env):
+        outcome = []
+
+        def issue():
+            try:
+                stalled_cluster.predict_request(PredictRequest(
+                    images=chaos_env.images[:2], model=MODELS[0],
+                    mapping="acm", bits=4))
+            except Exception as error:  # noqa: BLE001 - recorded
+                outcome.append((error, time.monotonic()))
+
+        thread = threading.Thread(target=issue)
+        thread.start()
+        _wait_for(lambda: _respawn_waits(stalled_cluster) == 1, 30,
+                  "the request to start waiting")
+        closed_at = time.monotonic()
+        stalled_cluster.close()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "close() left the waiter hanging"
+        error, failed_at = outcome[0]
+        assert isinstance(error, BackendClosed)
+        assert failed_at - closed_at < 5.0
+
+
 class TestKillPoints:
     """Targeted kill points: pre-submit, mid-batch, and mid-response."""
 
@@ -447,9 +541,7 @@ class TestKillPoints:
             auto_restart=True, max_restarts=20, restart_backoff=0.02,
             stability_window=0.5, shm_threshold=0,
         )
-        client = ClusterClient(cluster, own_backend=True,
-                               worker_died_retries=20,
-                               worker_died_backoff=0.05)
+        client = ClusterClient(cluster, own_backend=True)
         cluster.wait_ready(timeout=180)
         yield SimpleNamespace(cluster=cluster, client=client, **vars(chaos_env))
         client.close()
@@ -505,9 +597,7 @@ class TestCircuitBreaker:
             restart_backoff=0.01, max_restart_backoff=0.05,
             stability_window=60.0,  # a streak never resets mid-test
         )
-        client = ClusterClient(cluster, own_backend=True,
-                               worker_died_retries=3,
-                               worker_died_backoff=0.01)
+        client = ClusterClient(cluster, own_backend=True)
         name = MODELS[0]
         batch = chaos_env.images[:2]
         try:
@@ -567,9 +657,7 @@ class TestCircuitBreaker:
             auto_restart=True, max_restarts=10, restart_backoff=0.01,
             max_restart_backoff=0.05, stability_window=0.5,
         )
-        client = ClusterClient(cluster, own_backend=True,
-                               worker_died_retries=30,
-                               worker_died_backoff=0.05)
+        client = ClusterClient(cluster, own_backend=True)
         try:
             cluster.wait_ready(timeout=180)
             original = cluster._spawn_worker
@@ -626,7 +714,7 @@ class TestStudyChaos:
     """The experiment-as-a-service leg: a study survives every death mode.
 
     One run exercises both failure domains of the job subsystem at once:
-    a SIGKILL'd replica mid-study (the cluster heals, the cell retries —
+    a SIGKILL'd replica mid-study (the cluster fails over and heals —
     never a lost cell) *and* a manager death mid-study (the successor
     re-indexes the checkpoint directory and re-enqueues only the missing
     cells).  The resumed :class:`StudyResult` must be bit-identical to an
@@ -664,9 +752,7 @@ class TestStudyChaos:
             shm_threshold=1024,
         )
         shm_base = cluster._shm_base
-        client = ClusterClient(cluster, own_backend=True,
-                               worker_died_retries=20,
-                               worker_died_backoff=0.05)
+        client = ClusterClient(cluster, own_backend=True)
         jobs_dir = tmp_path / "jobs"
         try:
             cluster.wait_ready(timeout=180)

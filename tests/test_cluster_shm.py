@@ -3,8 +3,8 @@
 The transport contract certified here:
 
 * offload→restore is a bit-exact round trip for every wire-relevant dtype
-  and for the protocol's message shapes (bare arrays, payload dicts,
-  array-carrying dataclasses);
+  and for the protocol's message shape (array-carrying dataclasses; any
+  other payload passes through untouched);
 * the size threshold really partitions traffic — small payloads stay on
   the pickle path, large ones travel as descriptors;
 * **no segment outlives its message**: consuming a descriptor unlinks it,
@@ -129,10 +129,15 @@ class TestPayloadWalk:
         assert decoded.confidence is small
 
     def test_disabled_thresholds_pass_through(self):
-        array = np.zeros((32, 32))
+        request = PredictRequest(images=np.zeros((32, 32)), model="m",
+                                 mapping="acm", bits=4)
         for threshold in (None, -1):
-            encoded, names = offload_payload(array, threshold, _names())
-            assert encoded is array and names == []
+            encoded, names = offload_payload(request, threshold, _names())
+            assert encoded is request and names == []
+        # Only dataclasses are walked: anything else is left to pickle.
+        array = np.zeros((32, 32))
+        encoded, names = offload_payload(array, 0, _names())
+        assert encoded is array and names == []
 
     def test_threshold_zero_moves_everything(self):
         payload = _result(np.ones((1, 2)), np.zeros(1))
@@ -164,9 +169,11 @@ class TestPayloadWalk:
     def test_stats_ledger_counts_both_directions(self):
         stats = SegmentStats()
         array = np.zeros((128, 16), dtype=np.float64)
-        encoded, _ = offload_payload(array, 0, _names(), stats)
+        request = PredictRequest(images=array, model="m", mapping="acm",
+                                 bits=4)
+        encoded, _ = offload_payload(request, 0, _names(), stats)
         restored = restore_payload(encoded, stats)
-        np.testing.assert_array_equal(restored, array)
+        np.testing.assert_array_equal(restored.images, array)
         snapshot = stats.snapshot()
         assert snapshot["segments_created"] == 1
         assert snapshot["segments_consumed"] == 1
