@@ -6,12 +6,13 @@ One module owns the translation in both directions, so the HTTP server
 protocol: the server decodes request bodies with the same functions whose
 encoders the client used to produce them, and vice versa for responses.
 
-Arrays ride as :mod:`repro.runtime.wire` payloads (base64-packed bytes or
-nested lists, selected per request by the ``encoding`` field); float64
-packing round-trips exact bits, which is what makes HTTP responses
-certifiably bit-equivalent to in-process results.  Any malformed body
-raises the typed :class:`~repro.api.errors.InvalidRequest` so the error a
-client sees is identical whether the decode failed locally or server-side.
+Arrays ride as :mod:`repro.runtime.wire` payloads.  Responses are always
+base64-packed; requests may also carry nested lists (hand-written or
+``curl`` bodies).  float64 packing round-trips exact bits, which is what
+makes HTTP responses certifiably bit-equivalent to in-process results.
+Any malformed body raises the typed :class:`~repro.api.errors.InvalidRequest`
+so the error a client sees is identical whether the decode failed locally
+or server-side.
 """
 
 from __future__ import annotations
@@ -41,18 +42,16 @@ from repro.api.types import (
 )
 from repro.runtime.wire import decode_array, encode_array
 
-#: Response array encodings a request may select.
-ENCODINGS = ("b64", "list")
 
+def _check_encoding(body: Mapping[str, Any]) -> None:
+    """Reject a request body asking for any response form but b64.
 
-def response_encoding(body: Mapping[str, Any]) -> str:
-    """The validated ``encoding`` field of a request body (default b64)."""
+    The field is optional; older clients and study checkpoints send
+    ``"b64"``, so that value stays accepted.
+    """
     encoding = body.get("encoding", "b64")
-    if encoding not in ENCODINGS:
-        raise InvalidRequest(
-            f"encoding must be 'b64' or 'list', not {encoding!r}"
-        )
-    return str(encoding)
+    if encoding != "b64":
+        raise InvalidRequest(f"encoding must be 'b64', not {encoding!r}")
 
 
 def _require(body: Mapping[str, Any], field: str) -> Any:
@@ -92,36 +91,29 @@ def _key_fields(body: Mapping[str, Any]) -> Tuple[str, Optional[int], str]:
 # ---------------------------------------------------------------------- #
 # Requests
 # ---------------------------------------------------------------------- #
-def encode_predict_request(
-    request: PredictRequest, encoding: str = "b64"
-) -> Dict[str, Any]:
+def encode_predict_request(request: PredictRequest) -> Dict[str, Any]:
     """Render a :class:`PredictRequest` as a ``POST /v1/predict`` body."""
     return {
         "model": request.model,
         "bits": request.bits,
         "mapping": request.mapping,
         "images": encode_array(np.asarray(request.images)),
-        "encoding": encoding,
     }
 
 
-def decode_predict_request(
-    body: Mapping[str, Any],
-) -> Tuple[PredictRequest, str]:
-    """Parse a ``POST /v1/predict`` body; returns (request, response encoding)."""
+def decode_predict_request(body: Mapping[str, Any]) -> PredictRequest:
+    """Parse a ``POST /v1/predict`` body."""
     model, bits, mapping = _key_fields(body)
-    request = PredictRequest(
+    _check_encoding(body)
+    return PredictRequest(
         images=_decode_images(_require(body, "images")),
         model=model,
         bits=bits,
         mapping=mapping,
     )
-    return request, response_encoding(body)
 
 
-def encode_ensemble_request(
-    request: EnsembleRequest, encoding: str = "b64"
-) -> Dict[str, Any]:
+def encode_ensemble_request(request: EnsembleRequest) -> Dict[str, Any]:
     """Render an :class:`EnsembleRequest` as a ``POST /v1/predict_under_variation`` body."""
     return {
         "model": request.model,
@@ -131,13 +123,10 @@ def encode_ensemble_request(
         "sigma_fraction": request.sigma_fraction,
         "num_samples": request.num_samples,
         "seed": request.seed,
-        "encoding": encoding,
     }
 
 
-def decode_ensemble_request(
-    body: Mapping[str, Any],
-) -> Tuple[EnsembleRequest, str]:
+def decode_ensemble_request(body: Mapping[str, Any]) -> EnsembleRequest:
     """Parse a ``POST /v1/predict_under_variation`` body.
 
     Field presence and JSON types are checked here; the numeric-range
@@ -145,13 +134,14 @@ def decode_ensemble_request(
     :class:`EnsembleRequest` itself, so they hold for every transport.
     """
     model, bits, mapping = _key_fields(body)
+    _check_encoding(body)
     sigma = body.get("sigma_fraction", 0.1)
     if isinstance(sigma, (int, float)) and not isinstance(sigma, bool):
         sigma = float(sigma)
     # Non-numeric sigma (and any bad num_samples/seed) flows into the
     # request constructor unchanged, whose validation raises the same
     # InvalidRequest a local caller would see.
-    request = EnsembleRequest(
+    return EnsembleRequest(
         images=_decode_images(_require(body, "images")),
         model=model,
         bits=bits,
@@ -160,21 +150,18 @@ def decode_ensemble_request(
         num_samples=body.get("num_samples", 25),
         seed=body.get("seed", 0),
     )
-    return request, response_encoding(body)
 
 
 # ---------------------------------------------------------------------- #
 # Results
 # ---------------------------------------------------------------------- #
-def encode_predict_result(
-    result: PredictResult, encoding: str = "b64"
-) -> Dict[str, Any]:
+def encode_predict_result(result: PredictResult) -> Dict[str, Any]:
     """Render a :class:`PredictResult` as the ``/v1/predict`` response body."""
     body = {
         "model": result.model,
         "bits": result.bits,
         "mapping": result.mapping,
-        "logits": encode_array(np.asarray(result.logits), encoding=encoding),
+        "logits": encode_array(np.asarray(result.logits)),
     }
     if result.request_id is not None:
         body["request_id"] = result.request_id
@@ -196,9 +183,7 @@ def decode_predict_result(body: Mapping[str, Any]) -> PredictResult:
     )
 
 
-def encode_ensemble_result(
-    result: EnsembleResult, encoding: str = "b64"
-) -> Dict[str, Any]:
+def encode_ensemble_result(result: EnsembleResult) -> Dict[str, Any]:
     """Render an :class:`EnsembleResult` as the ensemble response body.
 
     The integer aggregates are packed as int64 and the confidence as
@@ -211,17 +196,15 @@ def encode_ensemble_result(
         "sigma_fraction": result.sigma_fraction,
         "num_samples": result.num_samples,
         "seed": result.seed,
-        "mean_logits": encode_array(
-            np.asarray(result.mean_logits), encoding=encoding
-        ),
+        "mean_logits": encode_array(np.asarray(result.mean_logits)),
         "predictions": encode_array(
-            np.asarray(result.predictions, dtype=np.int64), encoding=encoding
+            np.asarray(result.predictions, dtype=np.int64)
         ),
         "confidence": encode_array(
-            np.asarray(result.confidence, dtype=np.float64), encoding=encoding
+            np.asarray(result.confidence, dtype=np.float64)
         ),
         "vote_counts": encode_array(
-            np.asarray(result.vote_counts, dtype=np.int64), encoding=encoding
+            np.asarray(result.vote_counts, dtype=np.int64)
         ),
     }
     if result.request_id is not None:
@@ -270,7 +253,7 @@ def _number_field(value: Any, field: str) -> float:
     return float(value)
 
 
-def encode_study_spec(spec: StudySpec, encoding: str = "b64") -> Dict[str, Any]:
+def encode_study_spec(spec: StudySpec) -> Dict[str, Any]:
     """Render a :class:`StudySpec` as a ``POST /v1/studies`` body."""
     body: Dict[str, Any] = {
         "models": [
@@ -281,7 +264,6 @@ def encode_study_spec(spec: StudySpec, encoding: str = "b64") -> Dict[str, Any]:
         "num_samples": spec.num_samples,
         "seed": spec.seed,
         "images": encode_array(np.asarray(spec.images)),
-        "encoding": encoding,
     }
     if spec.labels is not None:
         body["labels"] = encode_array(np.asarray(spec.labels))
@@ -290,8 +272,8 @@ def encode_study_spec(spec: StudySpec, encoding: str = "b64") -> Dict[str, Any]:
     return body
 
 
-def decode_study_spec(body: Mapping[str, Any]) -> Tuple[StudySpec, str]:
-    """Parse a ``POST /v1/studies`` body; returns (spec, response encoding).
+def decode_study_spec(body: Mapping[str, Any]) -> StudySpec:
+    """Parse a ``POST /v1/studies`` body (also a checkpoint's ``spec``).
 
     Shape and JSON types are checked here; the value invariants (positive
     counts, finite sigmas, label alignment) live in :class:`StudySpec`
@@ -313,8 +295,9 @@ def decode_study_spec(body: Mapping[str, Any]) -> Tuple[StudySpec, str]:
             )
         model, bits, mapping = _key_fields(item)
         selectors.append(StudyModel(model=model, mapping=mapping, bits=bits))
+    _check_encoding(body)
     labels = body.get("labels")
-    spec = StudySpec(
+    return StudySpec(
         images=_decode_images(_require(body, "images")),
         models=tuple(selectors),
         sigmas=body.get("sigmas", (0.0, 0.05, 0.10, 0.15, 0.20, 0.25)),
@@ -323,26 +306,21 @@ def decode_study_spec(body: Mapping[str, Any]) -> Tuple[StudySpec, str]:
         labels=None if labels is None else _decode_images(labels),
         request_id=_decode_request_id(body.get("request_id")),
     )
-    return spec, response_encoding(body)
 
 
-def encode_study_cell(
-    cell: StudyCellResult, encoding: str = "b64"
-) -> Dict[str, Any]:
+def encode_study_cell(cell: StudyCellResult) -> Dict[str, Any]:
     """Render one completed study cell (checkpoint / wire form)."""
     return {
         "model": cell.model,
         "bits": cell.bits,
         "mapping": cell.mapping,
         "sigma_fraction": cell.sigma_fraction,
-        "mean_logits": encode_array(
-            np.asarray(cell.mean_logits), encoding=encoding
-        ),
+        "mean_logits": encode_array(np.asarray(cell.mean_logits)),
         "predictions": encode_array(
-            np.asarray(cell.predictions, dtype=np.int64), encoding=encoding
+            np.asarray(cell.predictions, dtype=np.int64)
         ),
         "confidence": encode_array(
-            np.asarray(cell.confidence, dtype=np.float64), encoding=encoding
+            np.asarray(cell.confidence, dtype=np.float64)
         ),
         "accuracy": cell.accuracy,
     }
@@ -369,15 +347,13 @@ def decode_study_cell(body: Mapping[str, Any]) -> StudyCellResult:
     )
 
 
-def encode_study_result(
-    result: StudyResult, encoding: str = "b64"
-) -> Dict[str, Any]:
+def encode_study_result(result: StudyResult) -> Dict[str, Any]:
     """Render a completed :class:`StudyResult`."""
     return {
         "job_id": result.job_id,
         "num_samples": result.num_samples,
         "seed": result.seed,
-        "cells": [encode_study_cell(cell, encoding) for cell in result.cells],
+        "cells": [encode_study_cell(cell) for cell in result.cells],
     }
 
 
@@ -401,9 +377,7 @@ def decode_study_result(body: Mapping[str, Any]) -> StudyResult:
     )
 
 
-def encode_study_status(
-    status: StudyStatus, encoding: str = "b64"
-) -> Dict[str, Any]:
+def encode_study_status(status: StudyStatus) -> Dict[str, Any]:
     """Render a :class:`StudyStatus` as the ``GET /v1/studies/{id}`` body."""
     body: Dict[str, Any] = {
         "job_id": status.job_id,
@@ -416,7 +390,7 @@ def encode_study_status(
         body["error_code"] = status.error_code
         body["error_message"] = status.error_message
     if status.result is not None:
-        body["result"] = encode_study_result(status.result, encoding)
+        body["result"] = encode_study_result(status.result)
     return body
 
 

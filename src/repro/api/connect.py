@@ -15,13 +15,10 @@ site:
 ``http://host:port``  (or ``https://``)
     Return an :class:`~repro.api.http_client.HttpClient` for a running
     :class:`~repro.serve.http.PlanServer` (options: ``token``,
-    ``timeout``, ``retries``,
-    ``retry_backoff``, ``encoding``, ``pool_size`` / ``keepalive_timeout``
-    for the keep-alive connection pool; for ``https://``: ``cafile`` to
-    pin a CA bundle, ``insecure=true`` to skip verification in test
-    rigs).  ``async=true`` (or :func:`connect_async`) returns the
-    ``await``-able :class:`~repro.api.aio.AsyncClient` instead — same
-    options, every method a coroutine.
+    ``timeout``, ``retries``, ``retry_backoff``, ``pool_size`` /
+    ``keepalive_timeout`` for the keep-alive connection pool; for
+    ``https://``: ``cafile`` to pin a CA bundle, ``insecure=true`` to
+    skip verification in test rigs).
 ``cluster:plans/?workers=4&replicas=2``
     Spawn a replicated :class:`~repro.serve.cluster.PlanCluster` over the
     directory; returns a :class:`~repro.api.client.ClusterClient` that
@@ -45,10 +42,7 @@ Example — the same script against any backend::
 from __future__ import annotations
 
 import urllib.parse
-from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Tuple
-
-if TYPE_CHECKING:
-    from repro.api.aio import AsyncClient
+from typing import Any, Callable, Dict, Mapping, Tuple
 
 from repro.api.client import Client, ClusterClient, LocalClient
 from repro.api.http_client import HttpClient
@@ -120,12 +114,10 @@ _HTTP_PARAMS: Dict[str, Callable[[str], Any]] = {
     "timeout": float,
     "retries": int,
     "retry_backoff": float,
-    "encoding": str,
     "cafile": str,
     "insecure": _parse_bool,
     "pool_size": int,
     "keepalive_timeout": float,
-    "async": _parse_bool,
 }
 
 
@@ -185,12 +177,6 @@ def connect(target: str, **options: Any) -> Client:
     if target.startswith(("http://", "https://")):
         base_url, _, query = target.partition("?")
         params = _merge_params("http(s)://", query, _HTTP_PARAMS, options)
-        if params.pop("async", False):
-            # The awaitable client shares the typed dataclasses but not
-            # the blocking Client protocol; callers asking for it know.
-            from repro.api.aio import AsyncClient
-
-            return AsyncClient(base_url, **params)  # type: ignore[return-value]
         return HttpClient(base_url, **params)
 
     scheme = target.partition(":")[0]
@@ -223,29 +209,3 @@ def connect(target: str, **options: Any) -> Client:
         f"unrecognised connect target {target!r}; expected 'local:DIR', "
         f"'cluster:DIR?workers=N', or 'http://HOST:PORT'"
     )
-
-
-def connect_async(target: str, **options: Any) -> "AsyncClient":
-    """Open an ``await``-able :class:`~repro.api.aio.AsyncClient`.
-
-    Only ``http://`` / ``https://`` targets have an async transport (the
-    directory-backed schemes are in-process and blocking by nature);
-    anything else raises ``ValueError``.  Options are the HTTP option set
-    of :func:`connect` (``token``, ``timeout``, ``retries``,
-    ``retry_backoff``, ``encoding``, ``cafile``, ``insecure``,
-    ``pool_size``, ``keepalive_timeout``)::
-
-        async with connect_async("http://127.0.0.1:8000") as api:
-            result = await api.predict(request)
-    """
-    from repro.api.aio import AsyncClient
-
-    if not target.startswith(("http://", "https://")):
-        raise ValueError(
-            f"connect_async needs an http:// or https:// target, got "
-            f"{target!r}; the directory-backed schemes are sync-only"
-        )
-    base_url, _, query = target.partition("?")
-    params = _merge_params("http(s)://", query, _HTTP_PARAMS, options)
-    params.pop("async", None)
-    return AsyncClient(base_url, **params)

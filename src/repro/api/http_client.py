@@ -35,10 +35,9 @@ Failure handling:
 * An optional bearer ``token`` is sent as ``Authorization: Bearer ...``;
   a 401 raises :class:`~repro.api.errors.ApiAuthError`.
 
-:class:`~repro.api.aio.AsyncClient` is the ``asyncio`` counterpart —
-same typed surface, ``await``-able methods, the same pooling semantics —
-built on the shared decode helpers below so the two transports cannot
-drift apart.
+``asyncio`` consumers call the blocking methods through
+``asyncio.to_thread`` on one pooled client; the executor's thread count
+is the in-flight width, and ``pool_size`` should match it.
 """
 
 from __future__ import annotations
@@ -62,12 +61,7 @@ from repro.api.codec import (
     encode_predict_request,
     encode_study_spec,
 )
-from repro.api.errors import (
-    ApiConnectionError,
-    ApiError,
-    ApiTimeout,
-    InvalidRequest,
-)
+from repro.api.errors import ApiConnectionError, ApiTimeout, InvalidRequest
 from repro.api.types import (
     EnsembleRequest,
     EnsembleResult,
@@ -85,10 +79,7 @@ from repro.obs.tracing import REQUEST_ID_HEADER, ensure_request_id
 _RETRYABLE = (ConnectionError, http.client.HTTPException, OSError)
 
 
-# ---------------------------------------------------------------------- #
-# Shared wire helpers (sync HttpClient and async AsyncClient)
-# ---------------------------------------------------------------------- #
-def parse_retry_after(headers: Mapping[str, str]) -> Optional[float]:
+def _retry_after(headers: Mapping[str, str]) -> Optional[float]:
     """The parsed ``Retry-After`` of a (lower-cased) response header map."""
     header = headers.get("retry-after")
     if header is None:
@@ -99,15 +90,7 @@ def parse_retry_after(headers: Mapping[str, str]) -> Optional[float]:
         return None
 
 
-def response_to_error(
-    parsed: Any, status: int, headers: Mapping[str, str]
-) -> ApiError:
-    """Resolve a non-2xx response into its typed :class:`ApiError`."""
-    return decode_error(parsed, status,
-                        retry_after=parse_retry_after(headers))
-
-
-def parse_json_body(raw: bytes) -> Any:
+def _parse_json_body(raw: bytes) -> Any:
     """Best-effort JSON parse of a response body (undecodable → ``{}``)."""
     if not raw:
         return {}
@@ -117,31 +100,13 @@ def parse_json_body(raw: bytes) -> Any:
         return {}
 
 
-def predict_result_from_body(body: Any, request_id: str) -> PredictResult:
-    if not isinstance(body, Mapping):
-        raise InvalidRequest(f"malformed predict response: {body!r}")
-    result = decode_predict_result(body)
-    if result.request_id is None:  # pre-tracing server
-        result = replace(result, request_id=request_id)
-    return result
-
-
-def ensemble_result_from_body(body: Any, request_id: str) -> EnsembleResult:
-    if not isinstance(body, Mapping):
-        raise InvalidRequest(f"malformed ensemble response: {body!r}")
-    result = decode_ensemble_result(body)
-    if result.request_id is None:  # pre-tracing server
-        result = replace(result, request_id=request_id)
-    return result
-
-
-def study_status_from_body(body: Any) -> StudyStatus:
+def _study_status(body: Any) -> StudyStatus:
     if not isinstance(body, Mapping):
         raise InvalidRequest(f"malformed study response: {body!r}")
     return decode_study_status(body)
 
 
-def require_job_id(job_id: str) -> None:
+def _require_job_id(job_id: str) -> None:
     if not isinstance(job_id, str) or not job_id:
         raise InvalidRequest("job_id must be a non-empty string")
 
@@ -223,9 +188,6 @@ class HttpClient:
         HTTP error response, which is authoritative).
     retry_backoff:
         Sleep before retry ``n`` is ``retry_backoff * 2**(n-1)`` seconds.
-    encoding:
-        Response array form requested from the server: ``"b64"`` (exact
-        bits, compact) or ``"list"`` (human-readable JSON).
     cafile:
         For ``https://`` endpoints: a PEM bundle to verify the server
         certificate against (e.g. a self-signed deployment's own cert).
@@ -254,7 +216,6 @@ class HttpClient:
         timeout: Optional[float] = 60.0,
         retries: int = 2,
         retry_backoff: float = 0.05,
-        encoding: str = "b64",
         cafile: Optional[str] = None,
         insecure: bool = False,
         pool_size: int = 8,
@@ -274,14 +235,11 @@ class HttpClient:
             raise ValueError("pool_size must be non-negative")
         if keepalive_timeout <= 0:
             raise ValueError("keepalive_timeout must be positive")
-        if encoding not in ("b64", "list"):
-            raise ValueError(f"encoding must be 'b64' or 'list', not {encoding!r}")
         self.base_url = base_url.rstrip("/")
         self.token = token
         self.timeout = timeout
         self.retries = retries
         self.retry_backoff = retry_backoff
-        self.encoding = encoding
         self.pool_size = pool_size
         self.keepalive_timeout = keepalive_timeout
         self._scheme = parts.scheme
@@ -371,7 +329,7 @@ class HttpClient:
         status = response.status
         header_map = {key.lower(): value for key, value in response.getheaders()}
         reusable = bool(response.isclosed()) and not response.will_close
-        return status, header_map, parse_json_body(raw), reusable
+        return status, header_map, _parse_json_body(raw), reusable
 
     def _attempt(
         self,
@@ -467,7 +425,8 @@ class HttpClient:
             if status in ok_statuses:
                 return parsed
             self._count("http_errors")
-            raise response_to_error(parsed, status, headers)
+            raise decode_error(parsed, status,
+                               retry_after=_retry_after(headers))
         raise ApiConnectionError(
             f"{self.base_url} unreachable after {self.retries + 1} attempt(s): "
             f"{type(last_error).__name__}: {last_error}"
@@ -478,21 +437,27 @@ class HttpClient:
     # ------------------------------------------------------------------ #
     def predict(self, request: PredictRequest) -> PredictResult:
         request_id = ensure_request_id(request.request_id)
-        body = self._call(
-            "POST", "/v1/predict",
-            encode_predict_request(request, encoding=self.encoding),
-            request_id=request_id,
-        )
-        return predict_result_from_body(body, request_id)
+        body = self._call("POST", "/v1/predict",
+                          encode_predict_request(request),
+                          request_id=request_id)
+        if not isinstance(body, Mapping):
+            raise InvalidRequest(f"malformed predict response: {body!r}")
+        result = decode_predict_result(body)
+        if result.request_id is None:  # pre-tracing server
+            result = replace(result, request_id=request_id)
+        return result
 
     def ensemble(self, request: EnsembleRequest) -> EnsembleResult:
         request_id = ensure_request_id(request.request_id)
-        body = self._call(
-            "POST", "/v1/predict_under_variation",
-            encode_ensemble_request(request, encoding=self.encoding),
-            request_id=request_id,
-        )
-        return ensemble_result_from_body(body, request_id)
+        body = self._call("POST", "/v1/predict_under_variation",
+                          encode_ensemble_request(request),
+                          request_id=request_id)
+        if not isinstance(body, Mapping):
+            raise InvalidRequest(f"malformed ensemble response: {body!r}")
+        result = decode_ensemble_result(body)
+        if result.request_id is None:  # pre-tracing server
+            result = replace(result, request_id=request_id)
+        return result
 
     def submit_study(self, spec: StudySpec) -> str:
         """Submit a study job to the server; returns its job id.
@@ -503,18 +468,15 @@ class HttpClient:
         (deterministic, seeded) results.
         """
         request_id = ensure_request_id(spec.request_id)
-        body = self._call(
-            "POST", "/v1/studies",
-            encode_study_spec(spec, encoding=self.encoding),
-            request_id=request_id,
-        )
-        return study_status_from_body(body).job_id
+        body = self._call("POST", "/v1/studies", encode_study_spec(spec),
+                          request_id=request_id)
+        return _study_status(body).job_id
 
     def get_study(self, job_id: str) -> StudyStatus:
         """Poll one study job: state, progress, result when done."""
-        require_job_id(job_id)
+        _require_job_id(job_id)
         body = self._call("GET", f"/v1/studies/{job_id}")
-        return study_status_from_body(body)
+        return _study_status(body)
 
     def cancel_study(self, job_id: str) -> StudyStatus:
         """Cancel one study job (``DELETE /v1/studies/{id}``; idempotent).
@@ -524,9 +486,9 @@ class HttpClient:
         unchanged; an unknown id raises the typed 404
         (:class:`~repro.api.errors.ModelNotFound`).
         """
-        require_job_id(job_id)
+        _require_job_id(job_id)
         body = self._call("DELETE", f"/v1/studies/{job_id}")
-        return study_status_from_body(body)
+        return _study_status(body)
 
     def models(self) -> List[ModelInfo]:
         body = self._call("GET", "/v1/models")

@@ -1,23 +1,23 @@
 """Wire-format helpers: ndarray payloads for the JSON serving protocol.
 
 The HTTP front-end (:mod:`repro.serve.http`) carries arrays inside JSON
-bodies.  Two interchangeable payload forms are supported:
+bodies.  Two payload forms are supported:
 
 * **Packed** — a dict ``{"shape": [...], "dtype": "float32", "data":
   "<base64>"}`` holding the raw little-endian array bytes base64-encoded.
   This is the compact form: a float32-packed image batch is ~7x smaller on
   the wire than its JSON-digit rendering, and float64 packing round-trips
   the exact bits, which is what makes HTTP responses certifiably
-  bit-equivalent to in-process results.
+  bit-equivalent to in-process results.  :func:`encode_array` always
+  produces this form.
 * **Nested lists** — a plain JSON array (e.g. ``[[0.1, 0.2], ...]``), the
-  zero-tooling form any client can produce by hand.  Python's JSON float
-  rendering is shortest-round-trip, so float64 values survive a list round
-  trip exactly too.
+  zero-tooling form any client can produce by hand (requests only).
+  Python's JSON float rendering is shortest-round-trip, so float64 values
+  survive a list round trip exactly too.
 
-:func:`decode_array` accepts either form (requests), :func:`encode_array`
-produces either form (responses, selected by the request's ``encoding``
-field).  Malformed payloads raise :class:`WireFormatError`, a ``ValueError``
-subclass the HTTP layer maps to a 400 response.
+:func:`decode_array` accepts either form.  Malformed payloads raise
+:class:`WireFormatError`, a ``ValueError`` subclass the HTTP layer maps to
+a 400 response.
 """
 
 from __future__ import annotations
@@ -47,12 +47,11 @@ class WireFormatError(ValueError):
     """A payload that does not describe a well-formed array."""
 
 
-def encode_array(array: np.ndarray, encoding: str = "b64", dtype=None) -> WirePayload:
-    """Render ``array`` as a JSON-serialisable payload.
+def encode_array(array: np.ndarray, dtype=None) -> dict:
+    """Render ``array`` as a packed JSON-serialisable payload.
 
-    ``encoding`` selects the form: ``"b64"`` packs the raw bytes
-    (little-endian, C order) base64-encoded alongside shape and dtype,
-    ``"list"`` emits nested lists.  ``dtype`` optionally re-packs the data
+    The raw bytes (little-endian, C order) are base64-encoded alongside
+    shape and dtype.  ``dtype`` optionally re-packs the data
     (e.g. ``"float32"`` to halve response bandwidth when exactness is not
     required); by default the array's own dtype is kept.
     """
@@ -63,12 +62,6 @@ def encode_array(array: np.ndarray, encoding: str = "b64", dtype=None) -> WirePa
         raise WireFormatError(
             f"dtype {array.dtype.name!r} is not wire-encodable; "
             f"expected one of {WIRE_DTYPES}"
-        )
-    if encoding == "list":
-        return array.tolist()
-    if encoding != "b64":
-        raise WireFormatError(
-            f"unknown encoding {encoding!r}; expected 'b64' or 'list'"
         )
     packed = np.ascontiguousarray(array.astype(array.dtype.newbyteorder("<")))
     return {

@@ -8,11 +8,12 @@ auth check, drain flag, study-job manager, and metrics registry.
 The wire protocol:
 
 ``POST /v1/predict``
-    ``{"model", "mapping", "bits", "images", "encoding"?}`` → deterministic
-    logits.  ``images`` is a wire array payload (base64-packed or nested
-    lists, see :mod:`repro.runtime.wire`); ``bits`` is an int, ``null``, or
-    a canonical token (``"4b"``, ``"fp32"``); ``encoding`` picks the
-    response array form (``"b64"`` default, ``"list"``).
+    ``{"model", "mapping", "bits", "images"}`` → deterministic logits.
+    ``images`` is a wire array payload (base64-packed or nested lists, see
+    :mod:`repro.runtime.wire`); ``bits`` is an int, ``null``, or a
+    canonical token (``"4b"``, ``"fp32"``).  Response arrays are always
+    base64-packed; an optional ``"encoding"`` field must say ``"b64"``
+    (any other value is a 400 ``invalid_request``).
 ``POST /v1/predict_under_variation``
     The ensemble flavour: adds ``sigma_fraction``, ``num_samples``,
     ``seed``; returns mean logits, majority-vote predictions, vote
@@ -605,22 +606,18 @@ class EdgeCore:
     def _handle_predict(self, body: Optional[bytes],
                         request_id: str) -> EdgeResponse:
         self._reject_if_draining()
-        request, encoding = decode_predict_request(self._json_body(body))
+        request = decode_predict_request(self._json_body(body))
         request = replace(request, request_id=request_id)
         result = self.backend.predict_request(request)
-        return self._json(200, encode_predict_result(result,
-                                                     encoding=encoding),
-                          request_id)
+        return self._json(200, encode_predict_result(result), request_id)
 
     def _handle_ensemble(self, body: Optional[bytes],
                          request_id: str) -> EdgeResponse:
         self._reject_if_draining()
-        request, encoding = decode_ensemble_request(self._json_body(body))
+        request = decode_ensemble_request(self._json_body(body))
         request = replace(request, request_id=request_id)
         result = self.backend.ensemble_request(request)
-        return self._json(200, encode_ensemble_result(result,
-                                                      encoding=encoding),
-                          request_id)
+        return self._json(200, encode_ensemble_result(result), request_id)
 
     # -------------------------------------------------------------- #
     # Study jobs
@@ -628,7 +625,7 @@ class EdgeCore:
     def _handle_study_submit(self, body: Optional[bytes],
                              request_id: str) -> EdgeResponse:
         self._reject_if_draining()
-        spec, _ = decode_study_spec(self._json_body(body))
+        spec = decode_study_spec(self._json_body(body))
         job_id = self.jobs.submit(spec)
         log_event(_LOG, "study_submitted", request_id=request_id,
                   job_id=job_id, cells=spec.cell_count)
@@ -866,9 +863,8 @@ class PlanServer:
     with ``HttpClient(url, cafile=...)``.
 
     Connections are HTTP/1.1 keep-alive, one handler thread each; a
-    connection idle for ``_Handler.timeout`` seconds (30) is closed.  Both
-    ``HttpClient`` and the awaitable ``AsyncClient`` pool connections to
-    it.
+    connection idle for ``_Handler.timeout`` seconds (30) is closed.
+    ``HttpClient`` pools connections to it.
     """
 
     def __init__(

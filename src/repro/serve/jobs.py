@@ -443,7 +443,7 @@ class JobManager:
                     f"unsupported checkpoint format {document.get('format')!r}"
                 )
             job_id = str(document["job_id"])
-            spec, _ = decode_study_spec(document["spec"])
+            spec = decode_study_spec(document["spec"])
             job = _Job(job_id, spec)
             job.retries = int(document.get("retries", 0))
             cells = document.get("cells", {})

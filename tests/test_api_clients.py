@@ -143,6 +143,9 @@ class TestConnectTargets:
         "cluster:plans?worker_died_backoff_cap=0.25",
         "cluster:plans?start_method=fork",
         "cluster:plans?vnodes=32",
+        # Deleted http knobs: one blocking client, one response codec.
+        "http://h:1?async=true",
+        "http://h:1?encoding=list",
     ])
     def test_bad_targets_raise_value_error(self, target):
         with pytest.raises(ValueError):
@@ -165,12 +168,12 @@ class TestConnectTargets:
 
     def test_http_query_parameters_configure_the_client(self):
         client = connect(
-            "http://127.0.0.1:59999?retries=5&timeout=120&encoding=list"
+            "http://127.0.0.1:59999?retries=5&timeout=120&pool_size=3"
         )
         assert isinstance(client, HttpClient)
         assert client.retries == 5
         assert client.timeout == 120.0
-        assert client.encoding == "list"
+        assert client.pool_size == 3
         assert "?" not in client.base_url
         # Keyword options still win over the query string.
         assert connect("http://127.0.0.1:59999?retries=5", retries=1).retries == 1
@@ -221,12 +224,6 @@ class TestHttpClient:
                                       in_process.mean_logits)
         np.testing.assert_array_equal(via_http.predictions,
                                       in_process.predictions)
-
-    def test_list_encoding_also_round_trips(self, env):
-        with connect(env.server.url, token=TOKEN, encoding="list") as client:
-            result = client.predict(PredictRequest(
-                images=env.images, model="mlp", mapping="acm", bits=4))
-            np.testing.assert_array_equal(result.logits, env.plan.run(env.images))
 
     def test_models_and_stats(self, env):
         with connect(env.server.url, token=TOKEN) as client:

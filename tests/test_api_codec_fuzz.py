@@ -104,8 +104,7 @@ class TestRoundTrips:
         request = PredictRequest(images=images, model=model, mapping=mapping,
                                  bits=bits)
         body = _json_hop(encode_predict_request(request))
-        decoded, encoding = decode_predict_request(body)
-        assert encoding == "b64"
+        decoded = decode_predict_request(body)
         assert (decoded.model, decoded.bits, decoded.mapping) == \
             (model, bits, mapping)
         assert decoded.images.dtype == images.dtype
@@ -121,7 +120,7 @@ class TestRoundTrips:
         request = EnsembleRequest(images=images, model=model, mapping=mapping,
                                   bits=bits, sigma_fraction=sigma,
                                   num_samples=num_samples, seed=seed)
-        decoded, _ = decode_ensemble_request(
+        decoded = decode_ensemble_request(
             _json_hop(encode_ensemble_request(request))
         )
         assert decoded.sigma_fraction == sigma
@@ -168,7 +167,7 @@ class TestRoundTrips:
     # Nested lists carry no shape header, so a zero-sized dimension
     # collapses the dims after it ((0, 0)).tolist() == []); the exactness
     # property of the list form is scoped to non-degenerate shapes — the
-    # b64 form (the default) round-trips every shape above.
+    # b64 form round-trips every shape above.
     @given(images=hnp.arrays(
         dtype=np.float64,
         shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=1,
@@ -177,18 +176,14 @@ class TestRoundTrips:
     ))
     @settings(max_examples=60, deadline=None)
     def test_list_encoding_preserves_float64_values(self, images):
+        # A hand-written request carries its images as nested lists:
+        # Python's shortest-round-trip floats survive JSON exactly.
         request = PredictRequest(images=images, model="m", mapping="acm")
-        body = _json_hop(encode_predict_request(request, encoding="list"))
-        _, encoding = decode_predict_request(body)
-        assert encoding == "list"
-        # Response arrays as lists: Python's shortest-round-trip floats
-        # survive JSON exactly.
-        result = PredictResult(model="m", bits=None, mapping="acm",
-                               logits=images)
-        decoded = decode_predict_result(
-            _json_hop(encode_predict_result(result, encoding="list"))
-        )
-        np.testing.assert_array_equal(decoded.logits, images)
+        body = encode_predict_request(request)
+        body["images"] = images.tolist()
+        decoded = decode_predict_request(_json_hop(body))
+        assert decoded.images.dtype == np.float64
+        np.testing.assert_array_equal(decoded.images, images)
 
 
 # ---------------------------------------------------------------------- #
@@ -222,7 +217,7 @@ class TestMalformedPayloads:
         body = _base_predict_body()
         body[field] = junk
         try:
-            request, _ = decode_predict_request(body)
+            request = decode_predict_request(body)
         except InvalidRequest:
             return
         # If the decoder accepted the mutation, the result must still be a
@@ -248,7 +243,7 @@ class TestMalformedPayloads:
         body["num_samples"] = num_samples
         body["seed"] = seed
         try:
-            request, _ = decode_ensemble_request(body)
+            request = decode_ensemble_request(body)
         except InvalidRequest:
             return
         assert isinstance(request, EnsembleRequest)
@@ -301,10 +296,7 @@ class TestStudyCodec:
             sigmas=tuple(sigmas), num_samples=num_samples, seed=seed,
             labels=labels,
         )
-        decoded, encoding = decode_study_spec(
-            _json_hop(encode_study_spec(spec))
-        )
-        assert encoding == "b64"
+        decoded = decode_study_spec(_json_hop(encode_study_spec(spec)))
         assert decoded.models == spec.models
         assert decoded.sigmas == spec.sigmas
         assert (decoded.num_samples, decoded.seed) == (num_samples, seed)
@@ -346,7 +338,7 @@ class TestStudyCodec:
         ))
         body[field] = junk
         try:
-            spec, _ = decode_study_spec(body)
+            spec = decode_study_spec(body)
         except InvalidRequest:
             return
         assert isinstance(spec, StudySpec)

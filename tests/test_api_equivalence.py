@@ -298,44 +298,68 @@ class TestEnsembleBackpressureEquivalence:
 
 
 class TestAsyncClientEquivalence:
-    """The ``await``-able client is another transport, not another truth.
+    """``asyncio`` consumers get the same truth through ``to_thread``.
 
-    Drives :class:`repro.api.AsyncClient` (via :func:`connect_async`)
-    against the ``PlanServer`` edge, and every result must be
-    bit-identical to the in-process reference, every failure the same
-    typed error.
+    Every call runs as ``asyncio.to_thread`` on one pooled
+    :class:`~repro.api.HttpClient`, on an event loop whose executor has
+    4 threads, against the ``PlanServer`` edge.  Every
+    result must be bit-identical to the in-process reference, every
+    failure the same typed error.
     """
 
     EDGES = ("http",)
+    THREADS = 4
 
     @staticmethod
     def _url(matrix, edge):
         return matrix.server.url
 
+    def _drive(self, matrix, edge, script):
+        """Run ``script(client)`` on a loop with a ``THREADS``-wide executor.
+
+        Returns ``(script result, client_stats())``; ``pool_size`` matches
+        the executor width, which is the in-flight width.
+        """
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.api import HttpClient
+
+        async def main():
+            asyncio.get_running_loop().set_default_executor(
+                ThreadPoolExecutor(self.THREADS))
+            with HttpClient(self._url(matrix, edge),
+                            pool_size=self.THREADS) as client:
+                return await script(client), client.client_stats()
+
+        return asyncio.run(main())
+
     @pytest.mark.parametrize("edge", EDGES)
     def test_results_bit_identical_to_local(self, matrix, edge):
-        from repro.api import connect_async
-
-        async def script():
-            async with connect_async(self._url(matrix, edge)) as api:
-                out = {}
-                for name, bits, mapping in MODELS:
-                    out[f"predict:{name}"] = (await api.predict(PredictRequest(
+        # Awaited one at a time, as the local reference runs them: the
+        # edge coalesces concurrent requests, and a 1-row batch differs
+        # from the same row inside a larger batch in the last ULP.
+        async def script(api):
+            out = {}
+            for name, bits, mapping in MODELS:
+                out[f"predict:{name}"] = (await asyncio.to_thread(
+                    api.predict, PredictRequest(
                         images=matrix.images, model=name, mapping=mapping,
                         bits=bits))).logits
-                    out[f"single:{name}"] = (await api.predict(PredictRequest(
+                out[f"single:{name}"] = (await asyncio.to_thread(
+                    api.predict, PredictRequest(
                         images=matrix.images[0], model=name, mapping=mapping,
                         bits=bits))).logits
-                    ensemble = await api.ensemble(EnsembleRequest(
+                ensemble = await asyncio.to_thread(
+                    api.ensemble, EnsembleRequest(
                         images=matrix.images, model=name, mapping=mapping,
                         bits=bits, sigma_fraction=0.15, num_samples=7,
                         seed=21))
-                    out[f"ensemble_mean:{name}"] = ensemble.mean_logits
-                    out[f"ensemble_votes:{name}"] = ensemble.vote_counts
-                    out[f"ensemble_pred:{name}"] = ensemble.predictions
-                return out
+                out[f"ensemble_mean:{name}"] = ensemble.mean_logits
+                out[f"ensemble_votes:{name}"] = ensemble.vote_counts
+                out[f"ensemble_pred:{name}"] = ensemble.predictions
+            return out
 
-        results = asyncio.run(script())
+        results, _ = self._drive(matrix, edge, script)
         local = matrix.clients["local"]
         for name, bits, mapping in MODELS:
             reference = {
@@ -364,54 +388,53 @@ class TestAsyncClientEquivalence:
     @pytest.mark.parametrize("edge", EDGES)
     def test_concurrent_predicts_over_pooled_connections(self, matrix, edge):
         """``asyncio.gather`` many predicts: same bits, warm sockets."""
-        from repro.api import connect_async
-
         expected = matrix.clients["local"].predict(PredictRequest(
             images=matrix.images, model="alpha", mapping="acm", bits=4)).logits
+        request = PredictRequest(images=matrix.images, model="alpha",
+                                 mapping="acm", bits=4)
 
-        async def script():
-            async with connect_async(self._url(matrix, edge),
-                                     pool_size=4) as api:
-                batches = await asyncio.gather(*(
-                    api.predict(PredictRequest(
-                        images=matrix.images, model="alpha", mapping="acm",
-                        bits=4))
-                    for _ in range(16)
-                ))
-                return [batch.logits for batch in batches], api.client_stats()
+        async def script(client):
+            return await asyncio.gather(*(
+                asyncio.to_thread(client.predict, request)
+                for _ in range(16)
+            ))
 
-        logits, stats = asyncio.run(script())
-        for actual in logits:
-            np.testing.assert_array_equal(actual, expected)
-        # 16 requests through at most 4 sockets: reuse must have happened.
-        assert stats["connections_opened"] <= 4, (edge, stats)
+        batches, stats = self._drive(matrix, edge, script)
+        for batch in batches:
+            np.testing.assert_array_equal(batch.logits, expected)
+        # 16 requests, at most 4 in flight: reuse must have happened.
+        assert stats["connections_opened"] <= self.THREADS, (edge, stats)
         assert stats["connections_reused"] >= 12, (edge, stats)
 
     @pytest.mark.parametrize("edge", EDGES)
     def test_same_typed_errors_as_local(self, matrix, edge):
-        from repro.api import connect_async
-
-        async def failure(request):
-            async with connect_async(self._url(matrix, edge)) as api:
-                try:
-                    await api.predict(request)
-                except ApiError as error:
-                    return type(error), error.code
-            raise AssertionError("expected a typed ApiError")
-
-        for request in (
+        requests = (
             PredictRequest(images=matrix.images, model="ghost", mapping="acm"),
             PredictRequest(images=np.zeros((2, 3)), model="alpha",
                            mapping="acm", bits=4),
-        ):
+        )
+
+        async def failure(client, request):
+            try:
+                await asyncio.to_thread(client.predict, request)
+            except ApiError as error:
+                return type(error), error.code
+            raise AssertionError("expected a typed ApiError")
+
+        async def script(client):
+            return await asyncio.gather(*(
+                failure(client, request) for request in requests))
+
+        outcomes, _ = self._drive(matrix, edge, script)
+        for request, outcome in zip(requests, outcomes):
             expected = _typed_failure(matrix.clients["local"], request,
                                       "predict")
-            assert asyncio.run(failure(request)) == expected, edge
+            assert outcome == expected, edge
 
     @pytest.mark.parametrize("edge", EDGES)
     def test_study_lifecycle_matches_local(self, matrix, edge):
         """Submit, poll, collect — and cancel-after-done is idempotent."""
-        from repro.api import connect_async, study_spec, wait_study
+        from repro.api import study_spec, wait_study
 
         spec = study_spec(
             images=matrix.images,
@@ -425,17 +448,16 @@ class TestAsyncClientEquivalence:
         reference = wait_study(local_client, local_client.submit_study(spec),
                                timeout=300.0)
 
-        async def script():
-            async with connect_async(self._url(matrix, edge)) as api:
-                job_id = await api.submit_study(spec)
-                status = await api.get_study(job_id)
-                while not status.terminal:
-                    await asyncio.sleep(0.05)
-                    status = await api.get_study(job_id)
-                cancelled = await api.cancel_study(job_id)
-                return status, cancelled
+        async def script(client):
+            job_id = await asyncio.to_thread(client.submit_study, spec)
+            status = await asyncio.to_thread(client.get_study, job_id)
+            while not status.terminal:
+                await asyncio.sleep(0.05)
+                status = await asyncio.to_thread(client.get_study, job_id)
+            cancelled = await asyncio.to_thread(client.cancel_study, job_id)
+            return status, cancelled
 
-        status, cancelled = asyncio.run(script())
+        (status, cancelled), _ = self._drive(matrix, edge, script)
         assert status.done and status.result is not None
         # Cancelling a finished job is a no-op reporting the terminal state.
         assert cancelled.done and not cancelled.cancelled

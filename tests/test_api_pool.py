@@ -1,9 +1,9 @@
 """Connection pooling: keep-alive reuse and poisoned-socket hygiene.
 
-Covers both pooled transports — the blocking :class:`HttpClient` and the
-``await``-able :class:`AsyncClient` — against :class:`PlanServer`, plus
-hostile servers (half-written responses, silent hangs, idle-closing
-peers) built from raw listening sockets.  The invariant under test: the
+Covers the pooled :class:`HttpClient` — called directly, and through
+``asyncio.to_thread`` as event-loop consumers use it — against
+:class:`PlanServer`, plus hostile servers (half-written responses, silent
+hangs, idle-closing peers) built from raw listening sockets.  The invariant under test: the
 pool only ever re-issues requests on sockets that finished their
 previous exchange cleanly; everything else is closed, never parked.
 """
@@ -14,6 +14,7 @@ import asyncio
 import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,11 +23,9 @@ import pytest
 from repro.api import (
     ApiConnectionError,
     ApiTimeout,
-    AsyncClient,
     HttpClient,
     PredictRequest,
     connect,
-    connect_async,
 )
 import repro.serve.http
 from repro.models import make_mlp
@@ -212,29 +211,61 @@ class TestHttpClientPooling:
         client.close()
         assert client._pool.idle_count() == 0
 
+    def test_constructor_validation(self):
+        with pytest.raises(ValueError, match="http:// or https://"):
+            HttpClient("ftp://x")
+        with pytest.raises(ValueError, match="no host"):
+            HttpClient("http://:8100")
+        with pytest.raises(ValueError, match="retries"):
+            HttpClient("http://x", retries=-1)
+        with pytest.raises(ValueError, match="pool_size"):
+            HttpClient("http://x", pool_size=-1)
+        with pytest.raises(ValueError, match="keepalive_timeout"):
+            HttpClient("http://x", keepalive_timeout=0.0)
+        # The list response codec is gone; asking for it fails loudly.
+        with pytest.raises(TypeError, match="encoding"):
+            HttpClient("http://x", encoding="b64")
+
 
 class TestAsyncClientPooling:
-    def test_pool_size_caps_concurrent_sockets(self, env):
-        async def script():
-            async with AsyncClient(env.server.url, pool_size=2) as api:
-                await asyncio.gather(*(api.health() for _ in range(10)))
-                return api.client_stats()
+    """Pool hygiene as an ``asyncio`` consumer sees it.
 
-        stats = asyncio.run(script())
+    Every call runs through ``asyncio.to_thread`` on one pooled
+    :class:`HttpClient`, on a loop with a 2-thread executor (the recipe
+    in the README).
+    """
+
+    @staticmethod
+    def _drive(client, script, threads=2):
+        async def main():
+            asyncio.get_running_loop().set_default_executor(
+                ThreadPoolExecutor(threads))
+            with client:
+                return await script(client)
+
+        return asyncio.run(main())
+
+    def test_pool_size_caps_concurrent_sockets(self, env):
+        async def script(client):
+            await asyncio.gather(*(asyncio.to_thread(client.health)
+                                   for _ in range(10)))
+            return client.client_stats()
+
+        stats = self._drive(HttpClient(env.server.url, pool_size=2), script)
         assert stats["connections_opened"] <= 2
         assert stats["connections_reused"] >= 8
 
     def test_mid_body_disconnect_discards_the_socket(self):
         server = _HostileServer(_half_body)
 
-        async def script():
-            async with AsyncClient(server.url, retries=0, timeout=5.0) as api:
-                with pytest.raises(ApiConnectionError):
-                    await api.models()
-                return api._pool.idle_count(), api.client_stats()
+        async def script(client):
+            with pytest.raises(ApiConnectionError):
+                await asyncio.to_thread(client.models)
+            return client._pool.idle_count(), client.client_stats()
 
         try:
-            idle, stats = asyncio.run(script())
+            idle, stats = self._drive(
+                HttpClient(server.url, retries=0, timeout=5.0), script)
             assert idle == 0
             assert stats["connection_failures"] == 1
         finally:
@@ -248,15 +279,14 @@ class TestAsyncClientPooling:
             InferenceService(PlanRegistry(env.directory), max_batch=16),
         ).start()
 
-        async def script():
-            async with AsyncClient(server.url, retries=0) as api:
-                assert (await api.health()).ok
-                await asyncio.sleep(0.8)
-                assert (await api.health()).ok
-                return api.client_stats()
+        async def script(client):
+            assert (await asyncio.to_thread(client.health)).ok
+            await asyncio.sleep(0.8)
+            assert (await asyncio.to_thread(client.health)).ok
+            return client.client_stats()
 
         try:
-            stats = asyncio.run(script())
+            stats = self._drive(HttpClient(server.url, retries=0), script)
             assert stats["stale_retries"] == 1
             assert stats["connections_opened"] == 2
         finally:
@@ -265,83 +295,49 @@ class TestAsyncClientPooling:
     def test_timeout_maps_to_api_timeout_without_retry(self):
         server = _HostileServer(_never_answer)
 
-        async def script():
-            async with AsyncClient(server.url, retries=3, timeout=0.3) as api:
-                with pytest.raises(ApiTimeout):
-                    await api.models()
-                return api.client_stats()
+        async def script(client):
+            with pytest.raises(ApiTimeout):
+                await asyncio.to_thread(client.models)
+            return client.client_stats()
 
         try:
-            stats = asyncio.run(script())
+            stats = self._drive(
+                HttpClient(server.url, retries=3, timeout=0.3), script)
             assert stats["timeouts"] == 1
             assert stats["retries"] == 0
         finally:
             server.close()
 
     def test_unreachable_endpoint_is_api_connection_error(self):
-        async def script():
-            async with AsyncClient("http://127.0.0.1:1", retries=1,
-                                   retry_backoff=0.01, timeout=0.5) as api:
-                with pytest.raises(ApiConnectionError, match="2 attempt"):
-                    await api.models()
+        async def script(client):
+            with pytest.raises(ApiConnectionError, match="2 attempt"):
+                await asyncio.to_thread(client.models)
 
-        asyncio.run(script())
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            AsyncClient("ftp://x")
-        with pytest.raises(ValueError):
-            AsyncClient("http://x", pool_size=0)
-        with pytest.raises(ValueError):
-            AsyncClient("http://x", keepalive_timeout=0.0)
-        with pytest.raises(ValueError):
-            AsyncClient("http://x", encoding="csv")
+        self._drive(HttpClient("http://127.0.0.1:1", retries=1,
+                               retry_backoff=0.01, timeout=0.5), script)
 
 
 class TestConnectDispatch:
-    def test_async_query_parameter_selects_async_client(self, env):
-        client = connect(f"{env.server.url}?async=true&pool_size=3")
-        assert isinstance(client, AsyncClient)
-        assert client.pool_size == 3
-
-        async def script():
-            await client.close()
-
-        asyncio.run(script())
-
-    def test_connect_async_helper(self, env):
-        async def script():
-            async with connect_async(env.server.url) as api:
-                assert (await api.health()).ok
-                result = await api.predict(PredictRequest(
-                    images=env.images, model="mlp", mapping="acm", bits=4))
-                np.testing.assert_array_equal(result.logits,
-                                              env.plan.run(env.images))
-
-        asyncio.run(script())
-
-    def test_connect_async_rejects_directory_targets(self, env):
-        with pytest.raises(ValueError, match="sync-only"):
-            connect_async(f"local:{env.directory}")
-
     def test_sync_connect_still_returns_http_client(self, env):
         with connect(env.server.url) as client:
             assert isinstance(client, HttpClient)
             assert client.health().ok
 
     def test_connect_survives_connect_async_resolving_first(self):
-        # Resolving connect_async imports the repro.api.connect submodule,
+        # Resolving connect lazily imports the repro.api.connect submodule,
         # whose import binds the *module* onto the package under the name
         # "connect".  The lazy hook must re-cache the function so
-        # repro.api.connect stays callable.  Import order is the trigger,
-        # so run in a fresh interpreter.
+        # repro.api.connect stays callable on every later lookup.  Import
+        # order is the trigger, so run in a fresh interpreter.
         import os
         import subprocess
         import sys
 
         script = (
+            "import sys\n"
             "import repro.api\n"
-            "from repro.api import connect_async\n"
+            "assert 'repro.api.connect' not in sys.modules\n"
+            "assert callable(repro.api.connect), type(repro.api.connect)\n"
             "assert callable(repro.api.connect), type(repro.api.connect)\n"
             "from repro.api import connect\n"
             "assert callable(connect), type(connect)\n"

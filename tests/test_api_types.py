@@ -176,8 +176,7 @@ class TestCodecs:
         images = rng.normal(size=(3, 1, 4, 4))
         request = PredictRequest(images=images, model="m", mapping="acm", bits=4)
         body = json.loads(json.dumps(encode_predict_request(request)))
-        decoded, encoding = decode_predict_request(body)
-        assert encoding == "b64"
+        decoded = decode_predict_request(body)
         assert (decoded.model, decoded.bits, decoded.mapping) == ("m", 4, "acm")
         np.testing.assert_array_equal(decoded.images, images)
 
@@ -185,11 +184,8 @@ class TestCodecs:
         request = EnsembleRequest(images=rng.normal(size=(2, 4)), model="m",
                                   mapping="de", sigma_fraction=0.15,
                                   num_samples=7, seed=3)
-        body = json.loads(json.dumps(
-            encode_ensemble_request(request, encoding="list")
-        ))
-        decoded, encoding = decode_ensemble_request(body)
-        assert encoding == "list"
+        body = json.loads(json.dumps(encode_ensemble_request(request)))
+        decoded = decode_ensemble_request(body)
         assert decoded.sigma_fraction == 0.15
         assert decoded.num_samples == 7 and decoded.seed == 3
         np.testing.assert_array_equal(decoded.images, request.images)
@@ -211,16 +207,13 @@ class TestCodecs:
             vote_counts=np.zeros((2, 10), dtype=np.int64),
             sigma_fraction=0.1, num_samples=4, seed=0,
         )
-        for encoding in ("b64", "list"):
-            body = json.loads(json.dumps(
-                encode_ensemble_result(result, encoding=encoding)
-            ))
-            decoded = decode_ensemble_result(body)
-            np.testing.assert_array_equal(decoded.mean_logits, result.mean_logits)
-            np.testing.assert_array_equal(decoded.predictions, result.predictions)
-            np.testing.assert_array_equal(decoded.confidence, result.confidence)
-            np.testing.assert_array_equal(decoded.vote_counts, result.vote_counts)
-            assert decoded.sigma_fraction == 0.1
+        body = json.loads(json.dumps(encode_ensemble_result(result)))
+        decoded = decode_ensemble_result(body)
+        np.testing.assert_array_equal(decoded.mean_logits, result.mean_logits)
+        np.testing.assert_array_equal(decoded.predictions, result.predictions)
+        np.testing.assert_array_equal(decoded.confidence, result.confidence)
+        np.testing.assert_array_equal(decoded.vote_counts, result.vote_counts)
+        assert decoded.sigma_fraction == 0.1
 
     @pytest.mark.parametrize("body", [
         {},
@@ -231,6 +224,7 @@ class TestCodecs:
         {"model": "m", "mapping": "acm", "images": "nope"},
         {"model": "m", "mapping": "acm", "images": [1.0], "bits": 1.5},
         {"model": "m", "mapping": "acm", "images": [1.0], "encoding": "csv"},
+        {"model": "m", "mapping": "acm", "images": [1.0], "encoding": "list"},
     ])
     def test_malformed_predict_bodies_raise_invalid_request(self, body):
         with pytest.raises(InvalidRequest):

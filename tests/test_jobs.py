@@ -39,6 +39,7 @@ import pytest
 from repro.api.codec import (
     decode_study_spec,
     decode_study_status,
+    encode_study_cell,
     encode_study_spec,
     encode_study_status,
 )
@@ -398,7 +399,7 @@ class TestCheckpointResume:
         assert sorted(document["cells"]) == [
             str(index) for index in range(spec.cell_count)]
         # The embedded spec must round-trip through the study codec.
-        decoded, _ = decode_study_spec(document["spec"])
+        decoded = decode_study_spec(document["spec"])
         assert decoded.cell_count == spec.cell_count
         assert np.array_equal(decoded.images, spec.images)
         # No stray temp files: the write-rename always completes.
@@ -476,6 +477,48 @@ class TestCheckpointResume:
         assert counts["executed"] == spec.cell_count - kept
         # And the stitched-together result is bit-identical to the
         # uninterrupted run.
+        _assert_results_identical(status.result, original.result)
+
+    def test_checkpoint_with_b64_encoding_field_still_resumes(
+        self, service, study_inputs, tmp_path
+    ):
+        # Checkpoints written before the list codec was deleted carry
+        # "encoding": "b64" in their spec; they must keep resuming
+        # bit-identically.  Any other encoding is rejected, not ignored.
+        spec = _spec(study_inputs)
+        reference = JobManager(service)
+        try:
+            original = reference.wait(reference.submit(spec), timeout=60.0)
+        finally:
+            reference.close()
+        kept = spec.cell_count // 2
+        for job_id, encoding in (("legacy-b64", "b64"),
+                                 ("legacy-list", "list")):
+            document = {
+                "format": CHECKPOINT_FORMAT,
+                "job_id": job_id,
+                "state": "running",
+                "retries": 0,
+                "spec": {**encode_study_spec(spec), "encoding": encoding},
+                "cells": {
+                    str(index): encode_study_cell(original.result.cells[index])
+                    for index in range(kept)
+                },
+            }
+            (tmp_path / f"{job_id}.json").write_text(json.dumps(document),
+                                                     encoding="utf-8")
+
+        manager = JobManager(service, checkpoint_dir=tmp_path)
+        try:
+            assert manager.resume() == ["legacy-b64"]
+            assert manager.job_ids() == ["legacy-b64"]
+            status = manager.wait("legacy-b64", timeout=60.0)
+            counts = manager.execution_counts("legacy-b64")
+        finally:
+            manager.close()
+        assert status.state == "done"
+        assert counts["resumed"] == kept
+        assert counts["executed"] == spec.cell_count - kept
         _assert_results_identical(status.result, original.result)
 
     def test_unreadable_checkpoints_skipped_not_fatal(
@@ -921,8 +964,7 @@ class TestStudyStatusCodec:
 
     def test_spec_round_trip_is_bit_exact(self, study_inputs):
         spec = _spec(study_inputs, request_id="round-trip")
-        decoded, encoding = decode_study_spec(encode_study_spec(spec))
-        assert encoding == "b64"
+        decoded = decode_study_spec(encode_study_spec(spec))
         assert decoded.models == spec.models
         assert decoded.sigmas == spec.sigmas
         assert decoded.num_samples == spec.num_samples

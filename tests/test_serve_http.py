@@ -50,7 +50,7 @@ class TestWireFormat:
 
     def test_list_round_trip_is_exact_for_float64(self, rng):
         array = rng.normal(size=(4, 3))
-        payload = json.loads(json.dumps(encode_array(array, encoding="list")))
+        payload = json.loads(json.dumps(array.tolist()))
         np.testing.assert_array_equal(decode_array(payload), array)
 
     def test_scalar_and_zero_dim(self):
@@ -90,8 +90,11 @@ class TestWireFormat:
             decode_array(payload)
 
     def test_unknown_encoding_rejected(self):
-        with pytest.raises(WireFormatError):
-            encode_array(np.zeros(2), encoding="csv")
+        # encode_array has one output form; asking for another fails
+        # loudly instead of silently answering b64.
+        for encoding in ("list", "csv"):
+            with pytest.raises(TypeError, match="encoding"):
+                encode_array(np.zeros(2), encoding=encoding)
 
 
 # ---------------------------------------------------------------------- #
@@ -188,14 +191,16 @@ class TestPredictEquivalence:
         assert body["model"] == "lenet" and body["bits"] == 4
 
     def test_list_request_and_response_bit_equivalent(self, served):
+        # A hand-written body may send its images as nested lists; the
+        # response is always b64-packed.
         body = _predict_body(served.images[:3])
         body["images"] = served.images[:3].tolist()
-        body["encoding"] = "list"
         status, response = _request(served.address, "POST", "/v1/predict", body)
         assert status == 200
-        assert isinstance(response["logits"], list)
+        assert isinstance(response["logits"], dict)
         expected = served.lenet_plan.run(served.images[:3])
-        np.testing.assert_array_equal(np.asarray(response["logits"]), expected)
+        np.testing.assert_array_equal(decode_array(response["logits"]),
+                                      expected)
 
     def test_float32_packed_request_matches_float32_inputs(self, served):
         compact = served.images[:4].astype(np.float32)
@@ -377,12 +382,17 @@ class TestErrorMapping:
                                     "data": "AAAA"}), 400),
         (lambda b: b.update(images="zeros"), 400),
         (lambda b: b.update(encoding="csv"), 400),
+        # The list response codec is gone; older clients send "b64".
+        (lambda b: b.update(encoding="list"), 400),
+        (lambda b: b.update(encoding="b64"), 200),
     ])
     def test_bad_request_fields(self, served, mutate, expected_status):
         body = _predict_body(served.images[:2])
         mutate(body)
         status, response = _request(served.address, "POST", "/v1/predict", body)
         assert status == expected_status
+        if status == 400:
+            assert response["error"]["code"] == "invalid_request"
 
     def test_wrong_geometry_is_400_and_names_shapes(self, served):
         body = _predict_body(np.zeros((2, 3, 16, 16)))
