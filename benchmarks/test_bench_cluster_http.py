@@ -114,7 +114,7 @@ def _cluster_http_throughput(tmp_path):
     total_requests = REQUESTS_PER_MODEL * len(names)
 
     # -- single-process service ---------------------------------------- #
-    with InferenceService(registry, max_batch=64, max_wait_ms=5.0) as service:
+    with InferenceService(registry, max_batch=64) as service:
         schedulers = {name: service.scheduler_for(name, 4, "acm")
                       for name in names}
         schedulers[names[0]].submit(images[:4]).result(timeout=300)
@@ -131,7 +131,7 @@ def _cluster_http_throughput(tmp_path):
 
     # -- sharded cluster ------------------------------------------------ #
     with PlanCluster(plan_dir, num_workers=NUM_WORKERS, max_batch=64,
-                     max_wait_ms=5.0, handler_threads=8) as cluster:
+                     handler_threads=8) as cluster:
         cluster.wait_ready(timeout=300)
         shards = {name: cluster.worker_for(name, 4, "acm") for name in names}
         for name in names:  # warm every worker's plan + schedulers

@@ -5,8 +5,8 @@ single-image requests into stacked plan executions must beat executing the
 same requests one at a time.  Both sides run the identical serving stack on
 the identical 4-bit ACM LeNet plan — each submits rows to the service's
 per-model scheduler (``service.scheduler_for(...).submit``, its future
-API) — the serial side with batching disabled (``max_batch=1``, no
-coalescing window), the batched side with dynamic micro-batching — so the
+API) — the serial side with batching disabled (``max_batch=1``), the
+batched side with dynamic micro-batching — so the
 measured ratio isolates exactly what the scheduler adds.  The raw
 ``plan.run`` loop (no serving layer at all) is printed as a reference
 point.
@@ -44,7 +44,7 @@ def _serve_throughput(tmp_path):
 
     # One-request-at-a-time serving: batching disabled, the client waits for
     # each response before issuing the next request.
-    with InferenceService(registry, max_batch=1, max_wait_ms=0.0) as service:
+    with InferenceService(registry, max_batch=1) as service:
         scheduler = service.scheduler_for("lenet", 4, "acm")
         start = time.perf_counter()
         serial_logits = np.stack([
@@ -57,7 +57,7 @@ def _serve_throughput(tmp_path):
     # coalesce into stacked executions.  Best of two runs, since a single
     # pass on a shared box is at the mercy of scheduler noise.
     batched_seconds = float("inf")
-    with InferenceService(registry, max_batch=64, max_wait_ms=10.0) as service:
+    with InferenceService(registry, max_batch=64) as service:
         scheduler = service.scheduler_for("lenet", 4, "acm")
         for _ in range(2):
             start = time.perf_counter()

@@ -147,13 +147,13 @@ def main() -> None:
     results = {}
 
     # Backend 1: in-process.
-    target = f"local:{plan_dir}?max_batch=32&max_wait_ms=5"
+    target = f"local:{plan_dir}?max_batch=32"
     print(f"\n[local] connect({target!r})")
     with connect(target) as client:
         results["local"] = run_client_script(client, test_set, args.sigma)
 
     # Backend 2: a live HTTP endpoint with bearer-token auth.
-    service = InferenceService(registry, max_batch=32, max_wait_ms=5.0)
+    service = InferenceService(registry, max_batch=32)
     with PlanServer(service, own_backend=True,
                     auth_token=AUTH_TOKEN) as server:
         print(f"\n[http] connect({server.url!r}, token=...)")

@@ -9,9 +9,11 @@ site:
     Build a :class:`~repro.serve.registry.PlanRegistry` over the directory
     plus an in-process :class:`~repro.serve.service.InferenceService`;
     returns a :class:`~repro.api.client.LocalClient` that owns both.
-    Plans always execute in float64, exactly as stored.  ``max_batch=auto``
-    turns on the adaptive micro-batch cap; ``jobs_dir=PATH`` makes study
-    jobs (``client.submit_study``) checkpoint and resume there.
+    Plans always execute in float64, exactly as stored.  ``max_batch``
+    caps the rows of one micro-batch; the scheduler coalesces only what is
+    already queued, so there is no coalescing window to set.
+    ``jobs_dir=PATH`` makes study jobs (``client.submit_study``)
+    checkpoint and resume there.
 ``http://host:port``  (or ``https://``)
     Return an :class:`~repro.api.http_client.HttpClient` for a running
     :class:`~repro.serve.http.PlanServer` (options: ``token``,
@@ -50,13 +52,6 @@ from repro.serve.cluster import PlanCluster
 from repro.serve.registry import PlanRegistry
 from repro.serve.service import InferenceService
 
-def _parse_max_batch(text: str) -> Any:
-    """``max_batch`` query value: an int cap, or ``auto`` for the adaptive
-    probe-don't-tune cap (:class:`~repro.serve.scheduler.AdaptiveMaxBatch`)."""
-    if text.strip().lower() == "auto":
-        return "auto"
-    return int(text)
-
 
 def _parse_bool(text: str) -> bool:
     """Parse a query-string boolean (``auto_restart=true`` and friends)."""
@@ -81,8 +76,7 @@ def _parse_shm_threshold(text: str) -> Any:
 #: parser applied to the (string) query value.
 _LOCAL_PARAMS: Dict[str, Callable[[str], Any]] = {
     "capacity": int,
-    "max_batch": _parse_max_batch,
-    "max_wait_ms": float,
+    "max_batch": int,
     "max_queue_depth": int,
     "max_concurrent_ensembles": int,
     "ensemble_cache_size": int,
@@ -93,8 +87,7 @@ _CLUSTER_PARAMS: Dict[str, Callable[[str], Any]] = {
     "workers": int,
     "replicas": int,
     "capacity": int,
-    "max_batch": _parse_max_batch,
-    "max_wait_ms": float,
+    "max_batch": int,
     "max_queue_depth": int,
     "max_concurrent_ensembles": int,
     "handler_threads": int,
@@ -139,7 +132,12 @@ def _merge_params(
                 f"unknown {scheme} parameter {key!r}; expected one of "
                 f"{sorted(params)}"
             )
-        merged[key] = parser(values[-1])
+        try:
+            merged[key] = parser(values[-1])
+        except ValueError as error:
+            raise ValueError(
+                f"bad {scheme} parameter {key}={values[-1]!r}: {error}"
+            ) from None
     # Explicit keyword options win over the query string.
     for key, value in options.items():
         if key not in params:

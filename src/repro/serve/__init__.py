@@ -8,10 +8,10 @@ such plans to concurrent clients over the network":
 * :class:`PlanRegistry` (:mod:`repro.serve.registry`) — a directory of plan
   artifacts indexed by ``(model, bits, mapping)``, loaded lazily, kept
   resident in a bounded LRU cache, and addressable by content digest.
-* :class:`MicroBatchScheduler` (:mod:`repro.serve.scheduler`) — dynamic
-  micro-batching: concurrent requests coalesce (up to ``max_batch`` rows /
-  ``max_wait_ms``) into single stacked plan executions whose rows scatter
-  back onto per-request futures.
+* :class:`MicroBatchScheduler` (:mod:`repro.serve.scheduler`) — work-
+  conserving micro-batching: the requests already queued coalesce (up to
+  ``max_batch`` rows, with no coalescing window) into single stacked plan
+  executions whose rows scatter back onto per-request futures.
 * :class:`InferenceService` (:mod:`repro.serve.service`) — the in-process
   façade with two typed request methods: ``predict_request`` (deterministic
   logits, bit-equivalent to the evaluation helpers) and
@@ -66,12 +66,7 @@ from repro.serve.registry import (
     canary_bucket,
     parse_bits,
 )
-from repro.serve.scheduler import (
-    AUTO_MAX_BATCH,
-    AdaptiveMaxBatch,
-    MicroBatchScheduler,
-    SchedulerStats,
-)
+from repro.serve.scheduler import MicroBatchScheduler, SchedulerStats
 from repro.serve.service import InferenceService
 from repro.serve.http import PlanServer, RequestError
 from repro.serve.cluster import PlanCluster, shard_index
@@ -80,8 +75,6 @@ from repro.serve.jobs import JobManager
 from repro.serve.pool import StudyCell, run_study_cell, run_variation_study_parallel
 
 __all__ = [
-    "AUTO_MAX_BATCH",
-    "AdaptiveMaxBatch",
     "DEFAULT_SHM_THRESHOLD",
     "InferenceService",
     "JobManager",

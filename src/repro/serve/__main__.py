@@ -65,12 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "model served by this many distinct workers, "
                              "capped by --workers; 1 restores single-owner "
                              "sharding (default: 2, cluster backend only)")
-    parser.add_argument("--max-batch", default="64",
-                        help="micro-batch row cap per scheduler, or 'auto' "
-                             "for the adaptive probe-don't-tune cap "
-                             "(default: 64)")
-    parser.add_argument("--max-wait-ms", type=float, default=2.0,
-                        help="micro-batch coalescing window (default: 2.0)")
+    parser.add_argument("--max-batch", type=int, default=64,
+                        help="micro-batch row cap per scheduler; a batch "
+                             "takes only what is already queued (default: 64)")
     parser.add_argument("--capacity", type=int, default=4,
                         help="plans kept resident per process (default: 4)")
     parser.add_argument("--max-queue-depth", type=int, default=None,
@@ -131,15 +128,7 @@ def build_backend(args: argparse.Namespace):
     Routed through :func:`repro.api.connect` so the CLI, the examples, and
     library consumers all construct backends the exact same way.
     """
-    max_batch = (
-        "auto" if str(args.max_batch).strip().lower() == "auto"
-        else int(args.max_batch)
-    )
-    options = {
-        "capacity": args.capacity,
-        "max_batch": max_batch,
-        "max_wait_ms": args.max_wait_ms,
-    }
+    options = {"capacity": args.capacity, "max_batch": args.max_batch}
     if args.max_queue_depth is not None:
         options["max_queue_depth"] = args.max_queue_depth
     if args.max_concurrent_ensembles is not None:

@@ -107,6 +107,7 @@ from repro.api.types import (
 )
 from repro.serve.registry import PlanKey, PlanRegistry
 from repro.serve.ring import DEFAULT_REPLICAS, HashRing, get_ring
+from repro.serve.scheduler import check_max_batch
 from repro.serve.service import InferenceService
 from repro.serve.shm import (
     DEFAULT_SHM_THRESHOLD,
@@ -148,8 +149,7 @@ def _worker_main(
     conn,
     directory: str,
     capacity: int,
-    max_batch: Union[int, str],
-    max_wait_ms: float,
+    max_batch: int,
     handler_threads: int,
     max_queue_depth: Optional[int] = None,
     max_concurrent_ensembles: Optional[int] = None,
@@ -182,7 +182,6 @@ def _worker_main(
         root.setLevel(logging.INFO)
     registry = PlanRegistry(directory, capacity=capacity)
     service = InferenceService(registry, max_batch=max_batch,
-                               max_wait_ms=max_wait_ms,
                                max_queue_depth=max_queue_depth,
                                max_concurrent_ensembles=max_concurrent_ensembles,
                                shard=worker_index)
@@ -276,8 +275,7 @@ class _WorkerClient:
     """One worker process: pipe, pending-future table, receiver thread."""
 
     def __init__(self, context, index: int, directory: str, capacity: int,
-                 max_batch: Union[int, str], max_wait_ms: float,
-                 handler_threads: int,
+                 max_batch: int, handler_threads: int,
                  max_queue_depth: Optional[int] = None,
                  max_concurrent_ensembles: Optional[int] = None,
                  shm_threshold: Optional[int] = None,
@@ -303,7 +301,7 @@ class _WorkerClient:
         parent_conn, child_conn = context.Pipe(duplex=True)
         self.process = context.Process(
             target=_worker_main,
-            args=(child_conn, directory, capacity, max_batch, max_wait_ms,
+            args=(child_conn, directory, capacity, max_batch,
                   handler_threads, max_queue_depth, max_concurrent_ensembles,
                   shm_threshold, self._worker_prefix,
                   index, log_path),
@@ -484,8 +482,8 @@ class PlanCluster:
     """Multi-process plan serving over one registry directory.
 
     Parameters mirror :class:`InferenceService` (each worker builds one
-    with ``max_batch`` / ``max_wait_ms`` / ``capacity`` /
-    ``max_queue_depth`` / ``max_concurrent_ensembles``), plus the process
+    with ``max_batch`` / ``capacity`` / ``max_queue_depth`` /
+    ``max_concurrent_ensembles``), plus the process
     topology: ``num_workers`` serving processes and ``handler_threads``
     concurrent requests per worker (keep > 1 or micro-batches cannot
     form).
@@ -518,8 +516,7 @@ class PlanCluster:
         num_workers: int = 2,
         replicas: int = DEFAULT_REPLICAS,
         capacity: int = 4,
-        max_batch: Union[int, str] = 64,
-        max_wait_ms: float = 2.0,
+        max_batch: int = 64,
         handler_threads: int = 4,
         max_queue_depth: Optional[int] = None,
         max_concurrent_ensembles: Optional[int] = None,
@@ -533,6 +530,7 @@ class PlanCluster:
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be at least 1")
+        check_max_batch(max_batch)
         if replicas < 1:
             raise ValueError("replicas must be at least 1")
         if handler_threads < 1:
@@ -568,7 +566,7 @@ class PlanCluster:
         # Kept so worker restarts can spawn identically configured
         # replacements for a dead shard.
         self._worker_config = (str(self.catalogue.directory), capacity,
-                               max_batch, max_wait_ms, handler_threads,
+                               max_batch, handler_threads,
                                max_queue_depth, max_concurrent_ensembles,
                                shm_threshold)
         self._workers = [

@@ -4,16 +4,18 @@ Serving a compiled plan one request at a time wastes the runtime's main
 advantage — a batched matmul amortises the per-call overhead (im2col, BLAS
 dispatch, Python) over every row.  The :class:`MicroBatchScheduler` closes
 that gap for concurrent traffic: requests enqueue individually, a worker
-thread coalesces whatever is waiting — up to ``max_batch`` rows, waiting at
-most ``max_wait_ms`` after the first request of a batch — into one stacked
-execution, and scatters the result rows back onto per-request futures.
+thread coalesces whatever is waiting — up to ``max_batch`` rows — into one
+stacked execution, and scatters the result rows back onto per-request
+futures.
 
-The batching policy:
+The batching policy is work-conserving: the worker never idles while a
+request is queued.
 
-* the worker blocks until a first request arrives, then keeps draining the
-  queue until the batch holds ``max_batch`` rows or ``max_wait_ms`` has
-  elapsed since that first request (a lone straggler is flushed at the
-  deadline, never starved);
+* the worker blocks until a first request arrives, then drains whatever is
+  *already* queued (no timer, no deadline) until the batch holds
+  ``max_batch`` rows, and executes at once — a lone request runs
+  immediately, and under load requests pile up while the previous batch
+  executes, so batches fill without a coalescing window;
 * a request that would push the batch past ``max_batch`` rows is held back
   and opens the *next* micro-batch, so an over-full queue yields several
   consecutive capped batches rather than one oversized execution;
@@ -25,103 +27,31 @@ The scheduler is model-agnostic: ``runner`` is any callable mapping a
 stacked ``(rows, ...)`` array to a ``(rows, ...)`` result (for serving,
 ``InferencePlan.run``).  A runner exception fails every future in the
 affected batch; later batches are unaffected.
-
-An optional *adaptive* cap (``max_batch="auto"``) probes for the latency
-knee instead of trusting a hand-picked constant: the worker times every
-near-full batch, and an :class:`AdaptiveMaxBatch` controller doubles the
-cap while the median per-row latency holds, then settles at the last cap
-before it degraded — the same probe-don't-tune philosophy as
-``stacked_image_target``.  Probing happens once; a settled cap never
-oscillates under noisy traffic.
 """
 
 from __future__ import annotations
 
-import math
 import queue
 import threading
 import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional, Tuple, Union
+from typing import Callable, Deque, Optional, Tuple
 
 import numpy as np
 
 _SHUTDOWN = object()
 
-#: The ``max_batch`` sentinel that opts a scheduler into adaptive capping.
-AUTO_MAX_BATCH = "auto"
 
+def check_max_batch(max_batch: int) -> int:
+    """Validate a micro-batch row cap: a positive int (bools rejected)."""
+    if isinstance(max_batch, bool) or not isinstance(max_batch, int) or (
+        max_batch < 1
+    ):
+        raise ValueError(f"max_batch must be a positive int, got {max_batch!r}")
+    return max_batch
 
-class AdaptiveMaxBatch:
-    """Probe-for-the-knee micro-batch cap controller.
-
-    Starts at ``start`` rows and doubles toward ``limit`` while growing
-    keeps the *median per-row* execution latency within ``tolerance`` of
-    the best cap seen; the first cap that degrades past the tolerance ends
-    the probe, reverting to the best cap permanently.  Only near-full
-    batches (at least half the current cap) count as probes — a lone
-    straggler flushed by the wait deadline says nothing about the cap.
-
-    All methods are thread-safe; :attr:`cap` is read lock-free on the
-    collect path (a stale read costs one slightly-off batch, nothing more).
-    """
-
-    def __init__(
-        self,
-        start: int = 8,
-        limit: int = 256,
-        window: int = 8,
-        tolerance: float = 1.25,
-    ) -> None:
-        if start < 1 or limit < start:
-            raise ValueError("need 1 <= start <= limit")
-        if window < 1:
-            raise ValueError("window must be at least 1")
-        if tolerance < 1.0:
-            raise ValueError("tolerance must be at least 1.0")
-        self.cap = start
-        self.limit = limit
-        self.window = window
-        self.tolerance = tolerance
-        self._samples: List[float] = []
-        self._best_cap = start
-        self._best_per_row = math.inf
-        self._settled = False
-        self._lock = threading.Lock()
-
-    @property
-    def settled(self) -> bool:
-        """True once the probe finished and the cap is final."""
-        return self._settled
-
-    def record(self, rows: int, seconds: float) -> None:
-        """Feed one executed batch's size and wall-clock execution time."""
-        if rows < 1 or seconds < 0:
-            return
-        with self._lock:
-            if self._settled or rows * 2 < self.cap:
-                return
-            self._samples.append(seconds / rows)
-            if len(self._samples) < self.window:
-                return
-            ordered = sorted(self._samples)
-            per_row = ordered[len(ordered) // 2]
-            self._samples = []
-            if per_row <= self._best_per_row * self.tolerance:
-                if per_row < self._best_per_row:
-                    self._best_per_row = per_row
-                    self._best_cap = self.cap
-                if self.cap >= self.limit:
-                    self.cap = self._best_cap
-                    self._settled = True
-                else:
-                    self.cap = min(self.cap * 2, self.limit)
-            else:
-                # Growing made per-row latency worse: past the knee.
-                self.cap = self._best_cap
-                self._settled = True
 
 #: How many per-batch (requests, rows) samples ``SchedulerStats`` retains for
 #: inspection; the aggregate counters cover the full process lifetime.
@@ -165,35 +95,18 @@ class MicroBatchScheduler:
     def __init__(
         self,
         runner: Callable[[np.ndarray], np.ndarray],
-        max_batch: Union[int, str, AdaptiveMaxBatch] = 64,
-        max_wait_ms: float = 5.0,
+        max_batch: int = 64,
         name: str = "microbatch",
         on_batch: Optional[Callable[[int, int, float], None]] = None,
     ) -> None:
-        self._adaptive: Optional[AdaptiveMaxBatch]
-        self._max_batch = 0
-        if isinstance(max_batch, AdaptiveMaxBatch):
-            self._adaptive = max_batch
-        elif max_batch == AUTO_MAX_BATCH:
-            self._adaptive = AdaptiveMaxBatch()
-        elif isinstance(max_batch, bool) or not isinstance(max_batch, int):
-            raise ValueError(
-                f"max_batch must be an int or 'auto', got {max_batch!r}"
-            )
-        elif max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
-        else:
-            self._adaptive = None
-            self._max_batch = max_batch
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
+        self.max_batch = check_max_batch(max_batch)
         self._runner = runner
-        self.max_wait = max_wait_ms / 1000.0
         self.stats = SchedulerStats()
         # Observability hook: called once per executed micro-batch with
-        # (num_requests, num_rows, coalesce_wait_seconds) from the worker
-        # thread.  Exceptions are swallowed — telemetry must never fail a
-        # batch.
+        # (num_requests, num_rows, wait_seconds) from the worker thread,
+        # where the wait runs from dequeuing the batch's first request to
+        # executing the batch.  Exceptions are swallowed — telemetry must
+        # never fail a batch.
         self.on_batch = on_batch
         # SimpleQueue is C-implemented and roughly 4x cheaper per item than
         # queue.Queue; at ~50us per micro-batched request that is the
@@ -208,19 +121,6 @@ class MicroBatchScheduler:
             target=self._loop, name=f"{name}-worker", daemon=True
         )
         self._worker.start()
-
-    @property
-    def max_batch(self) -> int:
-        """The batch-row cap: fixed, or the adaptive controller's current
-        cap while it probes for the knee (``max_batch="auto"``)."""
-        if self._adaptive is not None:
-            return self._adaptive.cap
-        return self._max_batch
-
-    @property
-    def adaptive(self) -> Optional[AdaptiveMaxBatch]:
-        """The adaptive cap controller, or None for a fixed cap."""
-        return self._adaptive
 
     # ------------------------------------------------------------------ #
     # Client side
@@ -272,23 +172,20 @@ class MicroBatchScheduler:
     # Worker side
     # ------------------------------------------------------------------ #
     def _collect(self, first) -> Tuple[list, object, bool]:
-        """Coalesce requests after ``first`` until full or the deadline.
+        """Coalesce ``first`` with the requests already queued behind it.
 
-        Returns ``(batch, held, stop)``: ``held`` is a request that arrived
-        but would have pushed the batch past ``max_batch`` rows — it opens
-        the next batch instead of overflowing this one.
+        Never waits for more: a request that has not arrived yet rides the
+        next batch.  Returns ``(batch, held, stop)``: ``held`` is a queued
+        request that would have pushed the batch past ``max_batch`` rows —
+        it opens the next batch instead of overflowing this one.
         """
         batch = [first]
         rows = first[0].shape[0]
-        deadline = time.monotonic() + self.max_wait
         stop = False
         held = None
         while rows < self.max_batch:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
             try:
-                item = self._queue.get(timeout=remaining)
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is _SHUTDOWN:
@@ -323,40 +220,30 @@ class MicroBatchScheduler:
                 self.on_batch(len(batch), sum(sizes), wait)
             except Exception:  # noqa: BLE001 - telemetry must never fail a batch
                 pass
-        run_started = time.monotonic()
         try:
             result = self._runner(stacked)
         except BaseException as error:  # noqa: BLE001 - forwarded to callers
             for future in futures:
                 future.set_exception(error)
             return
-        if self._adaptive is not None:
-            self._adaptive.record(sum(sizes), time.monotonic() - run_started)
         offsets = np.cumsum(sizes[:-1])
         for future, piece in zip(futures, np.split(result, offsets, axis=0)):
             future.set_result(piece)
 
     def _loop(self) -> None:
-        stop = False
+        # The shutdown marker is the last item the queue ever sees (submit
+        # and close serialise on _submit_lock), so reaching it means every
+        # request before it has executed: close flushes the queue.
         held = None
-        while not stop:
+        while True:
             if held is not None:
                 item, held = held, None
             else:
                 item = self._queue.get()
                 if item is _SHUTDOWN:
-                    break
+                    return
             batch_started = time.monotonic()
             batch, held, stop = self._collect(item)
             self._execute(batch, wait=time.monotonic() - batch_started)
-        if held is not None:
-            self._execute([held])
-        # Flush anything enqueued before the shutdown marker that _collect
-        # left behind (the marker is guaranteed to be the final item).
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is not _SHUTDOWN:
-                self._execute([item])
+            if stop:
+                return

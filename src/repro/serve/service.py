@@ -42,7 +42,7 @@ import logging
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,15 +59,16 @@ from repro.runtime.montecarlo import run_plan_samples, sample_crossbar_weights
 from repro.runtime.plan import InferencePlan
 from repro.serve.registry import PlanKey, PlanRegistry
 from repro.serve.scheduler import (
-    AUTO_MAX_BATCH,
     MicroBatchScheduler,
     SchedulerStats,
+    check_max_batch,
 )
 
 _LOG = logging.getLogger("repro.serve.service")
 
-#: Batch-size histogram bounds: powers of two up to the default max_batch
-#: ceiling, so the exported distribution reads as "how full were batches".
+#: Batch-size histogram bounds: powers of two past the default max_batch of
+#: 64 (an oversized lone request lands in the top buckets), so the exported
+#: distribution reads as "how full were batches".
 _BATCH_ROW_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 
@@ -77,8 +78,7 @@ class InferenceService:
     def __init__(
         self,
         registry: PlanRegistry,
-        max_batch: Union[int, str] = 64,
-        max_wait_ms: float = 2.0,
+        max_batch: int = 64,
         ensemble_cache_size: int = 8,
         max_queue_depth: Optional[int] = None,
         max_concurrent_ensembles: Optional[int] = None,
@@ -91,17 +91,8 @@ class InferenceService:
             raise ValueError(
                 "max_concurrent_ensembles must be non-negative or None"
             )
-        if max_batch != AUTO_MAX_BATCH and (
-            isinstance(max_batch, bool)
-            or not isinstance(max_batch, int)
-            or max_batch < 1
-        ):
-            raise ValueError(
-                f"max_batch must be a positive int or 'auto', got {max_batch!r}"
-            )
         self.registry = registry
-        self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
+        self.max_batch = check_max_batch(max_batch)
         # Backpressure threshold: a deterministic request whose scheduler
         # already holds this many undrained requests is rejected with the
         # typed ApiBackpressure instead of queueing (None disables).
@@ -171,7 +162,8 @@ class InferenceService:
         )
         self._m_batch_wait = metrics.histogram(
             "repro_scheduler_batch_wait_seconds",
-            "Coalescing wait from first request to batch execution.",
+            "Time from dequeuing a batch's first request to executing the "
+            "batch (about zero: the scheduler never waits for more).",
             labels=("model",),
         )
         self._m_cache_hits = metrics.counter(
@@ -374,7 +366,6 @@ class InferenceService:
                 scheduler = MicroBatchScheduler(
                     plan.run,
                     max_batch=self.max_batch,
-                    max_wait_ms=self.max_wait_ms,
                     name=canonical,
                     on_batch=_on_batch,
                 )
@@ -443,11 +434,6 @@ class InferenceService:
         """The batching statistics as JSON-ready dicts (HTTP ``/v1/stats``)."""
         summary = {}
         depths = self.queue_depths()
-        with self._lock:
-            caps = {
-                key.canonical(): scheduler.max_batch
-                for key, scheduler in self._schedulers.items()
-            }
         for name, stats in self.stats.items():
             summary[name] = {
                 "num_batches": stats.num_batches,
@@ -456,7 +442,7 @@ class InferenceService:
                 "max_rows_per_batch": stats.max_rows_per_batch,
                 "mean_rows_per_batch": stats.mean_rows_per_batch,
                 "queue_depth": depths.get(name, 0),
-                "max_batch": caps.get(name),
+                "max_batch": self.max_batch,
             }
         summary["ensemble_cache"] = {
             "hits": self.ensemble_cache_hits,

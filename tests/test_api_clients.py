@@ -54,7 +54,7 @@ def _publish(directory):
 def env(tmp_path_factory):
     directory = tmp_path_factory.mktemp("api-plans")
     registry, plan = _publish(directory)
-    service = InferenceService(registry, max_batch=16, max_wait_ms=2.0)
+    service = InferenceService(registry, max_batch=16)
     server = PlanServer(service, own_backend=True, auth_token=TOKEN).start()
     images = np.random.default_rng(1).normal(size=(6, 16))
     yield SimpleNamespace(directory=directory, plan=plan, service=service,
@@ -119,11 +119,10 @@ class TestLocalClient:
 class TestConnectTargets:
     def test_query_parameters_configure_the_service(self, tmp_path):
         with connect(f"local:{tmp_path}/plans?capacity=2&max_batch=5"
-                     "&max_wait_ms=1.5&max_queue_depth=9") as client:
+                     "&max_queue_depth=9") as client:
             service = client.backend
             assert service.registry.capacity == 2
             assert service.max_batch == 5
-            assert service.max_wait_ms == 1.5
             assert service.max_queue_depth == 9
 
     def test_keyword_options_override_query(self, tmp_path):
@@ -160,6 +159,17 @@ class TestConnectTargets:
         # Plans execute in float64 only, so no scheme takes a precision.
         with pytest.raises(ValueError, match="parameter 'precision'"):
             connect(f"{scheme}:{tmp_path}/plans?precision=int8")
+
+    @pytest.mark.parametrize("scheme", ["local", "cluster"])
+    def test_removed_batching_knobs_are_rejected(self, scheme, tmp_path):
+        # The scheduler is work-conserving: it has no coalescing window and
+        # no adaptive cap, so neither knob is accepted any more.
+        with pytest.raises(ValueError, match="parameter 'max_wait_ms'"):
+            connect(f"{scheme}:{tmp_path}/plans?max_wait_ms=2")
+        with pytest.raises(ValueError, match="max_batch"):
+            connect(f"{scheme}:{tmp_path}/plans?max_batch=auto")
+        with pytest.raises(ValueError, match="max_batch"):
+            connect(f"{scheme}:{tmp_path}/plans", max_batch="auto")
 
     def test_http_target_builds_http_client(self):
         client = connect("http://127.0.0.1:59999", token="t", retries=0)
@@ -336,8 +346,7 @@ class TestBackpressure:
             release.wait(timeout=30)
             return rows
 
-        scheduler = MicroBatchScheduler(slow_runner, max_batch=1,
-                                        max_wait_ms=0.0)
+        scheduler = MicroBatchScheduler(slow_runner, max_batch=1)
         try:
             assert scheduler.queue_depth == 0
             scheduler.submit(np.zeros((1, 2)))

@@ -52,7 +52,7 @@ def matrix(tmp_path_factory):
     http_service = InferenceService(PlanRegistry(directory), max_batch=16)
     server = PlanServer(http_service, own_backend=True).start()
     clients = {
-        "local": connect(f"local:{directory}?max_batch=16&max_wait_ms=2"),
+        "local": connect(f"local:{directory}?max_batch=16"),
         "http": connect(server.url),
         "cluster": connect(
             f"cluster:{directory}?workers=2&max_batch=16&shm_threshold=off"

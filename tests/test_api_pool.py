@@ -40,7 +40,7 @@ def env(tmp_path_factory):
     model = make_mlp(input_size=16, hidden_sizes=(6,), mapping="acm",
                      quantizer_bits=4, seed=0)
     registry.publish_model(model, "mlp", 4, "acm")
-    service = InferenceService(registry, max_batch=16, max_wait_ms=2.0)
+    service = InferenceService(registry, max_batch=16)
     server = PlanServer(service, own_backend=True).start()
     images = np.random.default_rng(1).normal(size=(4, 16))
     yield SimpleNamespace(directory=directory, server=server, images=images,

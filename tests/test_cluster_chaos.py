@@ -103,7 +103,7 @@ class TestChaosMixedLoad:
     def test_no_request_lost_under_random_sigkills(self, chaos_env):
         cluster = PlanCluster(
             chaos_env.directory, num_workers=2, handler_threads=4,
-            max_batch=16, max_wait_ms=1.0,
+            max_batch=16,
             auto_restart=True, max_restarts=50,   # breaker must never open
             restart_backoff=0.02, stability_window=0.5,
             shm_threshold=1024,                   # batches ride shared memory
@@ -344,7 +344,7 @@ class TestRingReplication:
     def test_zero_503s_while_one_replica_is_sigkilled(self, chaos_env):
         cluster = PlanCluster(
             chaos_env.directory, num_workers=2, replicas=2,
-            handler_threads=4, max_batch=16, max_wait_ms=1.0,
+            handler_threads=4, max_batch=16,
             auto_restart=True, max_restarts=50,
             restart_backoff=0.05, stability_window=0.5,
             shm_threshold=1024,
@@ -402,7 +402,7 @@ class TestRingReplication:
     def test_rolling_restart_under_load_is_zero_downtime(self, chaos_env):
         cluster = PlanCluster(
             chaos_env.directory, num_workers=2, replicas=2,
-            handler_threads=4, max_batch=16, max_wait_ms=1.0,
+            handler_threads=4, max_batch=16,
             shm_threshold=1024,
         )
         shm_base = cluster._shm_base
@@ -746,7 +746,7 @@ class TestStudyChaos:
 
         cluster = PlanCluster(
             chaos_env.directory, num_workers=2, handler_threads=4,
-            max_batch=16, max_wait_ms=1.0,
+            max_batch=16,
             auto_restart=True, max_restarts=50,
             restart_backoff=0.02, stability_window=0.5,
             shm_threshold=1024,

@@ -271,11 +271,10 @@ class TestLeakRegression:
                          quantizer_bits=4, seed=1)
         registry.publish_model(model, "m", 4, "acm")
         images = np.random.default_rng(1).normal(size=(64, 64))
-        # A long coalescing window keeps the requests in flight (two
-        # handler threads serve them pairwise) while close() runs.
+        # _wait_pending holds close() until all six requests are in flight
+        # (two handler threads serve them pairwise).
         cluster = PlanCluster(directory, num_workers=1, shm_threshold=0,
-                              max_batch=256, handler_threads=2,
-                              max_wait_ms=100.0)
+                              max_batch=256, handler_threads=2)
         base = cluster._shm_base
         cluster.wait_ready(timeout=180)
         request = PredictRequest(images, model="m", bits=4, mapping="acm")

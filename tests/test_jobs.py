@@ -1,6 +1,6 @@
 """The experiment-as-a-service subsystem: study jobs + versioned rollout.
 
-Three contracts are pinned down here:
+Two contracts are pinned down here:
 
 * **Resumable jobs** (:class:`repro.serve.jobs.JobManager`) — a submitted
   :class:`StudySpec` decomposes into idempotent cells whose results are
@@ -14,10 +14,6 @@ Three contracts are pinned down here:
   a deterministic per-request-id hash routes exactly the configured
   canary fraction, and promote/rollback flip the active version
   atomically under concurrent load with zero errors.
-* **Adaptive micro-batch cap** (:class:`AdaptiveMaxBatch`) — the
-  probe-don't-tune controller doubles the cap while per-row latency
-  holds, settles permanently at the knee, and is opt-in via
-  ``max_batch="auto"``.
 
 Bitwise oracles: a seeded ensemble and a deterministic predict are pure
 functions of (artifact, request), so direct plan/service calls over the
@@ -57,10 +53,8 @@ from repro.api.types import (
 )
 from repro.models import make_mlp
 from repro.serve import (
-    AdaptiveMaxBatch,
     InferenceService,
     JobManager,
-    MicroBatchScheduler,
     PlanKey,
     PlanRegistry,
     canary_bucket,
@@ -845,107 +839,6 @@ class TestVersionGrammar:
         assert registry.digest("roll", 4, "acm") != v2_digest
         plan = registry.get_by_digest(v2_digest)
         assert np.array_equal(plan.run(images), oracles[2])
-
-
-# ---------------------------------------------------------------------- #
-# Adaptive micro-batch cap (satellite: max_batch="auto")
-# ---------------------------------------------------------------------- #
-class TestAdaptiveMaxBatch:
-    def test_grows_while_per_row_latency_holds(self):
-        control = AdaptiveMaxBatch(start=4, limit=64, window=2)
-        for _ in range(2):
-            control.record(4, 4 * 0.010)
-        assert control.cap == 8 and not control.settled
-        for _ in range(2):
-            control.record(8, 8 * 0.010)
-        assert control.cap == 16 and not control.settled
-
-    def test_settles_at_best_cap_on_degradation(self):
-        control = AdaptiveMaxBatch(start=4, limit=64, window=2)
-        for _ in range(2):
-            control.record(4, 4 * 0.012)
-        for _ in range(2):
-            control.record(8, 8 * 0.010)  # batching amortises: new best
-        # Growing to 16 doubles per-row latency: past the knee.
-        for _ in range(2):
-            control.record(16, 16 * 0.020)
-        assert control.settled
-        assert control.cap == 8
-        # A settled controller never moves again, whatever it sees.
-        control.record(8, 8 * 0.001)
-        control.record(8, 8 * 0.001)
-        assert control.cap == 8
-
-    def test_settles_at_limit_without_degradation(self):
-        control = AdaptiveMaxBatch(start=4, limit=8, window=1)
-        control.record(4, 4 * 0.010)
-        assert control.cap == 8
-        control.record(8, 8 * 0.009)
-        assert control.settled
-        assert control.cap == 8
-
-    def test_ignores_stragglers_and_junk_samples(self):
-        control = AdaptiveMaxBatch(start=8, limit=64, window=1)
-        control.record(1, 0.010)     # under half the cap: not a probe
-        control.record(0, 0.010)     # junk
-        control.record(8, -1.0)      # junk
-        assert control.cap == 8 and not control.settled
-        control.record(8, 8 * 0.010)  # a real probe finally moves it
-        assert control.cap == 16
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveMaxBatch(start=0)
-        with pytest.raises(ValueError):
-            AdaptiveMaxBatch(start=16, limit=8)
-        with pytest.raises(ValueError):
-            AdaptiveMaxBatch(window=0)
-        with pytest.raises(ValueError):
-            AdaptiveMaxBatch(tolerance=0.5)
-
-    def test_scheduler_accepts_auto_and_instances(self):
-        runner = lambda rows: rows  # noqa: E731
-        scheduler = MicroBatchScheduler(runner, max_batch="auto")
-        try:
-            assert isinstance(scheduler.adaptive, AdaptiveMaxBatch)
-            assert scheduler.max_batch == scheduler.adaptive.cap
-        finally:
-            scheduler.close()
-        control = AdaptiveMaxBatch(start=2, limit=4)
-        scheduler = MicroBatchScheduler(runner, max_batch=control)
-        try:
-            assert scheduler.adaptive is control
-            assert scheduler.max_batch == 2
-        finally:
-            scheduler.close()
-        fixed = MicroBatchScheduler(runner, max_batch=16)
-        try:
-            assert fixed.adaptive is None
-            assert fixed.max_batch == 16
-        finally:
-            fixed.close()
-
-    def test_scheduler_rejects_bad_max_batch_values(self):
-        runner = lambda rows: rows  # noqa: E731
-        with pytest.raises(ValueError, match="int or 'auto'"):
-            MicroBatchScheduler(runner, max_batch="turbo")
-        with pytest.raises(ValueError, match="at least 1"):
-            MicroBatchScheduler(runner, max_batch=0)
-        with pytest.raises(ValueError, match="int or 'auto'"):
-            MicroBatchScheduler(runner, max_batch=True)
-
-    def test_service_auto_max_batch_serves_and_reports(self, plan_dir):
-        service = InferenceService(PlanRegistry(plan_dir), max_batch="auto")
-        try:
-            images = np.random.default_rng(3).normal(size=(4, 16))
-            logits = service.predict_request(PredictRequest(
-                images, model="alpha", mapping="acm", bits=4,
-            )).logits
-            assert logits.shape == (4, 10)
-            summary = service.stats_summary()
-            assert summary["alpha__4b__acm"]["max_batch"] >= 1
-        finally:
-            service.close()
 
 
 # ---------------------------------------------------------------------- #

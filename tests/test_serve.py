@@ -132,16 +132,19 @@ class TestPlanRegistry:
 # Scheduler
 # ---------------------------------------------------------------------- #
 class TestMicroBatchScheduler:
-    def test_straggler_request_flushed_at_max_wait(self):
-        """A lone request must be executed once the wait window expires."""
-        with MicroBatchScheduler(lambda x: x * 2.0, max_batch=64,
-                                 max_wait_ms=30) as scheduler:
-            start = time.monotonic()
-            result = scheduler.submit(np.ones((1, 4))).result(timeout=10)
-            elapsed = time.monotonic() - start
-        np.testing.assert_array_equal(result, 2.0 * np.ones((1, 4)))
-        assert list(scheduler.stats.batches) == [(1, 1)]
-        assert elapsed < 5.0  # flushed by the deadline, not stuck forever
+    def test_lone_request_does_not_wait(self):
+        """An idle scheduler executes a lone request at once: there is no
+        coalescing window for it to sit out."""
+        waits = []
+        with MicroBatchScheduler(
+            lambda x: x * 2.0,
+            on_batch=lambda requests, rows, wait: waits.append(wait),
+        ) as scheduler:
+            for _ in range(50):
+                result = scheduler.submit(np.ones((1, 4))).result(timeout=10)
+                np.testing.assert_array_equal(result, 2.0 * np.ones((1, 4)))
+        assert list(scheduler.stats.batches) == [(1, 1)] * 50
+        assert np.median(waits) < 1e-3
 
     def test_overfull_queue_splits_into_multiple_microbatches(self):
         """More queued rows than max_batch must yield several capped batches."""
@@ -151,7 +154,7 @@ class TestMicroBatchScheduler:
             release.wait(10)
             return x + 1.0
 
-        with MicroBatchScheduler(runner, max_batch=4, max_wait_ms=5) as scheduler:
+        with MicroBatchScheduler(runner, max_batch=4) as scheduler:
             futures = [scheduler.submit(np.full((1, 2), i)) for i in range(10)]
             release.set()
             results = [future.result(timeout=10) for future in futures]
@@ -164,14 +167,14 @@ class TestMicroBatchScheduler:
         assert stats.num_batches >= 3  # ceil(10 / 4), first batch may be smaller
 
     def test_concurrent_requests_coalesce(self):
-        """Requests arriving within the window ride in fewer executions."""
+        """Requests queued while a batch executes ride in the next one."""
         release = threading.Event()
 
         def runner(x):
             release.wait(10)
             return x
 
-        with MicroBatchScheduler(runner, max_batch=64, max_wait_ms=200) as scheduler:
+        with MicroBatchScheduler(runner, max_batch=64) as scheduler:
             futures = [scheduler.submit(np.zeros((1, 2))) for _ in range(8)]
             release.set()
             for future in futures:
@@ -180,14 +183,14 @@ class TestMicroBatchScheduler:
 
     def test_multi_row_requests_scatter_correctly(self):
         with MicroBatchScheduler(lambda x: x.sum(axis=1, keepdims=True),
-                                 max_batch=16, max_wait_ms=50) as scheduler:
+                                 max_batch=16) as scheduler:
             first = scheduler.submit(np.ones((2, 3)))
             second = scheduler.submit(np.full((3, 3), 2.0))
             np.testing.assert_array_equal(first.result(10), np.full((2, 1), 3.0))
             np.testing.assert_array_equal(second.result(10), np.full((3, 1), 6.0))
 
     def test_oversized_request_runs_as_its_own_batch(self):
-        with MicroBatchScheduler(lambda x: x, max_batch=4, max_wait_ms=5) as scheduler:
+        with MicroBatchScheduler(lambda x: x, max_batch=4) as scheduler:
             result = scheduler.submit(np.zeros((9, 2))).result(timeout=10)
         assert result.shape == (9, 2)
         assert scheduler.stats.max_rows_per_batch == 9
@@ -200,7 +203,7 @@ class TestMicroBatchScheduler:
             release.wait(10)
             return x
 
-        with MicroBatchScheduler(runner, max_batch=64, max_wait_ms=100) as scheduler:
+        with MicroBatchScheduler(runner, max_batch=64) as scheduler:
             first = scheduler.submit(np.zeros((60, 2)))
             second = scheduler.submit(np.ones((60, 2)))
             release.set()
@@ -215,7 +218,7 @@ class TestMicroBatchScheduler:
                 raise ValueError("poisoned batch")
             return x
 
-        with MicroBatchScheduler(runner, max_batch=4, max_wait_ms=5) as scheduler:
+        with MicroBatchScheduler(runner, max_batch=4) as scheduler:
             bad = scheduler.submit(np.full((1, 2), np.nan))
             with pytest.raises(ValueError, match="poisoned"):
                 bad.result(timeout=10)
@@ -223,7 +226,7 @@ class TestMicroBatchScheduler:
             np.testing.assert_array_equal(good.result(timeout=10), np.zeros((1, 2)))
 
     def test_submit_after_close_raises(self):
-        scheduler = MicroBatchScheduler(lambda x: x, max_batch=2, max_wait_ms=1)
+        scheduler = MicroBatchScheduler(lambda x: x, max_batch=2)
         scheduler.close()
         with pytest.raises(RuntimeError):
             scheduler.submit(np.zeros((1, 2)))
@@ -233,7 +236,7 @@ class TestMicroBatchScheduler:
             time.sleep(0.01)
             return x
 
-        scheduler = MicroBatchScheduler(runner, max_batch=1, max_wait_ms=0)
+        scheduler = MicroBatchScheduler(runner, max_batch=1)
         futures = [scheduler.submit(np.full((1, 1), i)) for i in range(5)]
         scheduler.close()
         for i, future in enumerate(futures):
@@ -241,9 +244,22 @@ class TestMicroBatchScheduler:
                                           np.full((1, 1), i))
 
     def test_rejects_empty_requests(self):
-        with MicroBatchScheduler(lambda x: x, max_batch=2, max_wait_ms=1) as scheduler:
+        with MicroBatchScheduler(lambda x: x, max_batch=2) as scheduler:
             with pytest.raises(ValueError):
                 scheduler.submit(np.zeros((0, 3)))
+
+    def test_scheduler_rejects_bad_max_batch_values(self):
+        runner = lambda rows: rows  # noqa: E731
+        for bad in ("turbo", "auto", 0, True):
+            with pytest.raises(ValueError, match="positive int"):
+                MicroBatchScheduler(runner, max_batch=bad)
+
+    def test_coalescing_window_is_not_a_parameter(self, tmp_path):
+        # The scheduler only coalesces what is already queued.
+        with pytest.raises(TypeError, match="max_wait_ms"):
+            MicroBatchScheduler(lambda x: x, max_wait_ms=2.0)
+        with pytest.raises(TypeError, match="max_wait_ms"):
+            InferenceService(PlanRegistry(tmp_path), max_wait_ms=2.0)
 
     def test_heterogeneous_shapes_degrade_to_per_request_runs(self):
         """Requests that cannot stack must each run alone, not fail together."""
@@ -253,7 +269,7 @@ class TestMicroBatchScheduler:
             release.wait(10)
             return x * 2.0
 
-        with MicroBatchScheduler(runner, max_batch=8, max_wait_ms=100) as scheduler:
+        with MicroBatchScheduler(runner, max_batch=8) as scheduler:
             narrow = scheduler.submit(np.ones((1, 3)))
             wide = scheduler.submit(np.ones((1, 5)))
             release.set()
@@ -280,7 +296,7 @@ class TestInferenceService:
         """The acceptance bar: serving must not change deterministic results."""
         model, registry, dataset = served
         plan = compile_model(model)
-        with InferenceService(registry, max_batch=16, max_wait_ms=5) as service:
+        with InferenceService(registry, max_batch=16) as service:
             logits = service.predict_request(PredictRequest(
                 dataset.images, model="lenet", bits=4, mapping="acm"
             )).logits
@@ -295,7 +311,7 @@ class TestInferenceService:
         model, registry, dataset = served
         plan = compile_model(model)
         expected = plan.run(dataset.images)
-        with InferenceService(registry, max_batch=16, max_wait_ms=20) as service:
+        with InferenceService(registry, max_batch=16) as service:
             with ThreadPoolExecutor(max_workers=8) as clients:
                 results = list(clients.map(
                     lambda i: service.predict_request(PredictRequest(
@@ -365,9 +381,9 @@ class TestInferenceService:
     def test_malformed_request_rejected_before_batching(self, served):
         """A bad shape must fail its own caller, not poison the micro-batch."""
         _, registry, dataset = served
-        with InferenceService(registry, max_batch=16, max_wait_ms=30) as service:
-            # A valid request waits in the scheduler's coalescing window
-            # while the malformed ones arrive.
+        with InferenceService(registry, max_batch=16) as service:
+            # A valid request is in the scheduler while the malformed ones
+            # arrive; they are rejected before they can join its batch.
             good = service.scheduler_for("lenet", 4, "acm").submit(
                 dataset.images[:1]
             )

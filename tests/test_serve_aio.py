@@ -37,8 +37,7 @@ def served(tmp_path_factory):
     model = make_mlp(input_size=16, hidden_sizes=(8,), mapping="acm",
                      quantizer_bits=4, seed=0)
     PlanRegistry(directory).publish_model(model, "mlp", 4, "acm")
-    service = InferenceService(PlanRegistry(directory), max_batch=16,
-                               max_wait_ms=2.0)
+    service = InferenceService(PlanRegistry(directory), max_batch=16)
     server = PlanServer(service, own_backend=True).start()
     yield SimpleNamespace(
         address=server.address, directory=directory,

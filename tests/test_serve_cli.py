@@ -77,7 +77,12 @@ class TestArgumentParsing:
             backend.close()
 
     @pytest.mark.parametrize("flags", [["--async"],
-                                       ["--keepalive-timeout", "5"]])
+                                       ["--keepalive-timeout", "5"],
+                                       # Removed batching knobs: the
+                                       # scheduler has no coalescing window
+                                       # and no adaptive cap.
+                                       ["--max-wait-ms", "2"],
+                                       ["--max-batch", "auto"]])
     def test_removed_edge_flags_are_rejected(self, flags, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["--plan-dir", "plans", *flags])

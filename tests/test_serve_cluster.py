@@ -60,8 +60,7 @@ def cluster_env(tmp_path_factory):
                          quantizer_bits=4, seed=seed)
         registry.publish_model(model, name, 4, "acm")
         plans[name] = compile_model(model)
-    cluster = PlanCluster(directory, num_workers=2, max_batch=16,
-                          max_wait_ms=2.0)
+    cluster = PlanCluster(directory, num_workers=2, max_batch=16)
     cluster.wait_ready(timeout=120)
     images = np.random.default_rng(3).normal(size=(6, 1, 4, 4))
     yield SimpleNamespace(
@@ -236,8 +235,7 @@ class TestClusterLifecycle:
         registry.publish_model(model, "solo", 4, "acm")
         plan = compile_model(model)
         images = np.random.default_rng(0).normal(size=(2, 1, 4, 4))
-        cluster = PlanCluster(tmp_path / "plans", num_workers=1,
-                              max_wait_ms=50.0)
+        cluster = PlanCluster(tmp_path / "plans", num_workers=1)
         cluster.wait_ready(timeout=120)
         request = PredictRequest(images, model="solo", bits=4, mapping="acm")
         with ThreadPoolExecutor(max_workers=8) as pool:

@@ -166,7 +166,7 @@ def served(tmp_path_factory):
     registry = PlanRegistry(directory)
     registry.publish_model(lenet, "lenet", 4, "acm")
     registry.publish_model(mlp, "mlp", 6, "de")
-    service = InferenceService(registry, max_batch=16, max_wait_ms=2.0)
+    service = InferenceService(registry, max_batch=16)
     server = PlanServer(service, own_backend=True).start()
     images = np.random.default_rng(7).normal(size=(12, 1, 16, 16))
     yield SimpleNamespace(
@@ -670,9 +670,17 @@ class TestLifecycle:
         model = make_mlp(input_size=16, hidden_sizes=(4,), mapping="acm",
                          quantizer_bits=4, seed=0)
         registry.publish_model(model, "tiny", 4, "acm")
-        # A long coalescing window keeps the request in flight while the
+        # A slow plan execution keeps the request in flight while the
         # server is told to shut down.
-        service = InferenceService(registry, max_batch=64, max_wait_ms=150)
+        service = InferenceService(registry, max_batch=64)
+        scheduler = service.scheduler_for("tiny", 4, "acm")
+        run = scheduler._runner
+
+        def slow_run(rows):
+            time.sleep(0.3)
+            return run(rows)
+
+        scheduler._runner = slow_run
         server = PlanServer(service).start()
         images = np.random.default_rng(0).normal(size=(1, 1, 4, 4))
         outcome = {}
@@ -686,7 +694,7 @@ class TestLifecycle:
 
         thread = threading.Thread(target=client)
         thread.start()
-        time.sleep(0.05)  # let the request enter the coalescing window
+        time.sleep(0.05)  # let the request reach the slow execution
         server.close()
         thread.join(timeout=30)
         assert not thread.is_alive()

@@ -31,9 +31,7 @@ class TestSchedulerStress:
     def test_racing_close_strands_no_futures(self, close_delay_ms):
         """Bursty multi-threaded traffic racing ``close()``: every accepted
         request must resolve correctly, and stats must match the accepted set."""
-        scheduler = MicroBatchScheduler(
-            _accumulate, max_batch=MAX_BATCH, max_wait_ms=1
-        )
+        scheduler = MicroBatchScheduler(_accumulate, max_batch=MAX_BATCH)
         accepted = []
         accepted_lock = threading.Lock()
         start_barrier = threading.Barrier(7)
@@ -83,7 +81,7 @@ class TestSchedulerStress:
 
     def test_concurrent_close_calls_are_safe(self):
         """Multiple threads closing while others submit: one winner, no hang."""
-        scheduler = MicroBatchScheduler(_accumulate, max_batch=4, max_wait_ms=1)
+        scheduler = MicroBatchScheduler(_accumulate, max_batch=4)
         futures = []
         futures_lock = threading.Lock()
 
@@ -122,8 +120,7 @@ class TestSchedulerStress:
             release.wait(10)
             return x * 2.0
 
-        with MicroBatchScheduler(runner, max_batch=MAX_BATCH,
-                                 max_wait_ms=50) as scheduler:
+        with MicroBatchScheduler(runner, max_batch=MAX_BATCH) as scheduler:
             rng = np.random.default_rng(0)
             requests = []
             for _ in range(60):
@@ -146,7 +143,7 @@ class TestSchedulerStress:
             time.sleep(0.005)
             return x - 1.0
 
-        scheduler = MicroBatchScheduler(runner, max_batch=2, max_wait_ms=0)
+        scheduler = MicroBatchScheduler(runner, max_batch=2)
         arrays = [np.full((1, 3), float(index)) for index in range(12)]
         futures = [scheduler.submit(array) for array in arrays]
         closer = threading.Thread(target=scheduler.close)
