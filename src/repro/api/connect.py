@@ -26,14 +26,14 @@ site:
     directory; returns a :class:`~repro.api.client.ClusterClient` that
     owns it.  ``replicas`` is the consistent-hash ring's replication
     factor R (default 2, capped by ``workers``; ``replicas=1`` restores
-    single-owner sharding).  Self-healing and transport knobs ride along:
+    single-owner sharding).  Self-healing knobs ride along:
     ``auto_restart=true`` (supervised respawn of dead workers, with
     ``max_restarts`` / ``restart_backoff`` / ``stability_window``
     shaping the crash-loop circuit breaker; a request whose owners are
-    all down waits for the respawn, up to ``timeout``) and
-    ``shm_threshold=BYTES`` (shared-memory array transport; ``off``
-    disables).  ``log_dir=PATH`` writes one logfmt file per worker
-    (``worker-N.log``) carrying every request's trace id.
+    all down waits for the respawn, up to ``timeout``).  Every array
+    crosses the worker pipe; there is no transport knob.
+    ``log_dir=PATH`` writes one logfmt file per worker (``worker-N.log``)
+    carrying every request's trace id.
 
 Example — the same script against any backend::
 
@@ -63,15 +63,6 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_shm_threshold(text: str) -> Any:
-    """``shm_threshold`` query value: bytes, or a negative value / ``off``
-    to disable the shared-memory transport."""
-    if text.strip().lower() in ("off", "none"):
-        return None
-    value = int(text)
-    return None if value < 0 else value
-
-
 #: Query parameters each directory-backed scheme understands, with the
 #: parser applied to the (string) query value.
 _LOCAL_PARAMS: Dict[str, Callable[[str], Any]] = {
@@ -93,7 +84,6 @@ _CLUSTER_PARAMS: Dict[str, Callable[[str], Any]] = {
     "handler_threads": int,
     "timeout": float,
     "ensemble_timeout": float,
-    "shm_threshold": _parse_shm_threshold,
     "auto_restart": _parse_bool,
     "max_restarts": int,
     "restart_backoff": float,

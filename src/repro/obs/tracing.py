@@ -2,7 +2,7 @@
 
 A request id is a short opaque token that travels with one logical
 request through every hop — client, HTTP edge, scheduler lane, cluster
-pipe/shm protocol, worker — so a single grep over structured logs
+pipe protocol, worker — so a single grep over structured logs
 reconstructs its path.  Clients may mint their own (any string matching
 the grammar below); anything that receives a request without one assigns
 a fresh server-side id via :func:`ensure_request_id`.

@@ -27,11 +27,10 @@ such plans to concurrent clients over the network":
   sharding: N worker processes over one registry directory, models
   partitioned by a stable key hash (:func:`shard_index`), each worker
   running its own schedulers so independent models serve in true parallel.
-  Large arrays cross the process boundary over shared memory
-  (:mod:`repro.serve.shm`), and ``auto_restart=True`` makes the cluster
-  self-healing: dead workers respawn with backoff behind a crash-loop
-  circuit breaker, and requests whose owners are all down wait for the
-  respawn.
+  Every request and result crosses the worker pipe as a pickle, and
+  ``auto_restart=True`` makes the cluster self-healing: dead workers
+  respawn with backoff behind a crash-loop circuit breaker, and requests
+  whose owners are all down wait for the respawn.
 * :func:`run_variation_study_parallel` (:mod:`repro.serve.pool`) — the
   Fig. 6 study fanned out over a process pool, one worker per independent
   (bits, mapping) training cell.
@@ -70,12 +69,10 @@ from repro.serve.scheduler import MicroBatchScheduler, SchedulerStats
 from repro.serve.service import InferenceService
 from repro.serve.http import PlanServer, RequestError
 from repro.serve.cluster import PlanCluster, shard_index
-from repro.serve.shm import DEFAULT_SHM_THRESHOLD, ShmRef
 from repro.serve.jobs import JobManager
 from repro.serve.pool import StudyCell, run_study_cell, run_variation_study_parallel
 
 __all__ = [
-    "DEFAULT_SHM_THRESHOLD",
     "InferenceService",
     "JobManager",
     "MicroBatchScheduler",
@@ -88,7 +85,6 @@ __all__ = [
     "RequestError",
     "RolloutEntry",
     "SchedulerStats",
-    "ShmRef",
     "StudyCell",
     "canary_bucket",
     "parse_bits",

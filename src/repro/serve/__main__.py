@@ -22,10 +22,8 @@ Examples::
         --max-queue-depth 64 --max-concurrent-ensembles 8
 
     # Production posture: self-healing workers (supervised respawn with a
-    # crash-loop circuit breaker) + shared-memory transport for batches
-    # over 1 MiB:
-    python -m repro.serve --plan-dir ./plans --workers 4 --auto-restart \\
-        --shm-threshold 1048576
+    # crash-loop circuit breaker):
+    python -m repro.serve --plan-dir ./plans --workers 4 --auto-restart
 
 The process serves until interrupted (Ctrl-C), then shuts down
 gracefully: in-flight HTTP requests finish, micro-batches drain, worker
@@ -86,12 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-restarts", type=int, default=5,
                         help="consecutive crashes of one worker before its "
                              "circuit breaker opens (default: 5)")
-    parser.add_argument("--shm-threshold", type=int, default=None,
-                        metavar="BYTES",
-                        help="move request/response arrays of at least BYTES "
-                             "over shared memory instead of the worker pipe; "
-                             "negative disables (default: 65536, cluster "
-                             "backend only)")
     parser.add_argument("--auth-token", default=None, metavar="TOKEN",
                         help="require 'Authorization: Bearer TOKEN' on every "
                              "route except /healthz and /metrics "
@@ -139,10 +131,6 @@ def build_backend(args: argparse.Namespace):
         if args.auto_restart:
             options["auto_restart"] = True
             options["max_restarts"] = args.max_restarts
-        if args.shm_threshold is not None:
-            options["shm_threshold"] = (
-                None if args.shm_threshold < 0 else args.shm_threshold
-            )
         if args.log_dir is not None:
             options["log_dir"] = args.log_dir
     return connect(build_target(args), **options).backend

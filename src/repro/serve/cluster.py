@@ -31,18 +31,8 @@ inside the worker serves them concurrently through the worker service's
 own typed entry points (so micro-batches still form), and a receiver
 thread in the parent scatters the typed results back onto per-request
 futures.  Results are exact — the same float64 arrays an in-process
-service would return, moved across a pickle boundary.
-
-**Shared-memory transport** (:mod:`repro.serve.shm`): request/response
-arrays at or above ``shm_threshold`` bytes do not ride the pickle stream —
-they are copied once into a named ``multiprocessing.shared_memory``
-segment and travel as a tiny ``(name, dtype, shape)`` descriptor; the
-receiving side copies the bytes out and unlinks the segment.  Results stay
-bit-identical (the copy is a memcpy and the descriptor carries the full
-dtype), small payloads keep using the pipe, and segment cleanup is
-accounted: the parent tracks every in-flight segment per request and
-sweeps the per-worker name prefix when a worker dies, so a SIGKILL'd
-worker cannot leak ``/dev/shm`` entries.
+service would return, moved across a pickle boundary.  The pipe is the
+only transport: every array, large or small, rides the pickle stream.
 
 **Self-healing** (``auto_restart=True``): a supervisor thread watches for
 dead workers and respawns each one with bounded exponential backoff
@@ -109,22 +99,10 @@ from repro.serve.registry import PlanKey, PlanRegistry
 from repro.serve.ring import DEFAULT_REPLICAS, HashRing, get_ring
 from repro.serve.scheduler import check_max_batch
 from repro.serve.service import InferenceService
-from repro.serve.shm import (
-    DEFAULT_SHM_THRESHOLD,
-    SegmentStats,
-    cleanup_prefix,
-    offload_payload,
-    restore_payload,
-    unlink_segment,
-)
 
 _SHUTDOWN = None
 
 _LOG = logging.getLogger("repro.serve.cluster")
-
-#: Distinguishes the shared-memory prefixes of clusters living in one
-#: parent process (tests routinely run several clusters per process).
-_CLUSTER_IDS = itertools.count()
 
 
 def shard_index(key: PlanKey, num_workers: int) -> int:
@@ -153,8 +131,6 @@ def _worker_main(
     handler_threads: int,
     max_queue_depth: Optional[int] = None,
     max_concurrent_ensembles: Optional[int] = None,
-    shm_threshold: Optional[int] = None,
-    shm_prefix: str = "",
     worker_index: int = 0,
     log_path: Optional[str] = None,
 ) -> None:
@@ -164,10 +140,7 @@ def _worker_main(
     are ``(request_id, ok, payload)`` where ``payload`` is the result or
     the exception object itself (exceptions re-raise in the caller's
     process with their original type — including the typed ``ApiError``
-    subclasses, e.g. backpressure raised by the worker's service).  Arrays
-    above ``shm_threshold`` arrive and leave as shared-memory descriptors
-    (consumed destructively on receipt), named under ``shm_prefix`` so the
-    parent can sweep anything this process leaves behind if it dies.
+    subclasses, e.g. backpressure raised by the worker's service).
 
     With ``log_path`` set, every ``repro.*`` logger in this process writes
     logfmt lines there — each served request logs its trace id, model,
@@ -186,29 +159,18 @@ def _worker_main(
                                max_concurrent_ensembles=max_concurrent_ensembles,
                                shard=worker_index)
     send_lock = threading.Lock()
-    segment_seq = itertools.count()
-
-    def allocate_name() -> str:
-        return f"{shm_prefix}{next(segment_seq)}"
 
     def reply(request_id, ok, payload) -> None:
-        names: List[str] = []
-        if ok:
-            payload, names = offload_payload(payload, shm_threshold,
-                                             allocate_name)
         try:
             with send_lock:
                 conn.send((request_id, ok, payload))
         except Exception as error:  # unpicklable payload; degrade to a message
-            for name in names:  # the descriptors never reached the parent
-                unlink_segment(name)
             with send_lock:
                 conn.send((request_id, False,
                            RuntimeError(f"{type(payload).__name__}: {error}")))
 
     def handle(request_id, kind, payload) -> None:
         try:
-            payload = restore_payload(payload)
             result = _dispatch(kind, payload)
         except BaseException as error:  # noqa: BLE001 - forwarded to caller
             reply(request_id, False, error)
@@ -278,32 +240,21 @@ class _WorkerClient:
                  max_batch: int, handler_threads: int,
                  max_queue_depth: Optional[int] = None,
                  max_concurrent_ensembles: Optional[int] = None,
-                 shm_threshold: Optional[int] = None,
-                 shm_base: str = "", incarnation: int = 0,
+                 incarnation: int = 0,
                  log_dir: Optional[str] = None) -> None:
         self.index = index
         self.incarnation = incarnation
-        self.shm_threshold = shm_threshold
         # One log file per shard, shared by every incarnation (append
         # mode), so restarts do not fragment a shard's request trace.
         log_path = (
             os.path.join(log_dir, f"worker-{index}.log")
             if log_dir is not None else None
         )
-        # Segment names are per-(worker, incarnation): "...p..." segments
-        # are created by the parent for this worker, "...w..." segments by
-        # the worker itself.  Both prefixes are swept when the process dies
-        # or the handle is closed, so no incarnation can leak into the next.
-        self._parent_prefix = f"{shm_base}p{index}i{incarnation}n"
-        self._worker_prefix = f"{shm_base}w{index}i{incarnation}n"
-        self._segment_seq = itertools.count()
-        self.transport = SegmentStats()
         parent_conn, child_conn = context.Pipe(duplex=True)
         self.process = context.Process(
             target=_worker_main,
             args=(child_conn, directory, capacity, max_batch,
                   handler_threads, max_queue_depth, max_concurrent_ensembles,
-                  shm_threshold, self._worker_prefix,
                   index, log_path),
             name=f"plan-worker-{index}",
             daemon=True,
@@ -311,10 +262,7 @@ class _WorkerClient:
         self.process.start()
         child_conn.close()
         self._conn = parent_conn
-        # request_id -> (future, names of in-flight shm segments the parent
-        # created for this request; swept if the worker dies before
-        # consuming them).
-        self._pending: Dict[int, Tuple[Future, List[str]]] = {}
+        self._pending: Dict[int, Future] = {}
         self._ids = itertools.count()
         self._lock = threading.Lock()
         self._closed = False
@@ -333,61 +281,34 @@ class _WorkerClient:
         )
         self._receiver.start()
 
-    def _allocate_name(self) -> str:
-        return f"{self._parent_prefix}{next(self._segment_seq)}"
-
-    def active_segments(self) -> int:
-        """Parent-created segments still in flight (0 when drained)."""
-        with self._lock:
-            return sum(len(names) for _, names in self._pending.values())
-
     def load(self) -> int:
         """Requests currently in flight — the router's least-loaded signal."""
         with self._lock:
             return len(self._pending)
 
-    def transport_stats(self) -> Dict[str, object]:
-        """JSON-ready shared-memory transport counters (parent side)."""
-        stats: Dict[str, object] = dict(self.transport.snapshot())
-        stats["active_segments"] = self.active_segments()
-        stats["shm_threshold"] = self.shm_threshold
-        return stats
-
     def submit(self, kind: str, payload) -> Future:
-        # Offloading copies the request arrays, so it happens before the
-        # lock — a big batch must not stall the receiver's reply handling.
-        payload, names = offload_payload(payload, self.shm_threshold,
-                                         self._allocate_name, self.transport)
         future: Future = Future()
         with self._lock:
             if self._closed:
-                self._discard_segments(names)
                 raise RuntimeError("cluster is closed")
             if self.dead:
-                self._discard_segments(names)
                 raise WorkerDied(
                     f"worker {self.index} has died; its shard is excluded "
                     f"until it is restarted",
                     worker_index=self.index,
                 )
             request_id = next(self._ids)
-            self._pending[request_id] = (future, names)
+            self._pending[request_id] = future
             try:
                 self._conn.send((request_id, kind, payload))
             except (BrokenPipeError, OSError) as error:
                 self._pending.pop(request_id, None)
-                self._discard_segments(names)
                 self.dead = True
                 raise WorkerDied(
                     f"worker {self.index} is not reachable: {error}",
                     worker_index=self.index,
                 ) from None
         return future
-
-    def _discard_segments(self, names: List[str]) -> None:
-        removed = sum(1 for name in names if unlink_segment(name))
-        if removed:
-            self.transport.cleaned(removed)
 
     def _receive_loop(self) -> None:
         while True:
@@ -398,25 +319,10 @@ class _WorkerClient:
             if request_id is _SHUTDOWN:
                 break
             with self._lock:
-                entry = self._pending.pop(request_id, None)
-            if entry is None:
+                future = self._pending.pop(request_id, None)
+            if future is None:
                 continue
-            future, names = entry
-            # The worker consumed the request segments before dispatching;
-            # anything still present (a reply sent before restore, which
-            # only a buggy worker could produce) is swept here so no reply
-            # path can leak parent-created segments.
-            self._discard_segments(names)
             if ok:
-                try:
-                    payload = restore_payload(payload, self.transport)
-                except Exception as error:  # segment swept under us
-                    future.set_exception(WorkerDied(
-                        f"worker {self.index} reply lost its shared-memory "
-                        f"payload: {error}",
-                        worker_index=self.index,
-                    ))
-                    continue
                 future.set_result(payload)
             elif isinstance(payload, BaseException):
                 future.set_exception(payload)
@@ -437,21 +343,13 @@ class _WorkerClient:
                 f"worker {self.index} died with the request in flight",
                 worker_index=self.index,
             ))
-        # Sweep both shm prefixes: request segments the dead worker never
-        # consumed and reply segments whose descriptors never arrived.
-        self._sweep_segments()
 
     def _fail_pending(self, error: BaseException) -> None:
         with self._lock:
             pending, self._pending = self._pending, {}
-        for future, names in pending.values():
-            self._discard_segments(names)
+        for future in pending.values():
             if not future.done():
                 future.set_exception(error)
-
-    def _sweep_segments(self) -> None:
-        cleanup_prefix(self._parent_prefix, self.transport)
-        cleanup_prefix(self._worker_prefix, self.transport)
 
     def close(self, timeout: Optional[float]) -> None:
         with self._lock:
@@ -472,7 +370,6 @@ class _WorkerClient:
         except OSError:  # pragma: no cover
             pass
         self._fail_pending(RuntimeError(f"worker {self.index} is closed"))
-        self._sweep_segments()
 
 
 # ---------------------------------------------------------------------- #
@@ -497,17 +394,14 @@ class PlanCluster:
     owner's circuit breaker is open.  ``replicas=1`` reproduces the
     pre-ring single-shard semantics exactly.
 
-    ``shm_threshold`` switches request/response arrays of at least that
-    many bytes onto the shared-memory transport (``None`` or a negative
-    value keeps everything on the pipe; ``0`` forces every array through
-    shared memory — useful in tests).  ``auto_restart=True`` starts the
-    self-healing supervisor: dead workers respawn with exponential backoff
-    (``restart_backoff`` doubling per consecutive crash up to
-    ``max_restart_backoff``); ``max_restarts`` consecutive crashes — a
-    crash "streak" resets once a worker survives ``stability_window``
-    seconds — open the shard's circuit breaker instead of retrying
-    forever.  While a respawn is pending, requests for the shard's keys
-    wait for it (bounded by their ``timeout``) instead of failing.
+    ``auto_restart=True`` starts the self-healing supervisor: dead workers
+    respawn with exponential backoff (``restart_backoff`` doubling per
+    consecutive crash up to ``max_restart_backoff``); ``max_restarts``
+    consecutive crashes — a crash "streak" resets once a worker survives
+    ``stability_window`` seconds — open the shard's circuit breaker instead
+    of retrying forever.  While a respawn is pending, requests for the
+    shard's keys wait for it (bounded by their ``timeout``) instead of
+    failing.
     """
 
     def __init__(
@@ -520,7 +414,6 @@ class PlanCluster:
         handler_threads: int = 4,
         max_queue_depth: Optional[int] = None,
         max_concurrent_ensembles: Optional[int] = None,
-        shm_threshold: Optional[int] = DEFAULT_SHM_THRESHOLD,
         auto_restart: bool = False,
         max_restarts: int = 5,
         restart_backoff: float = 0.05,
@@ -555,10 +448,6 @@ class PlanCluster:
         # spawn: a clean interpreter per worker, whatever threads the
         # parent runs (slower startup than fork).
         self._context = multiprocessing.get_context("spawn")
-        # The trailing "_" terminates the cluster id so close()'s
-        # cleanup_prefix for cluster 1 can never match cluster 11's
-        # segments in the same process.
-        self._shm_base = f"rps{os.getpid():x}c{next(_CLUSTER_IDS)}_"
         # Per-shard structured log files (worker-N.log, logfmt) when set.
         self._log_dir = str(log_dir) if log_dir is not None else None
         if self._log_dir is not None:
@@ -567,8 +456,7 @@ class PlanCluster:
         # replacements for a dead shard.
         self._worker_config = (str(self.catalogue.directory), capacity,
                                max_batch, handler_threads,
-                               max_queue_depth, max_concurrent_ensembles,
-                               shm_threshold)
+                               max_queue_depth, max_concurrent_ensembles)
         self._workers = [
             self._spawn_worker(index, incarnation=0)
             for index in range(num_workers)
@@ -589,9 +477,9 @@ class PlanCluster:
         self._last_restart: List[Optional[float]] = [None] * num_workers
         self._incarnations = [0] * num_workers
         self._sup_stop = threading.Event()
-        # Parent-side registry: worker liveness, breaker/restart state, and
-        # shm transport ledgers, all exported live via callbacks (the same
-        # state stats_summary() reports).
+        # Parent-side registry: worker liveness and breaker/restart state,
+        # exported live via callbacks (the same state stats_summary()
+        # reports).
         self.metrics = MetricsRegistry()
         self._build_instruments()
         self._supervisor: Optional[threading.Thread] = None
@@ -605,8 +493,7 @@ class PlanCluster:
     def _spawn_worker(self, index: int, incarnation: int) -> _WorkerClient:
         return _WorkerClient(
             self._context, index, *self._worker_config,
-            shm_base=self._shm_base, incarnation=incarnation,
-            log_dir=self._log_dir,
+            incarnation=incarnation, log_dir=self._log_dir,
         )
 
     # ------------------------------------------------------------------ #
@@ -677,26 +564,6 @@ class PlanCluster:
             "Current crash streak per shard (resets after stability_window).",
             self._collect_crash_streaks,
         )
-        metrics.register_callback(
-            "repro_cluster_shm_segments_total", "counter",
-            "Shared-memory segments by lifecycle event (created/consumed/"
-            "cleaned), per shard, parent side.",
-            lambda: self._collect_shm("segments"),
-        )
-        metrics.register_callback(
-            "repro_cluster_shm_bytes_total", "counter",
-            "Bytes moved through shared memory per shard and direction, "
-            "parent side.",
-            lambda: self._collect_shm("bytes"),
-        )
-        metrics.register_callback(
-            "repro_cluster_shm_active_segments", "gauge",
-            "Parent-created segments currently in flight per shard.",
-            lambda: [
-                ({"worker": str(worker.index)}, float(worker.active_segments()))
-                for worker in list(self._workers)
-            ],
-        )
 
     def _collect_breakers(self) -> Sequence[Tuple[Mapping[str, str], float]]:
         with self._sup_lock:
@@ -733,25 +600,6 @@ class PlanCluster:
             owners = self._ring.owners(base, self.effective_replicas)
             live = sum(1 for index in owners if available[index])
             samples.append(({"model": base}, float(live)))
-        return samples
-
-    def _collect_shm(self, which: str):
-        samples = []
-        for worker in list(self._workers):
-            snapshot = worker.transport.snapshot()
-            label = str(worker.index)
-            if which == "segments":
-                for event in ("created", "consumed", "cleaned"):
-                    samples.append((
-                        {"worker": label, "event": event},
-                        float(snapshot.get(f"segments_{event}", 0)),
-                    ))
-            else:
-                for direction in ("sent", "received"):
-                    samples.append((
-                        {"worker": label, "direction": direction},
-                        float(snapshot.get(f"bytes_{direction}", 0)),
-                    ))
         return samples
 
     def metrics_families(self, timeout: Optional[float] = 5.0) -> List[MetricFamily]:
@@ -870,7 +718,6 @@ class PlanCluster:
                     streaks[index] if index < len(streaks) else 0,
                 "breaker_open":
                     breakers[index] if index < len(breakers) else False,
-                "active_segments": worker.active_segments(),
                 "load": worker.load(),
                 "serves": ownership.get(index,
                                         {"primary": [], "replica": []}),
@@ -1313,13 +1160,12 @@ class PlanCluster:
     ):
         """One typed request with replica failover and respawn waits.
 
-        The request dataclass itself crosses the pipe (its arrays over
-        shared memory above ``shm_threshold``), stamped first with its
-        trace id so the worker's service logs the id the caller holds.  A
-        ``WorkerDied`` from an in-flight request does not wait for the
-        supervisor's respawn while another owner is live: the same
-        (idempotent, deterministic) request is resubmitted to the key's
-        next live owner right away.  When no owner is live on a
+        The request dataclass itself crosses the pipe, arrays and all,
+        stamped first with its trace id so the worker's service logs the id
+        the caller holds.  A ``WorkerDied`` from an in-flight request does
+        not wait for the supervisor's respawn while another owner is live:
+        the same (idempotent, deterministic) request is resubmitted to the
+        key's next live owner right away.  When no owner is live on a
         self-healing cluster, the request waits (up to ``timeout``) for the
         supervisor to respawn one and then routes to it — so every caller,
         the HTTP edge included, rides out a worker death.  The typed error
@@ -1385,14 +1231,12 @@ class PlanCluster:
         """Per-worker serving statistics (JSON-ready), keyed ``worker-N``.
 
         Each worker's service stats are annotated parent-side with a
-        ``transport`` block (shared-memory segments/bytes moved, in-flight
-        segment gauge) and a ``supervisor`` block (restart counts, crash
-        streak, breaker state).  A dead worker reports ``{"status":
-        {"dead": True}}`` instead of failing the whole listing, so
-        monitoring keeps working while a shard is down.  Liveness and
-        supervisor counters come from one state snapshot, so this listing,
-        ``dead_workers``, and ``/admin/workers`` agree at every point of a
-        rolling restart.
+        ``supervisor`` block (restart counts, crash streak, breaker state).
+        A dead worker reports ``{"status": {"dead": True}}`` instead of
+        failing the whole listing, so monitoring keeps working while a
+        shard is down.  Liveness and supervisor counters come from one
+        state snapshot, so this listing, ``dead_workers``, and
+        ``/admin/workers`` agree at every point of a rolling restart.
         """
         if self._closed:
             raise RuntimeError("cluster is closed")
@@ -1415,7 +1259,6 @@ class PlanCluster:
                 stats = dict(future.result(timeout=timeout))
             except WorkerDied:
                 stats = {"status": {"dead": True}}
-            stats["transport"] = worker.transport_stats()
             stats["supervisor"] = {
                 "auto_restart": self.auto_restart,
                 "restarts": restarts[worker.index],
@@ -1447,10 +1290,6 @@ class PlanCluster:
         with self._restart_lock:
             for worker in self._workers:
                 worker.close(timeout)
-        # Belt and braces: nothing under this cluster's prefix may survive
-        # (worker sweeps already ran per handle; this catches a handle
-        # replaced mid-close).
-        cleanup_prefix(self._shm_base)
 
     def __enter__(self) -> "PlanCluster":
         return self

@@ -79,7 +79,8 @@ _LOG = logging.getLogger("repro.serve.jobs")
 
 #: Error classes worth retrying a cell over: the backend (or the network
 #: path to it) hiccuped, but the request itself is fine.  Everything else
-#: — InvalidRequest, ModelNotFound, auth — fails the job immediately.
+#: — InvalidRequest, ModelNotFound, auth, and a ``WorkerDied`` whose
+#: circuit breaker is open — fails the job immediately.
 RETRYABLE_ERRORS: Tuple[Type[ApiError], ...] = (
     WorkerDied, ApiConnectionError, ApiTimeout,
 )
@@ -306,6 +307,11 @@ class JobManager:
                 result = self._ensemble(request)
                 break
             except RETRYABLE_ERRORS as error:
+                if isinstance(error, WorkerDied) and error.breaker_open:
+                    # Every owner crash-looped: no retry can succeed until
+                    # an operator re-admits a replica.
+                    self._fail(job, error)
+                    return
                 with job.lock:
                     if job.state != "running":
                         return

@@ -142,6 +142,8 @@ class TestConnectTargets:
         "cluster:plans?worker_died_backoff_cap=0.25",
         "cluster:plans?start_method=fork",
         "cluster:plans?vnodes=32",
+        # Deleted transport knob: every array rides the worker pipe.
+        "cluster:plans?shm_threshold=0",
         # Deleted http knobs: one blocking client, one response codec.
         "http://h:1?async=true",
         "http://h:1?encoding=list",
@@ -153,6 +155,8 @@ class TestConnectTargets:
     def test_unknown_keyword_option_raises(self, tmp_path):
         with pytest.raises(ValueError):
             connect(f"local:{tmp_path}/plans", bogus=1)
+        with pytest.raises(ValueError, match="unknown cluster: option"):
+            connect(f"cluster:{tmp_path}/plans", shm_threshold=0)
 
     @pytest.mark.parametrize("scheme", ["local", "cluster"])
     def test_precision_is_not_a_parameter(self, scheme, tmp_path):
@@ -198,14 +202,16 @@ class TestConnectTargets:
         with connect(
             f"cluster:{tmp_path / 'rk-plans'}?workers=1&auto_restart=true"
             f"&max_restarts=9&restart_backoff=0.03&max_restart_backoff=0.5"
-            f"&stability_window=1.5&shm_threshold=off"
+            f"&stability_window=1.5"
         ) as client:
             assert client.backend.auto_restart is True
             assert client.backend.max_restarts == 9
             assert client.backend.restart_backoff == 0.03
             assert client.backend.max_restart_backoff == 0.5
             assert client.backend.stability_window == 1.5
-            assert client.backend._worker_config[-1] is None  # shm off
+            # (directory, capacity, max_batch, handler_threads,
+            # max_queue_depth, max_concurrent_ensembles): no transport knob.
+            assert client.backend._worker_config[1:] == (4, 64, 4, None, None)
 
     def test_cluster_ensemble_timeout_default_exceeds_predict_timeout(self):
         from repro.api import ClusterClient

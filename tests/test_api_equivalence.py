@@ -30,16 +30,12 @@ from repro.runtime import compile_model
 from repro.serve import InferenceService, PlanRegistry, PlanServer
 
 MODELS = (("alpha", 4, "acm"), ("beta", None, "de"))
-#: "cluster-shm" is the same sharded backend with ``shm_threshold=0``:
-#: every request/response array is forced over the shared-memory
-#: transport, so its bit-identity with the pipe-based "cluster" (and with
-#: everything else) is enforced by every test in this module.
-BACKENDS = ("local", "http", "cluster", "cluster-shm")
+BACKENDS = ("local", "http", "cluster")
 
 
 @pytest.fixture(scope="module")
 def matrix(tmp_path_factory):
-    """One plan directory, four live backends, shared evaluation data."""
+    """One plan directory, three live backends, shared evaluation data."""
     directory = tmp_path_factory.mktemp("equivalence-plans")
     registry = PlanRegistry(directory)
     plans = {}
@@ -54,29 +50,18 @@ def matrix(tmp_path_factory):
     clients = {
         "local": connect(f"local:{directory}?max_batch=16"),
         "http": connect(server.url),
-        "cluster": connect(
-            f"cluster:{directory}?workers=2&max_batch=16&shm_threshold=off"
-        ),
-        "cluster-shm": connect(
-            f"cluster:{directory}?workers=2&max_batch=16&shm_threshold=0"
-        ),
+        "cluster": connect(f"cluster:{directory}?workers=2&max_batch=16"),
     }
     clients["cluster"].backend.wait_ready(timeout=120)
-    clients["cluster-shm"].backend.wait_ready(timeout=120)
     rng = np.random.default_rng(11)
     images = rng.normal(size=(8, 16))
     labels = rng.integers(0, 10, size=8)
     yield SimpleNamespace(directory=directory, plans=plans, clients=clients,
                           images=images, labels=labels,
                           server=server)
-    shm_base = clients["cluster-shm"].backend._shm_base
     for client in clients.values():
         client.close()
     server.close()
-    # The shm-forced cluster may not leave a single orphaned segment.
-    from repro.serve.shm import list_segments
-
-    assert list_segments(shm_base) == []
 
 
 def run_script(client, images, labels):
@@ -129,11 +114,11 @@ class TestBitEquivalence:
                 )
 
     def test_same_study_spec_identical_through_every_backend(self, matrix):
-        """The async study path: one spec, four backends, identical bits.
+        """The async study path: one spec, three backends, identical bits.
 
         Submits the *same* multi-model :class:`StudySpec` through
         ``submit_study`` on every backend — the local in-process manager,
-        the HTTP server's manager, and both cluster transports — and the
+        the HTTP server's manager, and the cluster — and the
         collected :class:`StudyResult` cells must agree to the last bit,
         accuracy scoring included.
         """

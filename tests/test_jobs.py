@@ -558,11 +558,13 @@ class TestCheckpointResume:
 # Retry policy
 # ---------------------------------------------------------------------- #
 class _Flaky:
-    """Backend wrapper: the first ``failures`` calls die like a worker."""
+    """Backend wrapper: the first ``failures`` calls die like a worker
+    (like a crash-looped shard when ``breaker_open``)."""
 
-    def __init__(self, inner, failures):
+    def __init__(self, inner, failures, breaker_open=False):
         self.inner = inner
         self.failures = failures
+        self.breaker_open = breaker_open
         self.calls = 0
         self.lock = threading.Lock()
 
@@ -571,7 +573,8 @@ class _Flaky:
             self.calls += 1
             if self.failures > 0:
                 self.failures -= 1
-                raise WorkerDied("injected worker death")
+                raise WorkerDied("injected worker death",
+                                 breaker_open=self.breaker_open)
         return self.inner.ensemble_request(request)
 
 
@@ -605,6 +608,23 @@ class TestRetries:
             manager.close()
         assert status.failed
         assert status.error_code == "worker_died"
+
+    def test_breaker_open_worker_death_fails_without_retry(
+        self, service, study_inputs
+    ):
+        # An open circuit breaker means the shard stays down until an
+        # operator re-admits it, so the cell must not back off and retry.
+        backend = _Flaky(service, failures=10 ** 6, breaker_open=True)
+        manager = JobManager(backend, max_workers=1, retry_backoff=0.001)
+        try:
+            job_id = manager.submit(_spec(study_inputs))
+            status = manager.wait(job_id, timeout=60.0)
+        finally:
+            manager.close()
+        assert status.failed
+        assert status.error_code == "worker_died"
+        assert backend.calls == 1
+        assert status.retries == 0
 
     def test_request_errors_fail_without_retry(self, service, study_inputs):
         class _Rejecting:

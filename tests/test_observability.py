@@ -7,7 +7,7 @@ The operational claims under test:
   backwards, and it agrees with ``stats_summary()`` — one source of
   truth, two renderings;
 * a request id survives every transport of the equivalence matrix
-  (local, HTTP, cluster pipe, cluster shm), is echoed as
+  (local, HTTP, cluster), is echoed as
   ``X-Request-Id``, and is greppable in worker-side structured logs;
 * ``/healthz`` degrades (503 + per-shard detail) when a worker dies and
   recovers after a restart;
@@ -47,7 +47,7 @@ from repro.runtime.wire import encode_array
 from repro.serve import InferenceService, PlanCluster, PlanRegistry, PlanServer
 
 TOKEN = "obs-secret"
-BACKENDS = ("local", "http", "cluster", "cluster-shm")
+BACKENDS = ("local", "http", "cluster")
 
 
 def _publish_model(directory, name="mlp", seed=0):
@@ -87,32 +87,23 @@ def _predict_body(images):
 
 
 # ---------------------------------------------------------------------- #
-# The four-backend stack (mirrors the equivalence matrix, plus log dirs)
+# The three-backend stack (mirrors the equivalence matrix, plus log dirs)
 # ---------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def stack(tmp_path_factory):
     directory = tmp_path_factory.mktemp("obs-plans")
     _publish_model(directory)
-    log_dirs = {
-        "cluster": tmp_path_factory.mktemp("pipe-logs"),
-        "cluster-shm": tmp_path_factory.mktemp("shm-logs"),
-    }
+    log_dirs = {"cluster": tmp_path_factory.mktemp("pipe-logs")}
     service = InferenceService(PlanRegistry(directory), max_batch=16)
     server = PlanServer(service, own_backend=True, auth_token=TOKEN).start()
     clients = {
         "local": connect(f"local:{directory}?max_batch=16"),
         "http": connect(server.url, token=TOKEN),
         "cluster": connect(
-            f"cluster:{directory}?workers=1&shm_threshold=off"
-            f"&log_dir={log_dirs['cluster']}"
-        ),
-        "cluster-shm": connect(
-            f"cluster:{directory}?workers=1&shm_threshold=0"
-            f"&log_dir={log_dirs['cluster-shm']}"
+            f"cluster:{directory}?workers=1&log_dir={log_dirs['cluster']}"
         ),
     }
     clients["cluster"].backend.wait_ready(timeout=120)
-    clients["cluster-shm"].backend.wait_ready(timeout=120)
     images = np.random.default_rng(7).normal(size=(6, 16))
     yield SimpleNamespace(
         directory=directory, server=server, service=service,
@@ -253,17 +244,6 @@ class TestMetricsScrape:
         assert any(dict(series).get("worker") == "0"
                    for series in worker_requests)
 
-    def test_shm_cluster_reports_segment_traffic(self, stack):
-        client = stack.clients["cluster-shm"]
-        client.predict(PredictRequest(
-            images=stack.images, model="mlp", mapping="acm", bits=4))
-        text_families = client.backend.metrics_families()
-        from repro.obs import render
-        families = prometheus.validate(render(text_families))
-        shm_bytes = prometheus.counter_values(
-            families, "repro_cluster_shm_bytes_total")
-        assert sum(shm_bytes.values()) > 0
-
 
 # ---------------------------------------------------------------------- #
 # Request-id round trip
@@ -315,10 +295,10 @@ class TestRequestIdRoundTrip:
         assert status == 404
         assert headers["x-request-id"] == "err-trace-7"
 
-    @pytest.mark.parametrize("backend", ("cluster", "cluster-shm"))
+    @pytest.mark.parametrize("backend", ("cluster",))
     def test_id_lands_in_worker_structured_logs(self, stack, backend):
         client = stack.clients[backend]
-        supplied = f"grep-me-{backend.replace('-', '_')}"
+        supplied = f"grep-me-{backend}"
         client.predict(PredictRequest(
             images=stack.images, model="mlp", mapping="acm", bits=4,
             request_id=supplied))

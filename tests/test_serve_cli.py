@@ -61,18 +61,17 @@ class TestArgumentParsing:
         args = cli.build_parser().parse_args([
             "--plan-dir", str(tmp_path / "c"), "--workers", "1",
             "--auto-restart", "--max-restarts", "7",
-            "--shm-threshold", "1024", "--max-concurrent-ensembles", "3",
+            "--max-concurrent-ensembles", "3",
         ])
         assert args.auto_restart is True
         assert args.max_restarts == 7
-        assert args.shm_threshold == 1024
         assert args.max_concurrent_ensembles == 3
         backend = cli.build_backend(args)
         try:
             assert isinstance(backend, PlanCluster)
             assert backend.auto_restart is True
             assert backend.max_restarts == 7
-            assert backend._worker_config[-1] == 1024  # shm_threshold
+            assert backend._worker_config[-1] == 3  # max_concurrent_ensembles
         finally:
             backend.close()
 
@@ -82,22 +81,14 @@ class TestArgumentParsing:
                                        # scheduler has no coalescing window
                                        # and no adaptive cap.
                                        ["--max-wait-ms", "2"],
-                                       ["--max-batch", "auto"]])
+                                       ["--max-batch", "auto"],
+                                       # Removed transport knob: every
+                                       # array rides the worker pipe.
+                                       ["--shm-threshold", "1024"]])
     def test_removed_edge_flags_are_rejected(self, flags, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["--plan-dir", "plans", *flags])
         assert exit_info.value.code == 2
-
-    def test_negative_shm_threshold_disables_the_transport(self, tmp_path):
-        args = cli.build_parser().parse_args([
-            "--plan-dir", str(tmp_path / "d"), "--workers", "1",
-            "--shm-threshold", "-1",
-        ])
-        backend = cli.build_backend(args)
-        try:
-            assert backend._worker_config[-1] is None
-        finally:
-            backend.close()
 
 
 class TestImportOrder:

@@ -1,7 +1,8 @@
 """Tests for the sharded multi-process serving cluster.
 
 Certifies the three cluster contracts: results are exactly what an
-in-process service produces (the pickle boundary adds nothing), the
+in-process service produces (the pickle boundary adds nothing, even for a
+4 MiB request), the
 model-key partition is stable and total, and shutdown drains in-flight
 work instead of dropping it.  One cluster is shared per module — spawning
 worker processes is the expensive part.
@@ -9,6 +10,8 @@ worker processes is the expensive part.
 
 from __future__ import annotations
 
+import os
+import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -37,6 +40,9 @@ from tests.test_serve_http import _predict_body, _request
 
 MODEL_NAMES = ("alpha", "beta", "gamma")
 
+#: The wide model's request: 128 rows of 4096 float64 inputs, 4 MiB.
+WIDE_ROWS, WIDE_INPUTS = 128, 4096
+
 
 def _wait_pending(worker, count, timeout=60.0):
     """Block until ``count`` requests sit in a worker handle's pending
@@ -60,12 +66,17 @@ def cluster_env(tmp_path_factory):
                          quantizer_bits=4, seed=seed)
         registry.publish_model(model, name, 4, "acm")
         plans[name] = compile_model(model)
+    wide = make_mlp(input_size=WIDE_INPUTS, hidden_sizes=(16,), mapping="acm",
+                    quantizer_bits=4, seed=0)
+    registry.publish_model(wide, "wide", 4, "acm")
     cluster = PlanCluster(directory, num_workers=2, max_batch=16)
     cluster.wait_ready(timeout=120)
     images = np.random.default_rng(3).normal(size=(6, 1, 4, 4))
     yield SimpleNamespace(
         directory=directory, registry=registry, plans=plans,
-        cluster=cluster, images=images,
+        cluster=cluster, images=images, wide_plan=compile_model(wide),
+        wide_images=np.random.default_rng(1).normal(
+            size=(WIDE_ROWS, WIDE_INPUTS)),
     )
     cluster.close()
 
@@ -97,15 +108,22 @@ class TestSharding:
             PlanCluster(tmp_path, num_workers=0)
         with pytest.raises(ValueError):
             PlanCluster(tmp_path, num_workers=2, handler_threads=0)
+        # The shared-memory transport is gone; so is its knob.
+        with pytest.raises(TypeError):
+            PlanCluster(tmp_path, shm_threshold=0)
 
 
 class TestClusterRequests:
     def test_predict_exact_for_every_model(self, cluster_env):
-        for name, plan in cluster_env.plans.items():
+        cases = [(name, plan, cluster_env.images)
+                 for name, plan in cluster_env.plans.items()]
+        # A 4 MiB batch crosses the worker pipe as one pickle, bit-exact.
+        cases.append(("wide", cluster_env.wide_plan, cluster_env.wide_images))
+        for name, plan, images in cases:
             logits = cluster_env.cluster.predict_request(PredictRequest(
-                cluster_env.images, model=name, bits=4, mapping="acm",
+                images, model=name, bits=4, mapping="acm",
             )).logits
-            np.testing.assert_array_equal(logits, plan.run(cluster_env.images))
+            np.testing.assert_array_equal(logits, plan.run(images))
 
     def test_single_sample_request_drops_batch_axis(self, cluster_env):
         # The MLP plans take flat (16,) samples; a single flat vector must
@@ -238,10 +256,17 @@ class TestClusterLifecycle:
         cluster = PlanCluster(tmp_path / "plans", num_workers=1)
         cluster.wait_ready(timeout=120)
         request = PredictRequest(images, model="solo", bits=4, mapping="acm")
+        worker = cluster._workers[0]
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(cluster.predict_request, request)
-                       for _ in range(8)]
-            _wait_pending(cluster._workers[0], len(futures))
+            # A stopped worker cannot answer, so all 8 requests are in
+            # flight together however slowly the client threads start.
+            os.kill(worker.process.pid, signal.SIGSTOP)
+            try:
+                futures = [pool.submit(cluster.predict_request, request)
+                           for _ in range(8)]
+                _wait_pending(worker, len(futures))
+            finally:
+                os.kill(worker.process.pid, signal.SIGCONT)
             cluster.close()
             for future in futures:
                 np.testing.assert_array_equal(future.result(timeout=10).logits,
