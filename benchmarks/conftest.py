@@ -8,12 +8,22 @@ is the printed table, not the wall-clock statistics.
 
 The scale can be adjusted through the ``REPRO_BENCH_SCALE`` environment
 variable (``smoke``, ``fast`` — the default — or ``full``).
+
+BLAS runs single-threaded unless the environment says otherwise, as in
+``perfbench``: on a 2-core host a threaded OpenBLAS slows every small batched
+execution about tenfold, which swamps what the serving benchmarks measure.
+The pin is set before anything imports NumPy, so it takes effect when the
+benchmarks run alone.
 """
 
 from __future__ import annotations
 
-import json
 import os
+
+for _blas_threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_blas_threads, "1")
+
+import json
 import time
 from dataclasses import replace
 from pathlib import Path

@@ -31,9 +31,8 @@ contribution:
     sweep over the plan.
 ``repro.serve``
     The plan-serving subsystem: a multi-model plan registry (lazy loading,
-    LRU caching, content digests), a dynamic micro-batching scheduler, an
-    inference service with deterministic and variation-ensemble requests,
-    and a process-pool driver that parallelises the Fig. 6 study.
+    LRU caching, content digests), a dynamic micro-batching scheduler, and
+    an inference service with deterministic and variation-ensemble requests.
 ``repro.api``
     The unified typed client layer over the serving stack: one ``Client``
     protocol with interchangeable in-process, HTTP, and cluster backends

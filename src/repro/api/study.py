@@ -16,9 +16,9 @@ submitted job until it finishes and return its typed
 :class:`~repro.api.types.StudyResult` (or resurrect the job's typed error).
 
 (The training side of Fig. 6 still lives in
-:func:`repro.experiments.fig6.run_variation_study` /
-:mod:`repro.serve.pool`; this module covers the inference sweep over
-*published* plans, the part a deployment actually re-runs.)
+:func:`repro.experiments.fig6.run_variation_study`; this module covers the
+inference sweep over *published* plans, the part a deployment actually
+re-runs.)
 """
 
 from __future__ import annotations

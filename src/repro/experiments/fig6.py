@@ -8,8 +8,12 @@ accuracy, averaging multiple independent variation draws per sigma.
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ExperimentScale, SCALE_FAST, dataset_for, model_for
 from repro.train.evaluate import VariationSweepResult, variation_sweep
@@ -82,47 +86,65 @@ def run_variation_study(
     (``use_runtime=None`` falls back to eager when the model cannot be
     compiled; ``False`` forces the eager reference path).
 
-    The (bits, mapping) cells are independent; ``max_workers`` other than 1
-    delegates to the process-pool driver
-    (:func:`repro.serve.pool.run_variation_study_parallel`), which trains
-    the cells across cores (``None`` = one worker per core) and returns a
-    bit-identical result.
+    The (bits, mapping) cells share nothing — each regenerates its
+    deterministic dataset and trains from ``seed`` — so ``max_workers``
+    above 1 trains them over a process pool (``None`` = one worker per
+    core) and returns a bit-identical result.  Workers are spawned, so a
+    script that sets ``max_workers`` must guard its entry point with
+    ``if __name__ == "__main__"``.
     """
-    if max_workers is None or max_workers != 1:
-        from repro.serve.pool import run_variation_study_parallel
-
-        return run_variation_study_parallel(
-            network=network, bits=bits, sigmas=sigmas, mappings=mappings,
-            scale=scale, seed=seed, use_runtime=use_runtime,
-            max_workers=max_workers,
-        )
-    train_set, test_set = dataset_for(network, scale)
+    cells = [(precision, mapping) for precision in bits for mapping in mappings]
     result = VariationStudyResult(
         network=network, bits=list(bits), sigmas=[float(s) for s in sigmas]
     )
-    for precision in bits:
-        result.accuracy[precision] = {}
-        result.sweeps[precision] = {}
-        for mapping in mappings:
-            model = model_for(
-                network, mapping, quantizer_bits=precision, scale=scale, seed=seed
-            )
-            config = TrainingConfig(
-                epochs=scale.epochs,
-                batch_size=scale.batch_size,
-                lr=scale.lr,
-                activation_bits=8,
-                seed=seed,
-            )
-            Trainer(model, train_set, test_set, config).fit()
-            sweep = variation_sweep(
-                model,
-                test_set,
-                sigmas=result.sigmas,
-                num_samples=scale.variation_samples,
-                seed=seed,
-                use_runtime=use_runtime,
-            )
-            result.accuracy[precision][mapping] = list(sweep.mean_accuracy)
-            result.sweeps[precision][mapping] = sweep
+    run_cell = functools.partial(
+        _train_and_sweep, network=network, sigmas=result.sigmas, scale=scale,
+        seed=seed, use_runtime=use_runtime,
+    )
+    if max_workers is None:
+        max_workers = os.cpu_count() or 1
+    if max_workers <= 1 or len(cells) <= 1:
+        sweeps = list(map(run_cell, cells))
+    else:
+        with ProcessPoolExecutor(
+            max_workers=min(max_workers, len(cells)),
+            mp_context=multiprocessing.get_context("spawn"),
+        ) as executor:
+            sweeps = list(executor.map(run_cell, cells))
+    for (precision, mapping), sweep in zip(cells, sweeps):
+        result.accuracy.setdefault(precision, {})[mapping] = list(sweep.mean_accuracy)
+        result.sweeps.setdefault(precision, {})[mapping] = sweep
     return result
+
+
+def _train_and_sweep(
+    cell: Tuple[Optional[int], str],
+    network: str,
+    sigmas: List[float],
+    scale: ExperimentScale,
+    seed: int,
+    use_runtime: Optional[bool],
+) -> VariationSweepResult:
+    """Train one (bits, mapping) cell and sweep it over ``sigmas``.
+
+    Module-level so it pickles into :class:`ProcessPoolExecutor` workers.
+    """
+    precision, mapping = cell
+    train_set, test_set = dataset_for(network, scale)
+    model = model_for(network, mapping, quantizer_bits=precision, scale=scale, seed=seed)
+    config = TrainingConfig(
+        epochs=scale.epochs,
+        batch_size=scale.batch_size,
+        lr=scale.lr,
+        activation_bits=8,
+        seed=seed,
+    )
+    Trainer(model, train_set, test_set, config).fit()
+    return variation_sweep(
+        model,
+        test_set,
+        sigmas=sigmas,
+        num_samples=scale.variation_samples,
+        seed=seed,
+        use_runtime=use_runtime,
+    )

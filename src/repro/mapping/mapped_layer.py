@@ -77,9 +77,7 @@ class _MappedBase(Module):
             # are quantised.
             reference_value = self.conductance_range.midpoint
             if self.quantizer is not None:
-                reference_value = float(
-                    self.quantizer.quantize_array(np.array([reference_value]))[0]
-                )
+                reference_value = float(self.quantizer.snap(np.array([reference_value]))[0])
             self.crossbar = Parameter(
                 crossbar_init[:num_outputs], constraint="non_negative", name="crossbar"
             )
@@ -136,9 +134,7 @@ class _MappedBase(Module):
             # *realised* reference so initial weights remain zero-centred.
             reference_value = midpoint
             if self.quantizer is not None:
-                reference_value = float(
-                    self.quantizer.quantize_array(np.array([midpoint]))[0]
-                )
+                reference_value = float(self.quantizer.snap(np.array([midpoint]))[0])
             free = np.clip(signed_weight + reference_value, 0.0, g_max)
             reference = np.full((1, signed_weight.shape[1]), midpoint)
             return np.concatenate([free, reference], axis=0)
@@ -159,20 +155,22 @@ class _MappedBase(Module):
     # Effective weights
     # ------------------------------------------------------------------ #
     def _crossbar_tensor(self) -> Tensor:
-        """Return the full crossbar matrix as a tensor (trainable + fixed rows)."""
+        """The realised crossbar matrix (trainable + fixed rows) as a tensor.
+
+        Any inference-time variation is drawn first; the conductances are
+        then clipped into the device range once — by the quantiser's
+        straight-through snap, or by a plain clip for full-precision devices.
+        """
         if self.mapping == "bc":
             reference = Tensor(self.reference_column)
             full = Tensor.concatenate([self.crossbar, reference], axis=0)
         else:
             full = self.crossbar
         if self.variation is not None and not self.training:
-            perturbed = self.variation.perturb(full.data, rng=self._variation_rng)
-            full = Tensor(perturbed)
+            full = Tensor(self.variation.perturb(full.data, 1, self._variation_rng)[0])
         if self.quantizer is not None:
-            full = self.quantizer.quantize_ste(full)
-        else:
-            full = full.clip(self.conductance_range.g_min, self.conductance_range.g_max)
-        return full
+            return self.quantizer.quantize_ste(full)
+        return full.clip(self.conductance_range.g_min, self.conductance_range.g_max)
 
     def _cache_usable(self) -> bool:
         """Whether the effective weight is a constant that may be memoised.

@@ -99,12 +99,8 @@ def stacked_image_target(
     the number of in-flight images) within roughly half the last-level
     cache, so the batched matmuls stay compute-bound instead of being tuned
     to one container's cache hierarchy.  Probed once per (plan, shape) and
-    memoised on the plan; the ``REPRO_STACKED_IMAGE_TARGET`` environment
-    variable overrides the probe entirely.
+    memoised on the plan.
     """
-    override = os.environ.get("REPRO_STACKED_IMAGE_TARGET")
-    if override:
-        return max(1, int(override))
     if sample_shape is None:
         sample_shape = plan.input_shape
     if sample_shape is None:

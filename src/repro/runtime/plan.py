@@ -108,8 +108,7 @@ class CrossbarSpec:
         variation = DeviceVariationModel(
             sigma_fraction=sigma_fraction, range=self.range
         )
-        stacked = variation.perturb_stack(self.conductances, num_samples, rng=rng)
-        realized = self.finalize(stacked)
+        realized = self.finalize(variation.perturb(self.conductances, num_samples, rng))
         return np.matmul(self.periphery, realized)
 
 

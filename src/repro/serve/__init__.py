@@ -31,9 +31,6 @@ such plans to concurrent clients over the network":
   ``auto_restart=True`` makes the cluster self-healing: dead workers
   respawn with backoff behind a crash-loop circuit breaker, and requests
   whose owners are all down wait for the respawn.
-* :func:`run_variation_study_parallel` (:mod:`repro.serve.pool`) — the
-  Fig. 6 study fanned out over a process pool, one worker per independent
-  (bits, mapping) training cell.
 * :class:`JobManager` (:mod:`repro.serve.jobs`) — asynchronous study jobs:
   a typed sweep spec decomposed into idempotent cells, executed through
   any typed backend, checkpointed to disk after every cell
@@ -70,7 +67,6 @@ from repro.serve.service import InferenceService
 from repro.serve.http import PlanServer, RequestError
 from repro.serve.cluster import PlanCluster, shard_index
 from repro.serve.jobs import JobManager
-from repro.serve.pool import StudyCell, run_study_cell, run_variation_study_parallel
 
 __all__ = [
     "InferenceService",
@@ -85,10 +81,7 @@ __all__ = [
     "RequestError",
     "RolloutEntry",
     "SchedulerStats",
-    "StudyCell",
     "canary_bucket",
     "parse_bits",
-    "run_study_cell",
-    "run_variation_study_parallel",
     "shard_index",
 ]

@@ -485,23 +485,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward, "clip")
 
-    def quantize_ste(self, levels: np.ndarray) -> "Tensor":
-        """Snap values to the nearest entry of ``levels``.
-
-        The backward pass uses the straight-through estimator (STE): the
-        gradient passes through unchanged.  This matches the quantised
-        training recipe of DoReFa-style methods referenced by the paper.
-        """
-        levels = np.asarray(levels, dtype=self.data.dtype)
-        indices = np.abs(self.data[..., None] - levels).argmin(axis=-1)
-        data = levels[indices]
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad)
-
-        return Tensor._make(data, (self,), backward, "quantize_ste")
-
     def softmax(self, axis: int = -1) -> "Tensor":
         shifted = self - Tensor(self.data.max(axis=axis, keepdims=True))
         exponentials = shifted.exp()

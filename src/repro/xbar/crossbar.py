@@ -76,8 +76,9 @@ class CrossbarArray:
     def program(self, target: np.ndarray) -> np.ndarray:
         """Program the tile to the target conductance matrix.
 
-        The target is clipped to the conductance range, quantised to the
-        available device states, and perturbed by device variation.  The
+        The target is clipped to the conductance range and quantised to the
+        available device states (the quantiser's snap clips), then perturbed
+        by device variation and clipped back into the range.  The
         actually-programmed conductances are stored and returned.
         """
         target = np.asarray(target, dtype=np.float64)
@@ -87,11 +88,13 @@ class CrossbarArray:
             )
         if (target < 0).any():
             raise ValueError("crossbar conductances must be non-negative")
-        programmed = self.range.clip(target)
         if self.quantizer is not None:
-            programmed = self.quantizer.quantize_array(programmed)
+            programmed = self.quantizer.snap(target)
+        else:
+            programmed = self.range.clip(target)
         if self.variation is not None:
-            programmed = self.variation.perturb(programmed, rng=self._rng)
+            noisy = self.variation.perturb(programmed, 1, self._rng)[0]
+            programmed = self.range.clip(noisy)
         self.conductances = programmed
         return programmed.copy()
 

@@ -4,11 +4,16 @@ The paper assumes synapse conductances in ``[Gmin, Gmax]`` (with ``Gmin = 0``
 for simplicity) and ``2^B`` equally spaced states for a ``B``-bit device.
 During training the crossbar matrix ``M`` is quantised to these states with a
 straight-through estimator, following the DoReFa-style recipe the paper cites.
+
+:class:`UniformQuantizer` holds the only nearest-level search: training's
+straight-through estimator, compiled plans, Monte-Carlo draws and tile
+programming all map a conductance to a device state through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -87,49 +92,66 @@ class UniformQuantizer:
         """Spacing between adjacent quantisation levels."""
         return self.range.span / (self.num_levels - 1)
 
-    def quantize_array(self, values: np.ndarray) -> np.ndarray:
-        """Snap a NumPy array to the nearest quantisation level.
-
-        Ties (values exactly half-way between two levels) resolve to the lower
-        level, matching the tensor-path quantiser (:meth:`quantize_ste`) so
-        that the two code paths always program identical device states.
-        """
-        return self.snap(values)
-
     def snap(self, values: np.ndarray) -> np.ndarray:
-        """Vectorised nearest-level snap with O(N) memory.
+        """Clip values into the range and snap each to its nearest level.
 
-        Equivalent to an arg-min over the full level table (ties resolve to
-        the lower level) but computed from a rounded candidate index refined
-        against its two neighbours, so snapping a stacked Monte-Carlo draw of
-        conductances does not materialise an ``N x 2^bits`` distance matrix.
+        Ties (values exactly half-way between two levels) resolve to the
+        lower level, exactly like an arg-min over the full level table.
         """
-        values = self.range.clip(np.asarray(values, dtype=np.float64))
-        candidate = np.rint((values - self.range.g_min) / self.step).astype(np.int64)
-        candidate = np.clip(candidate, 0, self.num_levels - 1)
-        # The float-computed candidate can be off by one; compare against the
-        # lower/self/upper neighbours in ascending order so exact half-way
-        # values pick the lower level, exactly like argmin over all levels.
-        neighbours = np.stack(
-            [
-                np.clip(candidate - 1, 0, self.num_levels - 1),
-                candidate,
-                np.clip(candidate + 1, 0, self.num_levels - 1),
-            ]
-        )
-        distances = np.abs(values[None, ...] - self.levels[neighbours])
-        best = distances.argmin(axis=0)
-        return self.levels[np.take_along_axis(neighbours, best[None, ...], axis=0)[0]]
-
-    def quantize_ste(self, tensor: Tensor) -> Tensor:
-        """Quantise a tensor with a straight-through estimator backward pass."""
-        clipped = tensor.clip(self.range.g_min, self.range.g_max)
-        return clipped.quantize_ste(self.levels)
+        return self.levels[self.state_index(values)]
 
     def state_index(self, values: np.ndarray) -> np.ndarray:
-        """Return the integer state index of each value (ties resolve downward)."""
-        values = self.range.clip(np.asarray(values, dtype=np.float64))
-        return np.abs(values[..., None] - self.levels).argmin(axis=-1)
+        """Clip values into the range and return each nearest level's index."""
+        return self._nearest_index(self.range.clip(np.asarray(values, dtype=np.float64)))
+
+    def quantize_ste(self, tensor: Tensor) -> Tensor:
+        """Clip and snap a tensor with a straight-through estimator backward.
+
+        The clip keeps its gradient mask (zero outside the range); the snap
+        passes the gradient through unchanged, the DoReFa-style recipe.
+        """
+        clipped = tensor.clip(self.range.g_min, self.range.g_max)
+
+        def backward(grad: np.ndarray) -> None:
+            if clipped.requires_grad:
+                clipped._accumulate(grad)
+
+        data = self.levels[self._nearest_index(clipped.data)]
+        return Tensor._make(data, (clipped,), backward, "quantize_ste")
+
+    def _nearest_index(self, clipped: np.ndarray) -> np.ndarray:
+        """Index of the nearest level of each in-range value, in O(N) memory.
+
+        The rounded candidate index can be off by one in floating point, so
+        it is compared against its upper and then its lower neighbour; the
+        strict/non-strict comparisons make ties resolve to the lower level.
+        """
+        shape = np.shape(clipped)
+        clipped = np.reshape(clipped, -1)
+        top = self.num_levels - 1
+        index = np.rint((clipped - self.range.g_min) / self.step).astype(np.int64)
+        np.clip(index, 0, top, out=index)
+        lower = np.maximum(index - 1, 0)
+        upper = np.minimum(index + 1, top)
+        best = self._distance(clipped, index)
+        distance = self._distance(clipped, upper)
+        np.copyto(index, upper, where=distance < best)
+        np.minimum(best, distance, out=best)
+        self._distance(clipped, lower, out=distance)
+        np.copyto(index, lower, where=distance <= best)
+        return index.reshape(shape)
+
+    def _distance(
+        self, clipped: np.ndarray, index: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``|clipped - levels[index]|``, computed in one buffer.
+
+        Indices are always in range; ``mode="clip"`` only stops ``np.take``
+        from staging the gather in a temporary copy of ``out``.
+        """
+        out = np.take(self.levels, index, out=out, mode="clip")
+        np.subtract(clipped, out, out=out)
+        return np.abs(out, out=out)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

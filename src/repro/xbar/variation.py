@@ -21,22 +21,21 @@ from repro.xbar.quantization import ConductanceRange
 class DeviceVariationModel:
     """Zero-mean Gaussian conductance variation.
 
+    The model only adds noise; clipping the perturbed conductances back into
+    ``[Gmin, Gmax]`` is part of realising them on the devices (the
+    quantiser's snap, or an explicit clip), which every caller does once.
+
     Attributes
     ----------
     sigma_fraction:
         Standard deviation of the perturbation, as a fraction of the
         conductance range span (the paper sweeps 0 to 25 %).
     range:
-        Conductance range; used both to scale the perturbation and to clip the
-        perturbed values back into the physically representable interval.
-    clip_to_range:
-        Whether to clip perturbed conductances back into ``[Gmin, Gmax]``.
-        Real devices cannot leave their range, so this defaults to ``True``.
+        Conductance range whose span scales the perturbation.
     """
 
     sigma_fraction: float = 0.0
     range: ConductanceRange = ConductanceRange()
-    clip_to_range: bool = True
 
     def __post_init__(self) -> None:
         if self.sigma_fraction < 0:
@@ -48,19 +47,6 @@ class DeviceVariationModel:
         return self.sigma_fraction * self.range.span
 
     def perturb(
-        self, conductances: np.ndarray, rng: Optional[np.random.Generator] = None
-    ) -> np.ndarray:
-        """Return a perturbed copy of ``conductances``."""
-        conductances = np.asarray(conductances, dtype=np.float64)
-        if self.sigma_fraction == 0.0:
-            return conductances.copy()
-        rng = rng if rng is not None else np.random.default_rng()
-        noisy = conductances + rng.normal(0.0, self.sigma_absolute, size=conductances.shape)
-        if self.clip_to_range:
-            noisy = self.range.clip(noisy)
-        return noisy
-
-    def perturb_stack(
         self,
         conductances: np.ndarray,
         num_samples: int,
@@ -68,35 +54,19 @@ class DeviceVariationModel:
     ) -> np.ndarray:
         """Draw ``num_samples`` independent perturbations in one stacked array.
 
-        Returns an array of shape ``(num_samples,) + conductances.shape``;
-        the Monte-Carlo inference engine evaluates all draws of a variation
-        sigma point with one batched pass instead of one model run per draw.
+        Returns an array of shape ``(num_samples,) + conductances.shape``.
+        The normal draw fills the stack sample by sample, so ``[0]`` of a
+        one-sample stack is bit-identical to an unstacked draw from the same
+        generator state; the Monte-Carlo engine evaluates all draws of a
+        sigma point with one batched pass.
         """
         if num_samples < 1:
             raise ValueError("num_samples must be at least 1")
         conductances = np.asarray(conductances, dtype=np.float64)
+        shape = (num_samples,) + conductances.shape
         if self.sigma_fraction == 0.0:
-            return np.broadcast_to(
-                conductances, (num_samples,) + conductances.shape
-            ).copy()
+            return np.broadcast_to(conductances, shape).copy()
         rng = rng if rng is not None else np.random.default_rng()
-        noisy = conductances[None, ...] + rng.normal(
-            0.0, self.sigma_absolute, size=(num_samples,) + conductances.shape
-        )
-        if self.clip_to_range:
-            noisy = self.range.clip(noisy)
+        noisy = rng.normal(0.0, self.sigma_absolute, size=shape)
+        noisy += conductances
         return noisy
-
-
-def apply_variation(
-    conductances: np.ndarray,
-    sigma_fraction: float,
-    conductance_range: ConductanceRange = ConductanceRange(),
-    rng: Optional[np.random.Generator] = None,
-    clip_to_range: bool = True,
-) -> np.ndarray:
-    """Functional convenience wrapper around :class:`DeviceVariationModel`."""
-    model = DeviceVariationModel(
-        sigma_fraction=sigma_fraction, range=conductance_range, clip_to_range=clip_to_range
-    )
-    return model.perturb(conductances, rng=rng)

@@ -116,6 +116,19 @@ class TestFig6Driver:
         assert result.accuracy_at(3, "acm", 0.0) == result.accuracy[3]["acm"][0]
         assert len(result.as_rows()) == 2
 
+    def test_process_pool_study_matches_sequential(self):
+        kwargs = dict(network="mlp", bits=(4,), mappings=("acm", "de"),
+                      sigmas=(0.0, 0.2), scale=SCALE_SMOKE, seed=3,
+                      use_runtime=True)
+        sequential = run_variation_study(**kwargs)
+        parallel = run_variation_study(**kwargs, max_workers=2)
+        assert parallel.accuracy == sequential.accuracy
+        assert parallel.sigmas == sequential.sigmas
+        for precision in sequential.bits:
+            for mapping in ("acm", "de"):
+                assert (parallel.sweeps[precision][mapping].samples
+                        == sequential.sweeps[precision][mapping].samples)
+
 
 class TestTable1Driver:
     def test_system_comparison_matches_report(self):

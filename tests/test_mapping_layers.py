@@ -86,7 +86,7 @@ class TestMappedLinearForward:
     def test_quantized_forward_uses_quantized_conductances(self, rng):
         layer = MappedLinear(5, 4, mapping="acm", quantizer_bits=2, rng=make_rng(3))
         weight = layer.effective_weight()
-        quantized_crossbar = layer.quantizer.quantize_array(layer.conductances())
+        quantized_crossbar = layer.quantizer.snap(layer.conductances())
         expected = layer.periphery.matrix @ quantized_crossbar
         np.testing.assert_allclose(weight, expected, atol=1e-12)
 

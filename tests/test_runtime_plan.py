@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.mapping import MappedConv2d, MappedLinear
 from repro.models import make_lenet, make_mlp, make_resnet20, make_vgg9
 from repro.nn.module import Module
 from repro.runtime import (
     ConvOp,
+    CrossbarSpec,
     DenseOp,
     FlattenOp,
     InferencePlan,
@@ -263,6 +266,80 @@ class TestMonteCarlo:
         np.testing.assert_allclose(f32, f64, atol=1e-4)
 
 
+def _oracle_draw(plan, sigma_fraction, num_samples, rng):
+    """Reference device realisation, op-major from one generator.
+
+    Each crossbar's raw conductances get Gaussian noise, are clipped into the
+    device range and, for discrete devices, moved to the nearest level by an
+    arg-min over the full level table; the periphery matrix then maps each
+    sample to its effective weight.
+    """
+    sampled = {}
+    for index, op in enumerate(plan.ops):
+        spec = getattr(op, "spec", None)
+        if spec is None:
+            continue
+        noise = rng.normal(0.0, sigma_fraction * (spec.g_max - spec.g_min),
+                           size=(num_samples,) + spec.conductances.shape)
+        realized = np.clip(spec.conductances + noise, spec.g_min, spec.g_max)
+        if spec.quantizer_bits is not None:
+            levels = np.linspace(spec.g_min, spec.g_max, 2 ** spec.quantizer_bits)
+            realized = levels[np.abs(realized[..., None] - levels).argmin(axis=-1)]
+        sampled[index] = np.matmul(spec.periphery, realized)
+    return sampled
+
+
+def _spec_of(layer) -> CrossbarSpec:
+    return CrossbarSpec(
+        conductances=layer.conductances(), periphery=layer.periphery.matrix,
+        g_min=layer.conductance_range.g_min, g_max=layer.conductance_range.g_max,
+        quantizer_bits=layer.quantizer.bits if layer.quantizer is not None else None,
+    )
+
+
+class TestDrawBits:
+    """Seeded variation draws are pinned bit for bit."""
+
+    @pytest.mark.parametrize("mapping", MAPPINGS)
+    @pytest.mark.parametrize("bits", PRECISIONS)
+    @pytest.mark.parametrize("num_samples", [1, 7])
+    def test_sampled_weights_equal_the_oracle(self, mapping, bits, num_samples):
+        plan = compile_model(make_lenet(mapping=mapping, quantizer_bits=bits, seed=0))
+        sampled = sample_crossbar_weights(
+            plan, 0.15, num_samples, rng=np.random.default_rng(num_samples)
+        )
+        expected = _oracle_draw(plan, 0.15, num_samples, np.random.default_rng(num_samples))
+        assert set(sampled) == set(expected)
+        for index, stack in sampled.items():
+            np.testing.assert_array_equal(stack, expected[index])
+
+    @pytest.mark.parametrize("mapping", MAPPINGS)
+    @pytest.mark.parametrize("bits", PRECISIONS)
+    @pytest.mark.parametrize("kind", ["linear", "conv"])
+    def test_eager_draw_equals_one_sample_plan_draw(self, mapping, bits, kind):
+        if kind == "linear":
+            layer = MappedLinear(12, 5, mapping=mapping, quantizer_bits=bits,
+                                 rng=np.random.default_rng(4))
+        else:
+            layer = MappedConv2d(2, 4, 3, mapping=mapping, quantizer_bits=bits,
+                                 rng=np.random.default_rng(4))
+        layer.eval()
+        layer.set_variation(0.15, rng=np.random.default_rng(9))
+        expected = _spec_of(layer).sample_weights(0.15, 1, np.random.default_rng(9))[0]
+        np.testing.assert_array_equal(layer.effective_weight(), expected)
+
+    def test_cold_draw_peak_memory_stays_below_eight_stacks(self):
+        plan = compile_model(make_lenet(mapping="acm", quantizer_bits=4, seed=0))
+        tracemalloc.start()
+        try:
+            sampled = sample_crossbar_weights(plan, 0.1, 256, rng=np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stack_bytes = sum(stack.nbytes for stack in sampled.values())
+        assert peak < 8 * stack_bytes, f"peak {peak / stack_bytes:.1f}x the stacks"
+
+
 class TestPlanSerialization:
     @pytest.mark.parametrize("factory,sample_shape", [
         (lambda: make_mlp(input_size=16, hidden_sizes=(8,), mapping="acm",
@@ -434,10 +511,6 @@ class TestAdaptiveStackingTarget:
         assert stacked_image_target(conv_plan) == low  # memoised on the plan
         conv_plan.__dict__.pop("_image_target_cache", None)
         assert stacked_image_target(conv_plan) == high
-
-    def test_env_override_wins(self, conv_plan, monkeypatch):
-        monkeypatch.setenv("REPRO_STACKED_IMAGE_TARGET", "96")
-        assert stacked_image_target(conv_plan) == 96
 
     def test_shapeless_plan_falls_back_to_default(self):
         from repro.runtime import montecarlo

@@ -1,4 +1,4 @@
-"""Tests for the plan-serving subsystem (registry, scheduler, service, pool)."""
+"""Tests for the plan-serving subsystem (registry, scheduler, service)."""
 
 from __future__ import annotations
 
@@ -589,24 +589,3 @@ class TestServiceCatalogue:
         assert summary["mlp__4b__acm"]["num_rows"] == 3
         assert summary["ensemble_cache"] == {"hits": 0, "misses": 0, "size": 0}
         json.dumps(summary)  # must serialise without custom encoders
-
-
-# ---------------------------------------------------------------------- #
-# Parallel study driver
-# ---------------------------------------------------------------------- #
-class TestParallelStudy:
-    def test_process_pool_study_matches_sequential(self):
-        from repro.experiments.config import SCALE_SMOKE
-        from repro.experiments.fig6 import run_variation_study
-
-        kwargs = dict(network="mlp", bits=(4,), mappings=("acm", "de"),
-                      sigmas=(0.0, 0.2), scale=SCALE_SMOKE, seed=3,
-                      use_runtime=True)
-        sequential = run_variation_study(**kwargs)
-        parallel = run_variation_study(**kwargs, max_workers=2)
-        assert parallel.accuracy == sequential.accuracy
-        assert parallel.sigmas == sequential.sigmas
-        for precision in sequential.bits:
-            for mapping in ("acm", "de"):
-                assert (parallel.sweeps[precision][mapping].samples
-                        == sequential.sweeps[precision][mapping].samples)

@@ -11,6 +11,7 @@ import pytest
 
 from repro.tensor import Tensor, no_grad, is_grad_enabled
 from repro.tensor.tensor import stack
+from repro.xbar.quantization import ConductanceRange, UniformQuantizer
 
 
 def numerical_gradient(function, array: np.ndarray, epsilon: float = 1e-6) -> np.ndarray:
@@ -295,14 +296,16 @@ class TestSoftmaxAndQuantize:
             rng.normal(size=(3, 3)),
         )
 
+    # The straight-through quantiser is the device quantiser's autograd op.
+    QUANTIZER = UniformQuantizer(2, ConductanceRange(0.0, 1.5))  # 0, .5, 1, 1.5
+
     def test_quantize_ste_snaps_to_levels(self):
-        levels = np.array([0.0, 0.5, 1.0])
-        quantized = Tensor([0.1, 0.4, 0.8]).quantize_ste(levels)
+        quantized = self.QUANTIZER.quantize_ste(Tensor([0.1, 0.4, 0.8]))
         np.testing.assert_allclose(quantized.data, [0.0, 0.5, 1.0])
 
     def test_quantize_ste_passes_gradient_through(self):
         tensor = Tensor([0.1, 0.4, 0.8], requires_grad=True)
-        tensor.quantize_ste(np.array([0.0, 0.5, 1.0])).sum().backward()
+        self.QUANTIZER.quantize_ste(tensor).sum().backward()
         np.testing.assert_allclose(tensor.grad, [1.0, 1.0, 1.0])
 
 

@@ -65,27 +65,27 @@ class TestUniformQuantizer:
 
     def test_quantize_array_snaps_to_levels(self):
         quantizer = UniformQuantizer(2)  # levels 0, 1/3, 2/3, 1
-        result = quantizer.quantize_array(np.array([0.1, 0.4, 0.9]))
+        result = quantizer.snap(np.array([0.1, 0.4, 0.9]))
         np.testing.assert_allclose(result, [0.0, 1.0 / 3.0, 1.0])
 
     def test_quantize_array_clips_out_of_range(self):
         quantizer = UniformQuantizer(3)
-        result = quantizer.quantize_array(np.array([-0.5, 1.5]))
+        result = quantizer.snap(np.array([-0.5, 1.5]))
         np.testing.assert_allclose(result, [0.0, 1.0])
 
     def test_quantize_matches_tensor_path(self, rng):
         """The array path and the STE tensor path must program identical states."""
         quantizer = UniformQuantizer(3, ConductanceRange(0.0, 1.6))
         values = rng.uniform(-0.2, 1.8, size=(40, 7))
-        via_array = quantizer.quantize_array(values)
+        via_array = quantizer.snap(values)
         via_tensor = quantizer.quantize_ste(Tensor(values)).data
-        np.testing.assert_allclose(via_array, via_tensor)
+        np.testing.assert_array_equal(via_array, via_tensor)
 
     def test_midpoint_tie_consistency(self):
         """Exact half-step values must quantise identically on both paths."""
         quantizer = UniformQuantizer(2, ConductanceRange(0.0, 1.0))
         midpoint = np.array([0.5])
-        assert quantizer.quantize_array(midpoint)[0] == pytest.approx(
+        assert quantizer.snap(midpoint)[0] == pytest.approx(
             quantizer.quantize_ste(Tensor(midpoint)).data[0]
         )
 
@@ -107,6 +107,11 @@ class TestUniformQuantizer:
             quantizer.state_index(np.array([0.0, 0.34, 1.0])), [0, 1, 3]
         )
 
+    def test_scalar_input_keeps_its_shape(self):
+        quantizer = UniformQuantizer(2)
+        assert quantizer.state_index(0.34).shape == ()
+        assert quantizer.snap(0.34) == pytest.approx(1.0 / 3.0)
+
     # ------------------------------------------------------------------ #
     # Property-based tests
     # ------------------------------------------------------------------ #
@@ -117,8 +122,8 @@ class TestUniformQuantizer:
     @settings(max_examples=60, deadline=None)
     def test_quantization_is_idempotent(self, bits, values):
         quantizer = UniformQuantizer(bits, ConductanceRange(0.0, 2.0))
-        once = quantizer.quantize_array(np.array(values))
-        twice = quantizer.quantize_array(once)
+        once = quantizer.snap(np.array(values))
+        twice = quantizer.snap(once)
         np.testing.assert_allclose(once, twice)
 
     @given(
@@ -129,7 +134,7 @@ class TestUniformQuantizer:
     def test_quantization_error_bounded_by_half_step(self, bits, values):
         quantizer = UniformQuantizer(bits)
         array = np.array(values)
-        quantized = quantizer.quantize_array(array)
+        quantized = quantizer.snap(array)
         assert np.abs(quantized - array).max() <= quantizer.step / 2 + 1e-12
 
     @given(
@@ -139,7 +144,7 @@ class TestUniformQuantizer:
     @settings(max_examples=60, deadline=None)
     def test_quantized_values_are_valid_levels(self, bits, values):
         quantizer = UniformQuantizer(bits)
-        quantized = quantizer.quantize_array(np.array(values))
+        quantized = quantizer.snap(np.array(values))
         for value in quantized:
             assert np.isclose(value, quantizer.levels).any()
 
@@ -152,13 +157,52 @@ class TestUniformQuantizer:
         np.testing.assert_allclose(differences, quantizer.step)
 
 
+def _argmin_index(quantizer, values):
+    """Oracle: index of the nearest level by arg-min over the full table."""
+    values = quantizer.range.clip(np.asarray(values, dtype=np.float64))
+    return np.abs(values[..., None] - quantizer.levels).argmin(axis=-1)
+
+
 class TestSnap:
     """The O(N)-memory snap must agree exactly with the full argmin table."""
 
     def _argmin_reference(self, quantizer, values):
-        values = quantizer.range.clip(np.asarray(values, dtype=np.float64))
-        indices = np.abs(values[..., None] - quantizer.levels).argmin(axis=-1)
-        return quantizer.levels[indices]
+        return quantizer.levels[_argmin_index(quantizer, values)]
+
+    @given(
+        bits=st.integers(min_value=1, max_value=16),
+        g_min=st.floats(0.0, 2.0),
+        span=st.floats(1e-3, 10.0),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_snap_and_state_index_match_argmin(self, bits, g_min, span, data):
+        """Exact levels, exact midpoints, their float neighbours, out of range."""
+        quantizer = UniformQuantizer(bits, ConductanceRange(g_min, g_min + span))
+        levels, top = quantizer.levels, quantizer.num_levels - 1
+        picks = np.array(data.draw(
+            st.lists(st.integers(0, top), min_size=1, max_size=8)
+        ))
+        lower = np.minimum(picks, top - 1)
+        midpoints = (levels[lower] + levels[lower + 1]) / 2.0
+        anchors = np.concatenate([levels[picks], midpoints])
+        outside = np.array(data.draw(
+            st.lists(st.floats(0.0, 2.0 * span), min_size=1, max_size=4)
+        ))
+        inside = np.array(data.draw(
+            st.lists(st.floats(g_min, g_min + span), max_size=8)
+        ))
+        values = np.concatenate([
+            anchors,
+            np.nextafter(anchors, -np.inf),
+            np.nextafter(anchors, np.inf),
+            quantizer.range.g_min - outside,
+            quantizer.range.g_max + outside,
+            inside,
+        ])
+        expected = _argmin_index(quantizer, values)
+        np.testing.assert_array_equal(quantizer.state_index(values), expected)
+        np.testing.assert_array_equal(quantizer.snap(values), levels[expected])
 
     @pytest.mark.parametrize("bits", [1, 2, 4, 8])
     def test_snap_matches_argmin_on_random_values(self, bits, rng):

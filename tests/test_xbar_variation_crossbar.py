@@ -6,36 +6,41 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.runtime.plan import CrossbarSpec
 from repro.xbar.crossbar import CrossbarArray, CrossbarTiling
 from repro.xbar.quantization import ConductanceRange, UniformQuantizer
-from repro.xbar.variation import DeviceVariationModel, apply_variation
+from repro.xbar.variation import DeviceVariationModel
 
 
 class TestDeviceVariation:
     def test_zero_sigma_is_identity(self, rng):
         conductances = rng.uniform(0, 1, size=(5, 5))
-        perturbed = DeviceVariationModel(0.0).perturb(conductances, rng=rng)
-        np.testing.assert_allclose(perturbed, conductances)
+        perturbed = DeviceVariationModel(0.0).perturb(conductances, 1, rng=rng)
+        np.testing.assert_allclose(perturbed[0], conductances)
 
     def test_zero_sigma_returns_copy(self, rng):
         conductances = rng.uniform(0, 1, size=(3, 3))
-        perturbed = DeviceVariationModel(0.0).perturb(conductances)
+        perturbed = DeviceVariationModel(0.0).perturb(conductances, 1)
         perturbed[:] = -1
         assert (conductances >= 0).all()
 
     def test_perturbation_statistics(self):
-        model = DeviceVariationModel(0.1, range=ConductanceRange(0.0, 2.0), clip_to_range=False)
+        model = DeviceVariationModel(0.1, range=ConductanceRange(0.0, 2.0))
         conductances = np.full((200, 200), 1.0)
-        perturbed = model.perturb(conductances, rng=np.random.default_rng(0))
-        noise = perturbed - conductances
+        perturbed = model.perturb(conductances, 1, rng=np.random.default_rng(0))
+        noise = perturbed[0] - conductances
         assert abs(noise.mean()) < 0.005
         assert noise.std() == pytest.approx(0.2, rel=0.05)  # 10 % of span 2.0
 
     def test_clipping_keeps_range(self):
+        """Perturbation only adds noise; programming a tile clips it back."""
         model = DeviceVariationModel(0.5, range=ConductanceRange(0.0, 1.0))
-        perturbed = model.perturb(np.full(1000, 0.95), rng=np.random.default_rng(1))
-        assert perturbed.max() <= 1.0
-        assert perturbed.min() >= 0.0
+        noisy = model.perturb(np.full((1, 1000), 0.95), 1, rng=np.random.default_rng(1))[0]
+        assert noisy.max() > 1.0 and noisy.min() < 0.0
+        tile = CrossbarArray(rows=1, cols=1000, variation=model,
+                             rng=np.random.default_rng(1))
+        programmed = tile.program(np.full((1, 1000), 0.95))
+        np.testing.assert_array_equal(programmed, np.clip(noisy, 0.0, 1.0))
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
@@ -45,17 +50,19 @@ class TestDeviceVariation:
         model = DeviceVariationModel(0.15, range=ConductanceRange(0.0, 4.0))
         assert model.sigma_absolute == pytest.approx(0.6)
 
-    def test_functional_wrapper(self, rng):
-        conductances = rng.uniform(0, 1, size=(4, 4))
-        perturbed = apply_variation(conductances, 0.05, rng=np.random.default_rng(2))
-        assert perturbed.shape == conductances.shape
-        assert not np.allclose(perturbed, conductances)
-
     def test_deterministic_given_seeded_rng(self, rng):
         conductances = rng.uniform(0, 1, size=(4, 4))
-        first = apply_variation(conductances, 0.1, rng=np.random.default_rng(7))
-        second = apply_variation(conductances, 0.1, rng=np.random.default_rng(7))
-        np.testing.assert_allclose(first, second)
+        model = DeviceVariationModel(0.1)
+        first = model.perturb(conductances, 3, rng=np.random.default_rng(7))
+        second = model.perturb(conductances, 3, rng=np.random.default_rng(7))
+        np.testing.assert_array_equal(first, second)
+
+    def test_one_sample_stack_is_stream_identical_to_a_plain_draw(self, rng):
+        conductances = rng.uniform(0, 1, size=(4, 6))
+        model = DeviceVariationModel(0.1)
+        stacked = model.perturb(conductances, 1, rng=np.random.default_rng(11))
+        noise = np.random.default_rng(11).normal(0.0, 0.1, size=conductances.shape)
+        np.testing.assert_array_equal(stacked[0], conductances + noise)
 
 
 class TestCrossbarArray:
@@ -154,7 +161,7 @@ class TestCrossbarTiling:
         matrix = rng.uniform(0, 1, size=(40, 20))
         tiling = CrossbarTiling(matrix, tile_rows=16, tile_cols=16, quantizer=quantizer)
         inputs = rng.normal(size=(3, 40))
-        expected = inputs @ quantizer.quantize_array(matrix)
+        expected = inputs @ quantizer.snap(matrix)
         np.testing.assert_allclose(tiling.matmat(inputs), expected, atol=1e-10)
 
     def test_rejects_negative_matrix(self):
@@ -188,32 +195,35 @@ class TestPerturbStack:
     def test_shape_and_independence(self):
         model = DeviceVariationModel(sigma_fraction=0.1)
         base = np.full((4, 5), 0.5)
-        stack = model.perturb_stack(base, 6, rng=np.random.default_rng(0))
+        stack = model.perturb(base, 6, rng=np.random.default_rng(0))
         assert stack.shape == (6, 4, 5)
         assert not np.allclose(stack[0], stack[1])
 
     def test_zero_sigma_returns_copies(self):
         model = DeviceVariationModel(sigma_fraction=0.0)
         base = np.full((3, 3), 0.25)
-        stack = model.perturb_stack(base, 4)
+        stack = model.perturb(base, 4)
         np.testing.assert_array_equal(stack, np.broadcast_to(base, (4, 3, 3)))
         stack[0, 0, 0] = 99.0  # must be writable, not a broadcast view
         assert base[0, 0] == 0.25
 
     def test_stack_respects_clipping(self):
-        model = DeviceVariationModel(
-            sigma_fraction=0.5, range=ConductanceRange(0.0, 1.0)
-        )
-        base = np.full((8, 8), 0.5)
-        stack = model.perturb_stack(base, 16, rng=np.random.default_rng(1))
-        assert stack.min() >= 0.0 and stack.max() <= 1.0
+        """A Monte-Carlo stack is clipped once, when ``finalize`` realises it."""
+        spec = CrossbarSpec(conductances=np.full((8, 8), 0.5), periphery=np.eye(8),
+                            g_min=0.0, g_max=1.0)
+        model = DeviceVariationModel(sigma_fraction=0.5, range=spec.range)
+        noisy = model.perturb(spec.conductances, 16, rng=np.random.default_rng(1))
+        assert noisy.min() < 0.0 and noisy.max() > 1.0
+        realized = spec.sample_weights(0.5, 16, np.random.default_rng(1))
+        assert realized.min() >= 0.0 and realized.max() <= 1.0
+        np.testing.assert_array_equal(realized, np.clip(noisy, 0.0, 1.0))
 
     def test_matches_sequential_perturb_statistics(self):
         model = DeviceVariationModel(
-            sigma_fraction=0.1, range=ConductanceRange(0.0, 1.0), clip_to_range=False
+            sigma_fraction=0.1, range=ConductanceRange(0.0, 1.0)
         )
         base = np.full((10, 10), 0.5)
-        stack = model.perturb_stack(base, 400, rng=np.random.default_rng(2))
+        stack = model.perturb(base, 400, rng=np.random.default_rng(2))
         deviations = stack - base
         assert abs(deviations.mean()) < 0.005
         assert abs(deviations.std() - model.sigma_absolute) < 0.005
@@ -221,7 +231,7 @@ class TestPerturbStack:
     def test_rejects_non_positive_sample_count(self):
         model = DeviceVariationModel(sigma_fraction=0.1)
         with pytest.raises(ValueError):
-            model.perturb_stack(np.zeros((2, 2)), 0)
+            model.perturb(np.zeros((2, 2)), 0)
 
 
 class TestTilingNonAligned:
@@ -254,5 +264,5 @@ class TestTilingNonAligned:
         tiling = CrossbarTiling(matrix, tile_rows=32, tile_cols=32,
                                 quantizer=quantizer)
         inputs = rng.normal(size=(3, 70))
-        expected = inputs @ quantizer.quantize_array(matrix)
+        expected = inputs @ quantizer.snap(matrix)
         np.testing.assert_allclose(tiling.matmat(inputs), expected, atol=1e-9)
