@@ -40,6 +40,11 @@ class PlanCompilationError(Exception):
     """Raised when a module cannot be lowered to an inference plan."""
 
 
+#: Float64 bytes of perturbed conductances one chunk of a Monte-Carlo draw
+#: realises at a time (:meth:`CrossbarSpec.sample_weights`).
+_DRAW_CHUNK_BYTES = 1 << 20
+
+
 # ---------------------------------------------------------------------- #
 # Crossbar freeze artifact
 # ---------------------------------------------------------------------- #
@@ -104,12 +109,28 @@ class CrossbarSpec:
         clips back into the device range, re-quantises, and applies the
         periphery matrix — the same pipeline the eager layer runs per batch,
         vectorised over samples.
+
+        The stack is realised in chunks of samples sized by
+        :data:`_DRAW_CHUNK_BYTES`, each written straight into the
+        preallocated output, so the peak memory is the returned stack plus
+        one chunk's temporaries.  Successive normal draws continue one
+        generator stream and each sample's matmul is independent, so the
+        result is bit-identical to realising all samples at once.
         """
         variation = DeviceVariationModel(
             sigma_fraction=sigma_fraction, range=self.range
         )
-        realized = self.finalize(variation.perturb(self.conductances, num_samples, rng))
-        return np.matmul(self.periphery, realized)
+        out = np.empty(
+            (num_samples, self.periphery.shape[0], self.conductances.shape[1])
+        )
+        chunk = max(1, _DRAW_CHUNK_BYTES // (self.conductances.size * 8))
+        for start in range(0, num_samples, chunk):
+            stop = min(start + chunk, num_samples)
+            realized = self.finalize(
+                variation.perturb(self.conductances, stop - start, rng)
+            )
+            np.matmul(self.periphery, realized, out=out[start:stop])
+        return out
 
 
 # ---------------------------------------------------------------------- #

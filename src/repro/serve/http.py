@@ -710,6 +710,10 @@ class _Handler(BaseHTTPRequestHandler):
     # Idle keep-alive connections drop after this long.
     timeout = 30.0
     server_version = "repro-serve/1.0"
+    # TCP_NODELAY on every accepted socket: with Nagle on, a response
+    # segment waits for the ACK of the previous one, which the client
+    # delays by up to ~40 ms (RFC 896 meeting RFC 1122's delayed ACK).
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if self.server.verbose:  # pragma: no cover - disabled in tests
@@ -777,11 +781,16 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         if self.close_connection:
             self.send_header("Connection", "close")
-        self.end_headers()
+        # Status line, headers and payload leave in one write (instead of
+        # end_headers() flushing the head first), so a small response is
+        # one segment and a peer that hung up early only costs this guard.
+        self._headers_buffer.append(b"\r\n")
+        head = b"".join(self._headers_buffer)
+        self._headers_buffer = []
         try:
-            self.wfile.write(response.payload)
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            pass
+            self.wfile.write(head + response.payload)
+        except (BrokenPipeError, ConnectionResetError):
+            self.close_connection = True
 
 
 class _PlanHTTPServer(ThreadingHTTPServer):
@@ -862,7 +871,8 @@ class PlanServer:
     listening socket; :attr:`url` turns ``https://`` and clients verify
     with ``HttpClient(url, cafile=...)``.
 
-    Connections are HTTP/1.1 keep-alive, one handler thread each; a
+    Connections are HTTP/1.1 keep-alive, one handler thread each, with
+    ``TCP_NODELAY`` set and each response written in one send; a
     connection idle for ``_Handler.timeout`` seconds (30) is closed.
     ``HttpClient`` pools connections to it.
     """

@@ -133,6 +133,35 @@ class TestHttpClientPooling:
             assert stats["connections_reused"] == 4
             assert client._pool.idle_count() == 1
 
+    def test_pooled_predicts_pay_no_delayed_ack_stall(self, env):
+        # A response split across sends on a Nagle socket waits for the
+        # client's delayed ACK (~40 ms); the edge sets TCP_NODELAY and
+        # writes each response in one send.
+        request = PredictRequest(images=env.images, model="mlp",
+                                 mapping="acm", bits=4)
+        with HttpClient(env.server.url) as client:
+            for _ in range(5):
+                client.predict(request)
+            latencies = []
+            for _ in range(30):
+                start = time.perf_counter()
+                client.predict(request)
+                latencies.append(time.perf_counter() - start)
+            assert client.client_stats()["connections_opened"] == 1
+            deadline = time.monotonic() + 2.0
+            while True:  # the handler parks its socket just after replying
+                with env.server._httpd._idle_lock:
+                    idle = list(env.server._httpd._idle)
+                if idle or time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
+            assert idle
+            for connection in idle:
+                assert connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+        assert np.median(latencies) < 0.010, (
+            f"median pooled predict {np.median(latencies) * 1e3:.1f} ms")
+
     def test_pool_size_zero_disables_reuse(self, env):
         with HttpClient(env.server.url, pool_size=0) as client:
             for _ in range(3):

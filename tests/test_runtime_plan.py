@@ -302,7 +302,9 @@ class TestDrawBits:
 
     @pytest.mark.parametrize("mapping", MAPPINGS)
     @pytest.mark.parametrize("bits", PRECISIONS)
-    @pytest.mark.parametrize("num_samples", [1, 7])
+    # 40 samples span several draw chunks of LeNet's 65x256 crossbar, the
+    # last one ragged; 7 fit in one.
+    @pytest.mark.parametrize("num_samples", [1, 7, 40])
     def test_sampled_weights_equal_the_oracle(self, mapping, bits, num_samples):
         plan = compile_model(make_lenet(mapping=mapping, quantizer_bits=bits, seed=0))
         sampled = sample_crossbar_weights(
@@ -328,7 +330,7 @@ class TestDrawBits:
         expected = _spec_of(layer).sample_weights(0.15, 1, np.random.default_rng(9))[0]
         np.testing.assert_array_equal(layer.effective_weight(), expected)
 
-    def test_cold_draw_peak_memory_stays_below_eight_stacks(self):
+    def test_cold_draw_peak_memory_stays_below_one_and_a_half_stacks(self):
         plan = compile_model(make_lenet(mapping="acm", quantizer_bits=4, seed=0))
         tracemalloc.start()
         try:
@@ -337,7 +339,7 @@ class TestDrawBits:
         finally:
             tracemalloc.stop()
         stack_bytes = sum(stack.nbytes for stack in sampled.values())
-        assert peak < 8 * stack_bytes, f"peak {peak / stack_bytes:.1f}x the stacks"
+        assert peak < 1.5 * stack_bytes, f"peak {peak / stack_bytes:.2f}x the stacks"
 
 
 class TestPlanSerialization:

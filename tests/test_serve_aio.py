@@ -147,6 +147,28 @@ class TestKeepAlive:
             server.close()
 
 
+class _ResetWriter:
+    """A response stream whose peer has already reset the connection."""
+
+    def write(self, data):
+        raise ConnectionResetError("peer reset")
+
+
+class TestResponseWrite:
+    def test_peer_reset_before_the_response_is_swallowed(self):
+        # The whole response, headers included, leaves in one guarded
+        # write: a peer that vanished costs the handler its connection,
+        # never a traceback.
+        handler = repro.serve.http._Handler.__new__(repro.serve.http._Handler)
+        handler.server = SimpleNamespace(verbose=False)
+        handler.requestline = "GET /healthz HTTP/1.1"
+        handler.request_version = "HTTP/1.1"
+        handler.close_connection = False
+        handler.wfile = _ResetWriter()
+        handler._send(repro.serve.http.EdgeResponse(status=200, payload=b"{}"))
+        assert handler.close_connection
+
+
 class TestBodyReading:
     def test_dribbled_body_is_read_to_completion(self, served):
         # The body arrives in small dribbles: one read() would see a short
