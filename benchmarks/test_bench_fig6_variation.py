@@ -21,11 +21,14 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.conftest import print_header, run_once
+from benchmarks.conftest import persist_results, print_header, run_once
 from repro.data.dataset import ArrayDataset
 from repro.experiments import run_variation_study
 from repro.experiments.config import SCALE_FAST, dataset_for, model_for
 from repro.train.evaluate import variation_sweep
+
+#: Opt-in floor (``REPRO_BENCH_STRICT``) on the runtime-over-eager speedup.
+SPEEDUP_FLOOR = 4.0
 
 
 @pytest.mark.benchmark(group="fig6")
@@ -99,11 +102,26 @@ def test_fig6_runtime_vs_eager_speedup(benchmark):
     print(f"runtime : {runtime_s:7.3f}s  (mean accuracy {runtime_acc:.3f})")
     print(f"speedup : {speedup:.1f}x over {num_samples} draws, n={len(dataset)}")
 
+    strict = bool(os.environ.get("REPRO_BENCH_STRICT"))
+    persist_results("fig6_runtime", {
+        "eager_s": eager_s,
+        "runtime_s": runtime_s,
+        "speedup": speedup,
+        "num_samples": num_samples,
+        "num_images": len(dataset),
+        "floor": SPEEDUP_FLOOR,
+        "floor_enforced": strict,
+    })
+
     # Both paths estimate the same quantity; the sigma point is stochastic so
     # only the means need to agree loosely.
     assert abs(eager_acc - runtime_acc) < 0.25
-    # Measured ~7-10x on the reference container.  Wall-clock ratios are
-    # noisy on loaded CI machines and this benchmark runs in the default
-    # tier-1 command, so the timing assertion is opt-in.
-    if os.environ.get("REPRO_BENCH_STRICT"):
-        assert speedup >= 4.0, f"runtime path only {speedup:.1f}x faster than eager"
+    # The float64 runtime reads 1.4-2.0x on a 2-core x86_64 host with BLAS
+    # pinned to one thread (the float32 twin it replaced read 2.3-2.7x),
+    # under this floor.  Wall-clock ratios are noisy on loaded CI machines and this
+    # benchmark runs in the default tier-1 command, so the timing assertion
+    # is opt-in; the measured ratio is always recorded.
+    if strict:
+        assert speedup >= SPEEDUP_FLOOR, (
+            f"runtime path only {speedup:.1f}x faster than eager"
+        )

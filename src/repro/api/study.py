@@ -1,8 +1,11 @@
 """The Fig. 6 variation study, driven through the ``repro.api`` facade.
 
-:func:`variation_sweep_via_client` replays the paper's device-variation
-protocol — accuracy versus sigma, averaged over seeded Monte-Carlo draws —
-against *any* :class:`~repro.api.client.Client`.  It is now a thin wrapper
+:func:`variation_sweep_via_client` sweeps accuracy versus device-variation
+sigma against *any* :class:`~repro.api.client.Client`.  Each point scores
+the *majority-vote* prediction of one seeded Monte-Carlo ensemble (as
+:class:`~repro.api.types.StudyCellResult` says), not the paper's mean of
+per-draw accuracies; :func:`repro.train.evaluate.variation_sweep` is the
+path that reports that mean.  It is a thin wrapper
 over the asynchronous study-job subsystem (:mod:`repro.serve.jobs`): the
 sweep is submitted as one :class:`~repro.api.types.StudySpec`, executed as
 checkpointed, resumable cells, and folded back into the same

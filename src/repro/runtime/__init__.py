@@ -8,6 +8,8 @@ once) and whose ops are pure NumPy — no autograd graph, no per-batch weight
 rebuild.  On top of the plan, :mod:`repro.runtime.montecarlo` vectorises the
 paper's Fig. 6 variation protocol: device-variation draws are sampled as one
 stacked perturbation per crossbar and evaluated with batched einsum matmuls.
+Plans and Monte-Carlo sweeps execute in float64 only, so an offline sweep and
+a served ensemble over the same images and seed compute the same bits.
 
 * :func:`compile_model` / :func:`try_compile` — lower a module tree to a plan.
 * :class:`InferencePlan` — the frozen, serialisable deployment unit
@@ -45,7 +47,6 @@ from repro.runtime.montecarlo import (
     monte_carlo_logits,
     run_plan_samples,
     sample_crossbar_weights,
-    stacked_image_target,
 )
 from repro.runtime.optimize import optimize_plan
 from repro.runtime.wire import WireFormatError, decode_array, encode_array
@@ -78,5 +79,4 @@ __all__ = [
     "optimize_plan",
     "run_plan_samples",
     "sample_crossbar_weights",
-    "stacked_image_target",
 ]

@@ -24,10 +24,9 @@ independent of the module tree that produced it.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -150,10 +149,6 @@ class PlanOp:
     output: int = 0
 
     leading_dims_safe = False
-    #: Names of the float *payload* arrays :meth:`InferencePlan.cast` may
-    #: convert.  Dtype conversion is explicit per op class: fields not
-    #: listed here (crossbar specs above all) are never touched by a cast.
-    _cast_fields: ClassVar[Tuple[str, ...]] = ()
 
     def run(self, *values: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -178,7 +173,6 @@ class DenseOp(PlanOp):
     spec: Optional[CrossbarSpec] = None
 
     leading_dims_safe = True  # matmul broadcasts over leading axes
-    _cast_fields = ("weight", "bias")
 
     def run(self, x: np.ndarray) -> np.ndarray:
         out = x @ self.weight.T
@@ -219,8 +213,6 @@ class ConvOp(PlanOp):
     stride: Tuple[int, int] = (1, 1)
     padding: Tuple[int, int] = (0, 0)
     spec: Optional[CrossbarSpec] = None
-
-    _cast_fields = ("weight", "bias")
 
     def _geometry(self, height: int, width: int) -> Tuple[int, int]:
         _, kernel_h, kernel_w = self.kernel_shape
@@ -323,7 +315,6 @@ class BatchNormOp(PlanOp):
     param_shape: Tuple[int, ...] = (-1,)
 
     leading_dims_safe = True
-    _cast_fields = ("mean", "var", "gamma", "beta")
 
     def run(self, x: np.ndarray) -> np.ndarray:
         shape = self.param_shape
@@ -463,44 +454,12 @@ class InferencePlan:
         for index, op in enumerate(self.ops):
             for slot in op.inputs:
                 self._last_use[slot] = index
-        self._cast_cache: Dict[str, "InferencePlan"] = {}
         self._shape_cache: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
 
     @property
     def crossbar_ops(self) -> List[PlanOp]:
         """The ops backed by physical crossbar devices (variation targets)."""
         return [op for op in self.ops if getattr(op, "spec", None) is not None]
-
-    def cast(self, dtype) -> "InferencePlan":
-        """Return a twin plan whose float payload arrays are cast to ``dtype``.
-
-        The Monte-Carlo engine executes in float32 by default (half the
-        memory traffic, twice the BLAS throughput; variation noise is orders
-        of magnitude larger than float32 rounding).  Which arrays move is
-        explicit per op class (:attr:`PlanOp._cast_fields`): exactly the
-        float weights, biases, and normalisation statistics.  Crossbar specs
-        are left untouched — device sampling always happens in float64.
-        Twins are memoised per dtype, so sweeping many sigma points pays the
-        cast once.
-        """
-        key = np.dtype(dtype).str
-        cached = self._cast_cache.get(key)
-        if cached is not None:
-            return cached
-        ops: List[PlanOp] = []
-        for op in self.ops:
-            replacements = {
-                name: getattr(op, name).astype(dtype)
-                for name in op._cast_fields
-                if isinstance(getattr(op, name), np.ndarray)
-            }
-            ops.append(dataclasses.replace(op, **replacements) if replacements else op)
-        twin = InferencePlan(
-            ops=ops, output=self.output, num_slots=self.num_slots,
-            source=self.source, input_shape=self.input_shape,
-        )
-        self._cast_cache[key] = twin
-        return twin
 
     @property
     def num_crossbar_layers(self) -> int:
@@ -513,7 +472,7 @@ class InferencePlan:
 
         Shapes are propagated symbolically through :meth:`PlanOp.infer_shape`
         — no sample is executed — and memoised per input shape, so repeated
-        lookups (hardware estimation, cache sizing) are free.  With no
+        lookups (hardware estimation, request validation) are free.  With no
         argument the shape captured at compile time is used.
         """
         if input_shape is None:

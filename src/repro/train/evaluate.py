@@ -71,10 +71,6 @@ def plan_for(model: Module, use_runtime: Optional[bool] = True) -> Optional[Infe
     return try_compile(model)
 
 
-#: Backwards-compatible alias from before the helper was public.
-_plan_for = plan_for
-
-
 def evaluate_accuracy(
     model: Module,
     dataset: ArrayDataset,

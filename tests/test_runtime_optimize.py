@@ -42,9 +42,9 @@ class TestBatchNormFolding:
         fused = optimize_plan(plan)
         inputs = rng.normal(size=(2, 3, 16, 16))
         baseline = monte_carlo_logits(plan, inputs, 0.1, 3,
-                                      rng=np.random.default_rng(5), dtype=np.float64)
+                                      rng=np.random.default_rng(5))
         folded = monte_carlo_logits(fused, inputs, 0.1, 3,
-                                    rng=np.random.default_rng(5), dtype=np.float64)
+                                    rng=np.random.default_rng(5))
         np.testing.assert_allclose(folded, baseline, atol=1e-10, rtol=0)
 
     def test_plan_without_batchnorm_unchanged(self, rng):

@@ -25,7 +25,6 @@ from repro.runtime import (
     plan_logits,
     run_plan_samples,
     sample_crossbar_weights,
-    stacked_image_target,
     trace_shapes,
     try_compile,
 )
@@ -201,7 +200,7 @@ class TestMonteCarlo:
     def test_zero_sigma_matches_deterministic_run(self, plan, rng):
         inputs = rng.normal(size=(4, 1, 4, 4))
         logits = monte_carlo_logits(plan, inputs, 0.0, 3,
-                                    rng=np.random.default_rng(0), dtype=np.float64)
+                                    rng=np.random.default_rng(0))
         expected = plan.run(inputs)
         for sample in range(3):
             np.testing.assert_allclose(logits[sample], expected, atol=1e-12)
@@ -256,14 +255,6 @@ class TestMonteCarlo:
         assert logits.shape == (6, 4, 10)
         # Different draws must produce different logits at sigma > 0.
         assert not np.allclose(logits[0], logits[1])
-
-    def test_float32_execution_close_to_float64(self, plan, rng):
-        inputs = rng.normal(size=(4, 1, 4, 4))
-        f64 = monte_carlo_logits(plan, inputs, 0.1, 3,
-                                 rng=np.random.default_rng(5), dtype=np.float64)
-        f32 = monte_carlo_logits(plan, inputs, 0.1, 3,
-                                 rng=np.random.default_rng(5), dtype=np.float32)
-        np.testing.assert_allclose(f32, f64, atol=1e-4)
 
 
 def _oracle_draw(plan, sigma_fraction, num_samples, rng):
@@ -370,11 +361,6 @@ class TestPlanSerialization:
         inputs = rng.normal(size=(2, 1, 4, 4))
         np.testing.assert_array_equal(plan.run(inputs), loaded.run(inputs))
 
-    def test_cast_twins_are_memoised(self):
-        model = make_mlp(input_size=16, hidden_sizes=(8,), mapping="acm", seed=0)
-        plan = compile_model(model)
-        assert plan.cast(np.float32) is plan.cast(np.float32)
-
     def test_save_load_preserves_input_shape(self, tmp_path):
         plan = compile_model(make_lenet(mapping="acm", quantizer_bits=4, seed=0))
         plan.save(tmp_path / "plan.npz")
@@ -391,26 +377,10 @@ class TestPlanSerialization:
         loaded = InferencePlan.load(path)
         inputs = rng.normal(size=(3, 1, 4, 4))
         original = monte_carlo_logits(plan, inputs, 0.1, 4,
-                                      rng=np.random.default_rng(9), dtype=np.float64)
+                                      rng=np.random.default_rng(9))
         reloaded = monte_carlo_logits(loaded, inputs, 0.1, 4,
-                                      rng=np.random.default_rng(9), dtype=np.float64)
+                                      rng=np.random.default_rng(9))
         np.testing.assert_allclose(original, reloaded, atol=1e-12)
-
-    def test_float_plan_cast_still_converts_weights(self):
-        plan = compile_model(make_mlp(input_size=16, hidden_sizes=(8,),
-                                      mapping="acm", quantizer_bits=4, seed=0))
-        cast = plan.cast(np.float32)
-        dense = [op for op in cast.ops if isinstance(op, DenseOp)]
-        assert dense and all(op.weight.dtype == np.float32 for op in dense)
-
-    def test_cast_shares_crossbar_specs(self):
-        plan = compile_model(make_mlp(input_size=16, hidden_sizes=(8,),
-                                      mapping="acm", quantizer_bits=4, seed=0))
-        cast = plan.cast(np.float32)
-        assert plan.crossbar_ops
-        for original, twin in zip(plan.crossbar_ops, cast.crossbar_ops):
-            assert twin.spec is original.spec  # shared, never recast
-            assert twin.spec.conductances.dtype == np.float64
 
 
 def _rewrite_artifact(path, edit) -> None:
@@ -485,51 +455,17 @@ class TestLegacyArtifacts:
 
 
 class TestAdaptiveStackingTarget:
-    """The Monte-Carlo image cap must follow the cache size, not a constant."""
+    """The Monte-Carlo step adapts to the sample count, never to the host."""
 
-    @pytest.fixture
-    def conv_plan(self):
-        return compile_model(make_lenet(mapping="acm", quantizer_bits=4, seed=0))
-
-    def test_target_scales_with_cache_size(self, conv_plan, monkeypatch):
+    def test_conv_plan_steps_by_module_constant(self):
         from repro.runtime import montecarlo
 
-        targets = []
-        for llc_bytes in (4 << 20, 64 << 20):
-            monkeypatch.setattr(montecarlo, "_last_level_cache_bytes",
-                                lambda size=llc_bytes: size)
-            conv_plan.__dict__.pop("_image_target_cache", None)
-            targets.append(stacked_image_target(conv_plan))
-        assert targets[0] < targets[1]
-
-    def test_target_respects_bounds_and_memoises(self, conv_plan, monkeypatch):
-        from repro.runtime import montecarlo
-
-        monkeypatch.setattr(montecarlo, "_last_level_cache_bytes", lambda: 1 << 10)
-        conv_plan.__dict__.pop("_image_target_cache", None)
-        low, high = montecarlo._IMAGE_TARGET_BOUNDS
-        assert stacked_image_target(conv_plan) == low
-        monkeypatch.setattr(montecarlo, "_last_level_cache_bytes", lambda: 1 << 40)
-        assert stacked_image_target(conv_plan) == low  # memoised on the plan
-        conv_plan.__dict__.pop("_image_target_cache", None)
-        assert stacked_image_target(conv_plan) == high
-
-    def test_shapeless_plan_falls_back_to_default(self):
-        from repro.runtime import montecarlo
-
-        plan = InferencePlan(ops=[FlattenOp(inputs=(0,), output=1)], output=1,
-                             num_slots=2)
-        assert stacked_image_target(plan) == montecarlo._DEFAULT_IMAGE_TARGET
-
-    def test_effective_batch_uses_dataset_sample_shape(self, conv_plan, monkeypatch):
-        from repro.runtime import montecarlo
-
-        monkeypatch.setattr(montecarlo, "_last_level_cache_bytes", lambda: 8 << 20)
-        conv_plan.__dict__.pop("_image_target_cache", None)
-        target = stacked_image_target(conv_plan, (1, 16, 16))
-        batch = montecarlo._effective_batch(conv_plan, 512, num_samples=4,
-                                            sample_shape=(1, 16, 16))
-        assert batch == max(1, min(512, target // 4))
+        conv_plan = compile_model(make_lenet(mapping="acm", quantizer_bits=4, seed=0))
+        step = montecarlo._STEP_IMAGES
+        assert montecarlo._effective_batch(conv_plan, 512, num_samples=4) == \
+            min(512, step // 4)
+        assert montecarlo._effective_batch(conv_plan, 8, num_samples=4) == 8
+        assert montecarlo._effective_batch(conv_plan, 64, num_samples=4 * step) == 1
 
     def test_dense_plan_keeps_caller_batch(self):
         from repro.runtime import montecarlo
@@ -573,18 +509,18 @@ class TestEvaluateIntegration:
         assert len(first.samples[0.0]) == 1
 
     def test_active_variation_falls_back_to_eager(self, setup):
-        from repro.train.evaluate import _plan_for
+        from repro.train.evaluate import plan_for
 
         model, dataset = setup
         layer = next(m for m in model.modules() if hasattr(m, "set_variation"))
         layer.set_variation(0.1)
         try:
-            assert _plan_for(model, None) is None
+            assert plan_for(model, None) is None
             with pytest.raises(ValueError):
-                _plan_for(model, True)
+                plan_for(model, True)
         finally:
             layer.set_variation(0.0)
-        assert _plan_for(model, None) is not None
+        assert plan_for(model, None) is not None
 
     def test_runtime_flag_forced_compile_failure_raises(self):
         from repro.train.evaluate import evaluate_accuracy

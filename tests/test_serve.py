@@ -440,6 +440,49 @@ class TestInferenceService:
         np.testing.assert_allclose(ensemble.mean_logits, before, atol=1e-12)
 
 
+class TestOneMonteCarloEngine:
+    """Offline sweeps and served ensembles must compute the same bits.
+
+    Both run the float64 plan through ``run_plan_samples``; with the images
+    of one request inside one offline step (B·S within ``_STEP_IMAGES``),
+    a seeded ensemble and a seeded sweep are the same program.
+    """
+
+    @pytest.mark.parametrize("name", ["lenet", "mlp"])
+    def test_served_ensemble_equals_offline_sweep(self, tmp_path, name):
+        from repro.runtime import montecarlo, monte_carlo_accuracy, monte_carlo_logits
+
+        if name == "lenet":
+            model = make_lenet(mapping="acm", quantizer_bits=4, seed=0)
+            shape = (1, 16, 16)
+        else:
+            model, shape = small_mlp(), (1, 4, 4)
+        registry = PlanRegistry(tmp_path / "plans")
+        registry.publish_model(model, name, 4, "acm")
+        plan = compile_model(model)
+        rng = np.random.default_rng(4)
+        images = rng.normal(size=(8,) + shape)
+        labels = rng.integers(0, 10, size=8)
+        sigma, samples, seed = 0.15, 25, 11
+        assert len(images) * samples <= montecarlo._STEP_IMAGES  # one step
+        with InferenceService(registry, max_batch=16) as service:
+            served = service.ensemble_request(EnsembleRequest(
+                images, model=name, bits=4, mapping="acm",
+                sigma_fraction=sigma, num_samples=samples, seed=seed,
+            ))
+        offline = monte_carlo_logits(plan, images, sigma, samples,
+                                     rng=np.random.default_rng(seed))
+        assert np.array_equal(served.mean_logits, offline.mean(axis=0))
+
+        accuracies = monte_carlo_accuracy(
+            plan, ArrayDataset(images, labels), sigma, samples,
+            rng=np.random.default_rng(seed),
+        )
+        offline_correct = int(np.rint(accuracies * len(labels)).sum())
+        served_correct = int(served.vote_counts[np.arange(len(labels)), labels].sum())
+        assert offline_correct == served_correct
+
+
 # ---------------------------------------------------------------------- #
 # Ensemble weight-stack cache
 # ---------------------------------------------------------------------- #
