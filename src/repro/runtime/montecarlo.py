@@ -90,8 +90,8 @@ def run_plan_samples(
             result = op.run(*inputs)
             is_stacked = True
         else:
-            # Shape-sensitive op (pool / flatten / conv-without-devices):
-            # fold the sample axis into the batch, run, and unfold.
+            # Shape-sensitive op (global pool / flatten / conv-without-
+            # devices): fold the sample axis into the batch, run, and unfold.
             x = inputs[0]
             folded = x.reshape((-1,) + x.shape[2:])
             result = op.run(folded)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -76,7 +77,7 @@ class CrossbarSpec:
     def range(self) -> ConductanceRange:
         return ConductanceRange(self.g_min, self.g_max)
 
-    @property
+    @cached_property
     def quantizer(self) -> Optional[UniformQuantizer]:
         if self.quantizer_bits is None:
             return None
@@ -89,10 +90,18 @@ class CrossbarSpec:
         forward pass; the plan applies it once at compile time and once per
         Monte-Carlo draw.
         """
+        return self._realize(np.array(conductances, dtype=np.float64))
+
+    def _realize(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`finalize` in place on a float64 buffer; returns it."""
         quantizer = self.quantizer
-        if quantizer is not None:
-            return quantizer.snap(conductances)
-        return self.range.clip(conductances)
+        if quantizer is None:
+            return np.clip(values, self.g_min, self.g_max, out=values)
+        # mode="clip" only stops np.take from staging the gather in a
+        # temporary; every state index is in range.
+        return np.take(
+            quantizer.levels, quantizer.state_index(values), out=values, mode="clip"
+        )
 
     def base_weight(self) -> np.ndarray:
         """The realized effective signed weight ``W = S @ finalize(M)``."""
@@ -110,11 +119,13 @@ class CrossbarSpec:
         vectorised over samples.
 
         The stack is realised in chunks of samples sized by
-        :data:`_DRAW_CHUNK_BYTES`, each written straight into the
-        preallocated output, so the peak memory is the returned stack plus
-        one chunk's temporaries.  Successive normal draws continue one
-        generator stream and each sample's matmul is independent, so the
-        result is bit-identical to realising all samples at once.
+        :data:`_DRAW_CHUNK_BYTES`.  One chunk workspace is allocated per
+        call: each chunk's noise is drawn into it, realised in place, and
+        multiplied by the periphery straight into the preallocated output,
+        so the peak memory is the returned stack plus one workspace and the
+        snap's temporaries.  Successive normal draws continue one generator
+        stream and each sample's matmul is independent, so the result is
+        bit-identical to realising all samples at once.
         """
         variation = DeviceVariationModel(
             sigma_fraction=sigma_fraction, range=self.range
@@ -123,12 +134,13 @@ class CrossbarSpec:
             (num_samples, self.periphery.shape[0], self.conductances.shape[1])
         )
         chunk = max(1, _DRAW_CHUNK_BYTES // (self.conductances.size * 8))
+        workspace = np.empty((min(chunk, num_samples),) + self.conductances.shape)
         for start in range(0, num_samples, chunk):
             stop = min(start + chunk, num_samples)
-            realized = self.finalize(
-                variation.perturb(self.conductances, stop - start, rng)
+            noisy = variation.perturb(
+                self.conductances, stop - start, rng, out=workspace[:stop - start]
             )
-            np.matmul(self.periphery, realized, out=out[start:stop])
+            np.matmul(self.periphery, self._realize(noisy), out=out[start:stop])
         return out
 
 
@@ -177,7 +189,7 @@ class DenseOp(PlanOp):
     def run(self, x: np.ndarray) -> np.ndarray:
         out = x @ self.weight.T
         if self.bias is not None:
-            out = out + self.bias
+            out += self.bias
         return out
 
     def infer_shape(self, *shapes: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -199,7 +211,7 @@ class DenseOp(PlanOp):
         """
         out = np.matmul(x, weights.transpose(0, 2, 1))
         if self.bias is not None:
-            out = out + self.bias
+            out += self.bias
         return out
 
 
@@ -235,7 +247,7 @@ class ConvOp(PlanOp):
         columns = im2col(x, (kernel_h, kernel_w), self.stride, self.padding)
         out = columns @ self.weight.T
         if self.bias is not None:
-            out = out + self.bias
+            out += self.bias
         out = out.reshape(batch, out_h, out_w, self.weight.shape[0])
         return out.transpose(0, 3, 1, 2)
 
@@ -264,7 +276,7 @@ class ConvOp(PlanOp):
             columns = im2col(x, (kernel_h, kernel_w), self.stride, self.padding)
         out = np.matmul(columns, weights.transpose(0, 2, 1))
         if self.bias is not None:
-            out = out + self.bias
+            out += self.bias
         out = out.reshape(num_samples, batch, out_h, out_w, out_channels)
         return out.transpose(0, 1, 4, 2, 3)
 
@@ -326,10 +338,12 @@ class BatchNormOp(PlanOp):
 
 @dataclass
 class MaxPoolOp(PlanOp):
-    """Max pooling over ``(N, C, H, W)`` windows."""
+    """Max pooling over the trailing ``(H, W)`` axes of ``(..., C, H, W)``."""
 
     kernel: Tuple[int, int] = (2, 2)
     stride: Tuple[int, int] = (2, 2)
+
+    leading_dims_safe = True
 
     def run(self, x: np.ndarray) -> np.ndarray:
         return _pool(x, self.kernel, self.stride, reducer="max")
@@ -340,10 +354,12 @@ class MaxPoolOp(PlanOp):
 
 @dataclass
 class AvgPoolOp(PlanOp):
-    """Average pooling over ``(N, C, H, W)`` windows."""
+    """Average pooling over the trailing ``(H, W)`` axes of ``(..., C, H, W)``."""
 
     kernel: Tuple[int, int] = (2, 2)
     stride: Tuple[int, int] = (2, 2)
+
+    leading_dims_safe = True
 
     def run(self, x: np.ndarray) -> np.ndarray:
         return _pool(x, self.kernel, self.stride, reducer="avg")
@@ -397,16 +413,20 @@ def _pool(
 
     Binary ufuncs over strided views beat both a materialised window tensor
     and an axis reduction by a wide margin, and the summation order matches
-    the eager ``avg_pool2d`` loop exactly.
+    the eager ``avg_pool2d`` loop exactly.  The windows slide over the two
+    trailing axes only, so any leading axes — a batch, or a Monte-Carlo
+    sample axis before it — pass through without being folded (and so
+    copied) into one; each output element is the same fold of the same
+    ``kh * kw`` inputs either way.
     """
-    _, _, height, width = x.shape
+    height, width = x.shape[-2:]
     out_h = conv_output_size(height, kernel[0], stride[0], 0)
     out_w = conv_output_size(width, kernel[1], stride[1], 0)
     accumulated: Optional[np.ndarray] = None
     for y in range(kernel[0]):
         for z in range(kernel[1]):
             part = x[
-                :, :, y:y + stride[0] * out_h:stride[0], z:z + stride[1] * out_w:stride[1]
+                ..., y:y + stride[0] * out_h:stride[0], z:z + stride[1] * out_w:stride[1]
             ]
             if accumulated is None:
                 accumulated = np.array(part, copy=True)

@@ -264,7 +264,13 @@ class _WorkerClient:
         self._conn = parent_conn
         self._pending: Dict[int, Future] = {}
         self._ids = itertools.count()
+        # ``_lock`` guards the pending table and the closed/dead flags and
+        # is never held across a pipe write, so a large pickle in flight
+        # blocks neither reply delivery nor ``load()``.  ``_send_lock``
+        # orders each request's registration and write against the other
+        # submits and ``close()``'s sentinel (lock order: send, then table).
         self._lock = threading.Lock()
+        self._send_lock = threading.Lock()
         self._closed = False
         # Flipped (exactly once, by the receiver thread or a failed send)
         # when the worker process died rather than shut down: pending
@@ -288,22 +294,24 @@ class _WorkerClient:
 
     def submit(self, kind: str, payload) -> Future:
         future: Future = Future()
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("cluster is closed")
-            if self.dead:
-                raise WorkerDied(
-                    f"worker {self.index} has died; its shard is excluded "
-                    f"until it is restarted",
-                    worker_index=self.index,
-                )
-            request_id = next(self._ids)
-            self._pending[request_id] = future
+        with self._send_lock:
+            with self._lock:
+                if self._closed:
+                    raise RuntimeError("cluster is closed")
+                if self.dead:
+                    raise WorkerDied(
+                        f"worker {self.index} has died; its shard is excluded "
+                        f"until it is restarted",
+                        worker_index=self.index,
+                    )
+                request_id = next(self._ids)
+                self._pending[request_id] = future
             try:
                 self._conn.send((request_id, kind, payload))
             except (BrokenPipeError, OSError) as error:
-                self._pending.pop(request_id, None)
-                self.dead = True
+                with self._lock:
+                    self._pending.pop(request_id, None)
+                    self.dead = True
                 raise WorkerDied(
                     f"worker {self.index} is not reachable: {error}",
                     worker_index=self.index,
@@ -352,10 +360,11 @@ class _WorkerClient:
                 future.set_exception(error)
 
     def close(self, timeout: Optional[float]) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
+        with self._send_lock:
+            with self._lock:
+                if self._closed:
+                    return
+                self._closed = True
             try:
                 self._conn.send(_SHUTDOWN)
             except (BrokenPipeError, OSError):

@@ -7,13 +7,18 @@ straight-through estimator, following the DoReFa-style recipe the paper cites.
 
 :class:`UniformQuantizer` holds the only nearest-level search: training's
 straight-through estimator, compiled plans, Monte-Carlo draws and tile
-programming all map a conductance to a device state through it.
+programming all map a conductance to a device state through it.  The search
+is one compare per value: a truncated estimate of the value's interval
+between two levels, then a compare against that interval's precomputed
+decision boundary.  The boundary table is exact in float64, so the result is
+bitwise the arg-min of ``|value - level|`` over the full level table, ties
+resolving to the lower level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,6 +91,9 @@ class UniformQuantizer:
         self.levels = np.linspace(
             conductance_range.g_min, conductance_range.g_max, self.num_levels
         )
+        self._boundaries = _decision_boundaries(
+            self.bits, conductance_range.g_min, conductance_range.g_max
+        )
 
     @property
     def step(self) -> float:
@@ -120,41 +128,60 @@ class UniformQuantizer:
         return Tensor._make(data, (clipped,), backward, "quantize_ste")
 
     def _nearest_index(self, clipped: np.ndarray) -> np.ndarray:
-        """Index of the nearest level of each in-range value, in O(N) memory.
+        """Index of the nearest level of each in-range value, one compare each.
 
-        The rounded candidate index can be off by one in floating point, so
-        it is compared against its upper and then its lower neighbour; the
-        strict/non-strict comparisons make ties resolve to the lower level.
+        The truncated position ``(x - g_min) / step`` names a candidate
+        interval ``[levels[k], levels[k + 1]]``; ``x >= boundary[k]`` then
+        picks its upper level.  The candidate only has to be within one of
+        the true interval, since a value just outside it still lands on the
+        correct side of the boundary, so its rounding never matters.  The
+        candidate is clipped on both sides: NaN casts to an arbitrary integer
+        (the most negative one on x86) and so maps to level 0, as the
+        arg-min does.
         """
         shape = np.shape(clipped)
         clipped = np.reshape(clipped, -1)
-        top = self.num_levels - 1
-        index = np.rint((clipped - self.range.g_min) / self.step).astype(np.int64)
-        np.clip(index, 0, top, out=index)
-        lower = np.maximum(index - 1, 0)
-        upper = np.minimum(index + 1, top)
-        best = self._distance(clipped, index)
-        distance = self._distance(clipped, upper)
-        np.copyto(index, upper, where=distance < best)
-        np.minimum(best, distance, out=best)
-        self._distance(clipped, lower, out=distance)
-        np.copyto(index, lower, where=distance <= best)
+        position = np.subtract(clipped, self.range.g_min)
+        position /= self.step
+        index = position.astype(np.intp)
+        np.clip(index, 0, self.num_levels - 2, out=index)
+        # The gathered boundaries reuse the position buffer; mode="clip"
+        # only stops np.take from staging the gather in a temporary.
+        boundary = np.take(self._boundaries, index, out=position, mode="clip")
+        index += np.greater_equal(clipped, boundary)
         return index.reshape(shape)
-
-    def _distance(
-        self, clipped: np.ndarray, index: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """``|clipped - levels[index]|``, computed in one buffer.
-
-        Indices are always in range; ``mode="clip"`` only stops ``np.take``
-        from staging the gather in a temporary copy of ``out``.
-        """
-        out = np.take(self.levels, index, out=out, mode="clip")
-        np.subtract(clipped, out, out=out)
-        return np.abs(out, out=out)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"UniformQuantizer(bits={self.bits}, "
             f"range=[{self.range.g_min}, {self.range.g_max}])"
         )
+
+
+@lru_cache(maxsize=32)
+def _decision_boundaries(bits: int, g_min: float, g_max: float) -> np.ndarray:
+    """Read-only table of the float64 decision boundaries between levels.
+
+    ``boundary[k]`` is the smallest float64 ``x`` in
+    ``(levels[k], levels[k + 1]]`` with
+    ``|x - levels[k + 1]| < |x - levels[k]|`` evaluated in float64, so a
+    value goes to the upper level exactly when ``x >= boundary[k]`` and an
+    exact tie stays on the lower one.  Rounding is monotone, so that
+    predicate flips once across the interval; every entry is found at once
+    by bisection over the (order-preserving) bit patterns of non-negative
+    float64s.  Memoised per ``(bits, g_min, g_max)``.
+    """
+    levels = np.linspace(g_min, g_max, 2 ** bits) + 0.0  # -0.0 -> +0.0
+    lower, upper = levels[:-1], levels[1:]
+    # Invariant: the predicate is false at ``low`` and true at ``high``.
+    low = lower.view(np.int64).copy()
+    high = upper.view(np.int64).copy()
+    while (high - low > 1).any():
+        middle = low + (high - low) // 2
+        x = middle.view(np.float64)
+        upper_wins = np.abs(x - upper) < np.abs(x - lower)
+        high = np.where(upper_wins, middle, high)
+        low = np.where(upper_wins, low, middle)
+    boundaries = high.view(np.float64)
+    boundaries.flags.writeable = False
+    return boundaries

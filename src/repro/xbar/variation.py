@@ -51,6 +51,7 @@ class DeviceVariationModel:
         conductances: np.ndarray,
         num_samples: int,
         rng: Optional[np.random.Generator] = None,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Draw ``num_samples`` independent perturbations in one stacked array.
 
@@ -59,14 +60,27 @@ class DeviceVariationModel:
         one-sample stack is bit-identical to an unstacked draw from the same
         generator state; the Monte-Carlo engine evaluates all draws of a
         sigma point with one batched pass.
+
+        ``out``, a float64 C-contiguous array of that shape, receives the
+        stack instead of a fresh allocation (the Monte-Carlo engine reuses
+        one chunk buffer across a draw).  It is filled with standard normals,
+        scaled and shifted in place: bitwise the same values as
+        ``rng.normal(0.0, sigma) + conductances``, whose ``0.0 + sigma * z``
+        adds nothing.
         """
         if num_samples < 1:
             raise ValueError("num_samples must be at least 1")
         conductances = np.asarray(conductances, dtype=np.float64)
         shape = (num_samples,) + conductances.shape
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape:
+            raise ValueError(f"out has shape {out.shape}, expected {shape}")
         if self.sigma_fraction == 0.0:
-            return np.broadcast_to(conductances, shape).copy()
+            out[...] = conductances
+            return out
         rng = rng if rng is not None else np.random.default_rng()
-        noisy = rng.normal(0.0, self.sigma_absolute, size=shape)
-        noisy += conductances
-        return noisy
+        rng.standard_normal(out=out)
+        out *= self.sigma_absolute
+        out += conductances
+        return out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -12,11 +13,12 @@ from repro.mapping import MappedConv2d, MappedLinear
 from repro.models import make_lenet, make_mlp, make_resnet20, make_vgg9
 from repro.nn.module import Module
 from repro.runtime import (
+    AvgPoolOp,
     ConvOp,
     CrossbarSpec,
-    DenseOp,
     FlattenOp,
     InferencePlan,
+    MaxPoolOp,
     PlanCompilationError,
     compile_model,
     monte_carlo_accuracy,
@@ -215,24 +217,26 @@ class TestMonteCarlo:
             assert stack.shape == (5,) + weight.shape
             np.testing.assert_array_equal(stack, second[op_index])
 
-    def test_vectorized_matmul_matches_per_sample_loop(self, plan, rng):
-        """The einsum wiring must equal naively applying each sampled weight."""
-        inputs = rng.normal(size=(6, 16))
-        sampled = sample_crossbar_weights(plan, 0.15, 4, rng=np.random.default_rng(1))
-        logits = run_plan_samples(plan, inputs.reshape(6, 1, 4, 4), sampled, 4)
-        for sample in range(4):
-            # Re-run the plan manually for this sample's weights.
-            x = inputs
-            for index, op in enumerate(plan.ops):
-                if isinstance(op, DenseOp):
-                    x = x @ sampled[index][sample].T
-                    if op.bias is not None:
-                        x = x + op.bias
-                elif type(op).__name__ == "ActivationOp":
-                    x = np.maximum(x, 0.0)
-                elif type(op).__name__ == "FlattenOp":
-                    x = x.reshape(x.shape[0], -1)
-            np.testing.assert_allclose(logits[sample], x, atol=1e-10)
+    def test_vectorized_matmul_matches_per_sample_loop(self):
+        """Sample k of the batched run is bitwise ``plan.run`` with draw k.
+
+        Differential check of the sample-stacked execution (batched GEMMs,
+        fold-free pooling, folded global pooling and flatten) against the
+        plain plan carrying each sampled weight in turn.
+        """
+        for plan in _sampled_execution_plans():
+            inputs = np.random.default_rng(1).normal(size=(5,) + plan.input_shape)
+            sampled = sample_crossbar_weights(plan, 0.15, 4,
+                                              rng=np.random.default_rng(1))
+            logits = run_plan_samples(plan, inputs, sampled, 4)
+            for sample in range(4):
+                ops = [
+                    dataclasses.replace(op, weight=sampled[index][sample])
+                    if index in sampled else op
+                    for index, op in enumerate(plan.ops)
+                ]
+                single = dataclasses.replace(plan, ops=ops)
+                np.testing.assert_array_equal(logits[sample], single.run(inputs))
 
     def test_monte_carlo_accuracy_shape_and_range(self, plan):
         from repro.data.dataset import ArrayDataset
@@ -255,6 +259,28 @@ class TestMonteCarlo:
         assert logits.shape == (6, 4, 10)
         # Different draws must produce different logits at sigma > 0.
         assert not np.allclose(logits[0], logits[1])
+
+
+def _sampled_execution_plans():
+    """MLP, ResNet-20 (one block per stage), LeNet per mapping and precision,
+    and LeNet with its max pools swapped for average pools."""
+    models = [
+        make_mlp(input_size=16, hidden_sizes=(8,), mapping="acm",
+                 quantizer_bits=4, seed=0),
+        make_resnet20(mapping="acm", quantizer_bits=4, blocks_per_stage=1, seed=0),
+    ] + [
+        make_lenet(mapping=mapping, quantizer_bits=bits, seed=0)
+        for mapping in MAPPINGS for bits in PRECISIONS
+    ]
+    plans = [compile_model(model) for model in models]
+    lenet = plans[2]
+    plans.append(dataclasses.replace(lenet, ops=[
+        AvgPoolOp(inputs=op.inputs, output=op.output, kernel=op.kernel,
+                  stride=op.stride)
+        if isinstance(op, MaxPoolOp) else op
+        for op in lenet.ops
+    ]))
+    return plans
 
 
 def _oracle_draw(plan, sigma_fraction, num_samples, rng):

@@ -11,7 +11,9 @@ worker processes is the expensive part.
 from __future__ import annotations
 
 import os
+import queue
 import signal
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -25,6 +27,7 @@ from repro.api import (
     InvalidRequest,
     ModelNotFound,
     PredictRequest,
+    WorkerDied,
 )
 from repro.models import make_mlp
 from repro.runtime import compile_model, decode_array
@@ -36,6 +39,7 @@ from repro.serve import (
     PlanServer,
     shard_index,
 )
+from repro.serve.cluster import _WorkerClient
 from tests.test_serve_http import _predict_body, _request
 
 MODEL_NAMES = ("alpha", "beta", "gamma")
@@ -537,3 +541,100 @@ class TestReplicatedDeath:
     def test_invalid_replicas_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             PlanCluster(tmp_path, num_workers=1, replicas=0)
+
+
+class _BlockingPipe:
+    """A parent pipe end whose request sends can be held mid-write.
+
+    Replies queued on ``replies`` are what ``recv`` returns; the shutdown
+    sentinel (``None``) is answered at once, as a worker would.
+    """
+
+    def __init__(self):
+        self.replies = queue.Queue()
+        self.sending = threading.Event()
+        self.release = threading.Event()
+        self.release.set()
+
+    def send(self, message):
+        if message is None:
+            self.replies.put((None, True, "closed"))
+            return
+        self.sending.set()
+        self.release.wait()
+
+    def recv(self):
+        return self.replies.get()
+
+    def close(self):
+        pass
+
+
+class _StubContext:
+    """A multiprocessing context whose one pipe is a :class:`_BlockingPipe`."""
+
+    def __init__(self, pipe):
+        self.pipe = pipe
+
+    def Pipe(self, duplex):
+        return self.pipe, SimpleNamespace(close=lambda: None)
+
+    def Process(self, **kwargs):
+        return SimpleNamespace(start=lambda: None, join=lambda timeout=None: None,
+                               is_alive=lambda: False)
+
+
+def _within(seconds, function):
+    """``function()``'s result, or AssertionError if it blocks too long."""
+    results = queue.Queue()
+    threading.Thread(target=lambda: results.put(function()), daemon=True).start()
+    try:
+        return results.get(timeout=seconds)
+    except queue.Empty:
+        raise AssertionError(f"{function} blocked for {seconds} s") from None
+
+
+class TestPipeSendLocking:
+    def test_load_and_replies_proceed_while_a_send_is_blocked(self):
+        pipe = _BlockingPipe()
+        worker = _WorkerClient(_StubContext(pipe), 0, "unused", 1, 1, 1)
+        try:
+            first = worker.submit("predict", "small")
+            pipe.release.clear()
+            pipe.sending.clear()
+            sender = threading.Thread(
+                target=worker.submit, args=("predict", "large"), daemon=True
+            )
+            sender.start()
+            assert pipe.sending.wait(5.0)
+            # The second request is stuck in the pipe write: the router's
+            # load signal and the receiver's reply delivery must not wait.
+            assert _within(5.0, worker.load) == 2
+            pipe.replies.put((0, True, "done"))
+            assert _within(5.0, lambda: first.result(timeout=10.0)) == "done"
+            pipe.release.set()
+            sender.join(5.0)
+            assert not sender.is_alive()
+            assert worker.load() == 1
+        finally:
+            pipe.release.set()
+            worker.close(timeout=5.0)
+        assert worker.load() == 0
+
+    def test_failed_send_pops_the_future_and_marks_the_shard_dead(self):
+        pipe = _BlockingPipe()
+
+        def broken_send(message):
+            if message is not None:
+                raise BrokenPipeError("worker gone")
+            pipe.replies.put((None, True, "closed"))
+
+        pipe.send = broken_send
+        worker = _WorkerClient(_StubContext(pipe), 0, "unused", 1, 1, 1)
+        try:
+            with pytest.raises(WorkerDied):
+                worker.submit("predict", "rows")
+            assert worker.dead
+            assert worker.load() == 0
+        finally:
+            worker.close(timeout=5.0)

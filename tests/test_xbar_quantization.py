@@ -231,3 +231,113 @@ class TestSnap:
         np.testing.assert_array_equal(
             quantizer.snap(values), self._argmin_reference(quantizer, values)
         )
+
+
+#: The conductance ranges the exactness tests sweep: the unit range, an
+#: offset sub-range, and a microsiemens-scale range of tiny magnitudes.
+EXACTNESS_RANGES = [(0.0, 1.0), (0.1, 0.7), (1e-6, 3e-5)]
+
+#: Largest ``points x levels`` oracle table one exactness case evaluates.
+_ORACLE_BUDGET = 1 << 26
+
+
+def _full_table_snap(quantizer, values):
+    """``levels[|x - levels|.argmin()]`` over the full table, in row chunks."""
+    values = quantizer.range.clip(values)
+    rows = max(1, _ORACLE_BUDGET // (64 * quantizer.num_levels))
+    index = np.concatenate([
+        np.abs(values[start:start + rows, None] - quantizer.levels).argmin(-1)
+        for start in range(0, values.size, rows)
+    ])
+    return index, quantizer.levels[index]
+
+
+def _within_ulps(anchors, ulps=300):
+    """Every float64 within ``ulps`` steps of each anchor, both directions."""
+    below, above, values = anchors, anchors, [anchors]
+    for _ in range(ulps):
+        below = np.nextafter(below, -np.inf)
+        above = np.nextafter(above, np.inf)
+        values += [below, above]
+    return np.concatenate(values)
+
+
+def _first_upper_winners(quantizer):
+    """The first float64 past each midpoint the full-table arg-min sends up.
+
+    Found independently of the quantiser's own table: step up one ulp at a
+    time from just below the rounded midpoint until the upper level wins.
+    """
+    levels = quantizer.levels
+    lower, upper = levels[:-1], levels[1:]
+    candidate = np.nextafter((lower + upper) / 2.0, -np.inf)
+    for _ in range(8):
+        candidate = np.nextafter(candidate, -np.inf)
+    found = np.full(lower.shape, np.nan)
+    for _ in range(32):
+        wins = np.abs(candidate - upper) < np.abs(candidate - lower)
+        fresh = wins & np.isnan(found)
+        found[fresh] = candidate[fresh]
+        candidate = np.nextafter(candidate, np.inf)
+    assert not np.isnan(found).any()
+    return found
+
+
+class TestSnapExactness:
+    """The one-compare snap equals the full-table arg-min bit for bit."""
+
+    @pytest.mark.parametrize("g_min,g_max", EXACTNESS_RANGES)
+    @pytest.mark.parametrize("bits", range(1, 17))
+    def test_matches_full_table_around_levels_and_boundaries(self, bits, g_min, g_max):
+        """Every value within 300 ulps of a level or a decision boundary.
+
+        Up to 8 bits every level and boundary is an anchor.  Above that the
+        full-table oracle over every anchor would cost about 5 * 10^12
+        comparisons, so an evenly strided subset (always including both
+        ends of the range) stays within :data:`_ORACLE_BUDGET`.
+        """
+        quantizer = UniformQuantizer(bits, ConductanceRange(g_min, g_max))
+        boundaries = _first_upper_winners(quantizer)
+        anchors = np.concatenate([quantizer.levels, boundaries])
+        if bits > 8:
+            limit = max(8, _ORACLE_BUDGET // (601 * quantizer.num_levels))
+            levels = np.linspace(0, quantizer.num_levels - 1, limit // 2).astype(int)
+            picks = np.linspace(0, boundaries.size - 1, limit // 2).astype(int)
+            anchors = np.concatenate([quantizer.levels[levels], boundaries[picks]])
+        values = _within_ulps(anchors)
+        index, snapped = _full_table_snap(quantizer, values)
+        np.testing.assert_array_equal(quantizer.state_index(values), index)
+        np.testing.assert_array_equal(quantizer.snap(values), snapped)
+
+    @given(
+        bits=st.integers(min_value=1, max_value=16),
+        which=st.sampled_from(EXACTNESS_RANGES),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_full_table_on_drawn_values(self, bits, which, data):
+        g_min, g_max = which
+        quantizer = UniformQuantizer(bits, ConductanceRange(g_min, g_max))
+        span = g_max - g_min
+        values = np.array(data.draw(st.lists(
+            st.floats(g_min - span, g_max + span, allow_nan=False), min_size=1,
+            max_size=64,
+        )))
+        index, snapped = _full_table_snap(quantizer, values)
+        np.testing.assert_array_equal(quantizer.state_index(values), index)
+        np.testing.assert_array_equal(quantizer.snap(values), snapped)
+
+    @pytest.mark.parametrize("g_min,g_max", EXACTNESS_RANGES)
+    def test_non_finite_values_pin_to_the_range_ends(self, g_min, g_max):
+        quantizer = UniformQuantizer(4, ConductanceRange(g_min, g_max))
+        values = np.array([np.nan, np.inf, -np.inf])
+        with np.errstate(invalid="ignore"):  # NaN's cast to an index
+            np.testing.assert_array_equal(quantizer.state_index(values), [0, 15, 0])
+            np.testing.assert_array_equal(quantizer.snap(values), [g_min, g_max, g_min])
+
+    def test_boundary_table_is_memoised_and_read_only(self):
+        first = UniformQuantizer(5, ConductanceRange(0.1, 0.7))
+        second = UniformQuantizer(5, ConductanceRange(0.1, 0.7))
+        assert first._boundaries is second._boundaries
+        assert not first._boundaries.flags.writeable
+        np.testing.assert_array_equal(first._boundaries, _first_upper_winners(first))

@@ -233,6 +233,23 @@ class TestPerturbStack:
         with pytest.raises(ValueError):
             model.perturb(np.zeros((2, 2)), 0)
 
+    @pytest.mark.parametrize("sigma_fraction", [0.0, 0.15])
+    def test_out_buffer_holds_the_same_bits_as_a_normal_draw(self, sigma_fraction):
+        """``out=`` fills the buffer with ``rng.normal(0, sigma) + base``'s bits."""
+        model = DeviceVariationModel(sigma_fraction, ConductanceRange(0.1, 0.7))
+        base = np.random.default_rng(3).uniform(0.1, 0.7, size=(6, 9))
+        buffer = np.full((5, 6, 9), np.nan)
+        stack = model.perturb(base, 5, rng=np.random.default_rng(4), out=buffer)
+        assert stack is buffer
+        expected = np.random.default_rng(4).normal(
+            0.0, model.sigma_absolute, size=(5, 6, 9)) + base
+        np.testing.assert_array_equal(stack.view(np.int64), expected.view(np.int64))
+
+    def test_out_buffer_of_the_wrong_shape_is_refused(self):
+        model = DeviceVariationModel(sigma_fraction=0.1)
+        with pytest.raises(ValueError, match="shape"):
+            model.perturb(np.zeros((2, 2)), 3, out=np.empty((2, 2, 2)))
+
 
 class TestTilingNonAligned:
     """matmat must equal the dense product on non-tile-aligned shapes."""
