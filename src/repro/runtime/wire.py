@@ -71,20 +71,19 @@ def encode_array(array: np.ndarray, dtype=None) -> dict:
     }
 
 
-def decode_array(payload: WirePayload, dtype=None) -> np.ndarray:
+def decode_array(payload: WirePayload) -> np.ndarray:
     """Parse a request payload (packed dict or nested lists) to an ndarray.
 
-    ``dtype`` forces the returned dtype (lists default to float64; packed
-    payloads keep their declared dtype).  Any structural problem — ragged
-    lists, unknown dtype, byte count not matching the declared shape,
-    invalid base64 — raises :class:`WireFormatError`.
+    Lists decode to float64; packed payloads keep their declared dtype.
+    Any structural problem — ragged lists, unknown dtype, byte count not
+    matching the declared shape, invalid base64 — raises
+    :class:`WireFormatError`.
     """
     if isinstance(payload, dict):
-        array = _decode_packed(payload)
-        return array.astype(dtype) if dtype is not None else array
+        return _decode_packed(payload)
     if isinstance(payload, (list, tuple, int, float)):
         try:
-            array = np.asarray(payload, dtype=dtype or np.float64)
+            array = np.asarray(payload, dtype=np.float64)
         except (ValueError, TypeError) as error:
             raise WireFormatError(f"payload is not a numeric array: {error}") from None
         if not np.isfinite(array).all():

@@ -5,7 +5,8 @@ directory into a multi-process serving deployment.  Each worker process
 builds its own registry over the shared directory and runs a full
 :class:`~repro.serve.service.InferenceService` (one micro-batching
 scheduler per model it serves); the parent keeps only the catalogue index
-plus one duplex pipe per worker.  Models are partitioned across workers by
+plus one handle per worker — its duplex pipe and its supervisor state,
+the parent's only per-shard table.  Models are partitioned across workers by
 a consistent-hash ring with virtual nodes (:mod:`repro.serve.ring`): each
 key's ordered owner list is the first ``replicas`` distinct workers
 clockwise from its ring position, so:
@@ -33,6 +34,12 @@ thread in the parent scatters the typed results back onto per-request
 futures.  Results are exact — the same float64 arrays an in-process
 service would return, moved across a pickle boundary.  The pipe is the
 only transport: every array, large or small, rides the pickle stream.
+
+**Late publishes** need no coordination: each worker's registry re-scans
+the shared directory when a request names a key it has not indexed
+(:meth:`~repro.serve.registry.PlanRegistry.get`), so a plan published
+after the cluster started — a new model, or a ``__vN`` rollout version —
+is served by whichever owner the request lands on.
 
 **Self-healing** (``auto_restart=True``): a supervisor thread watches for
 dead workers and respawns each one with bounded exponential backoff
@@ -76,11 +83,12 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
-from repro.api.errors import ApiError, ModelNotFound, WorkerDied, map_exception
+from repro.api.errors import ApiError, WorkerDied, map_exception
 from repro.obs import (
     LogfmtFormatter,
     MetricFamily,
@@ -178,22 +186,10 @@ def _worker_main(
         reply(request_id, True, result)
 
     def _dispatch(kind, payload):
-        if kind == "predict" or kind == "ensemble":
-            try:
-                return _run_request(kind, payload)
-            except ModelNotFound:
-                # The plan may have been published after this worker
-                # indexed the directory; re-scan once and retry.
-                registry.refresh()
-                return _run_request(kind, payload)
-        if kind == "refresh":
-            # Parent-broadcast re-scan (a plan was published after this
-            # worker indexed the directory): every replica picks up the
-            # new key, not just the one that happened to hit ModelNotFound.
-            registry.refresh()
-            return len(registry)
-        if kind == "models":
-            return service.models()
+        if kind == "predict":
+            return service.predict_request(payload)
+        if kind == "ensemble":
+            return service.ensemble_request(payload)
         if kind == "stats":
             return service.stats_summary()
         if kind == "metrics":
@@ -203,11 +199,6 @@ def _worker_main(
         if kind == "ping":
             return "pong"
         raise ValueError(f"unknown request kind {kind!r}")
-
-    def _run_request(kind, request):
-        if kind == "predict":
-            return service.predict_request(request)
-        return service.ensemble_request(request)
 
     with ThreadPoolExecutor(
         max_workers=handler_threads, thread_name_prefix="plan-worker"
@@ -234,7 +225,17 @@ def _worker_main(
 # Parent-side worker handle
 # ---------------------------------------------------------------------- #
 class _WorkerClient:
-    """One worker process: pipe, pending-future table, receiver thread."""
+    """One incarnation of one shard: its worker process, pipe,
+    pending-future table and receiver thread, plus the shard's supervisor
+    state.
+
+    The cluster keeps no other per-shard table.  A restart builds a new
+    handle carrying its predecessor's crash streak and swaps it into the
+    shard's slot in one assignment, so a reader holding a handle sees one
+    incarnation's liveness and counters together.  Every replacement is
+    the next ``incarnation``, which therefore doubles as the shard's
+    restart count.
+    """
 
     def __init__(self, context, index: int, directory: str, capacity: int,
                  max_batch: int, handler_threads: int,
@@ -282,10 +283,24 @@ class _WorkerClient:
         # replicas >= 2 the restart is zero-downtime.  The handle still
         # serves as a last resort (replicas=1 keeps today's semantics).
         self.retiring = False
+        # Supervisor state, written under the cluster's _sup_lock.
+        # Consecutive crashes, forgiven once an incarnation has been up
+        # for stability_window seconds since it ``started``; at
+        # max_restarts the breaker opens and respawning stops.
+        self.crash_streak = 0
+        self.started = time.monotonic()
+        self.breaker_open = False
+        # When the supervisor respawns this (dead) incarnation.
+        self.restart_due: Optional[float] = None
         self._receiver = threading.Thread(
             target=self._receive_loop, name=f"plan-worker-{index}-recv", daemon=True
         )
         self._receiver.start()
+
+    @property
+    def available(self) -> bool:
+        """Alive with its breaker closed: an owner requests may route to."""
+        return not self.dead and not self.breaker_open
 
     def load(self) -> int:
         """Requests currently in flight — the router's least-loaded signal."""
@@ -411,6 +426,12 @@ class PlanCluster:
     of retrying forever.  While a respawn is pending, requests for the
     shard's keys wait for it (bounded by their ``timeout``) instead of
     failing.
+
+    Each shard's liveness and supervisor counters live on its worker
+    handle in ``_workers``; a restart swaps in a whole new handle, so every
+    reader takes the list once and needs no lock.  A plan published after
+    start is found by the owning workers' registries on their first miss
+    and by the parent's catalogue on its next listing.
     """
 
     def __init__(
@@ -466,29 +487,22 @@ class PlanCluster:
         self._worker_config = (str(self.catalogue.directory), capacity,
                                max_batch, handler_threads,
                                max_queue_depth, max_concurrent_ensembles)
-        self._workers = [
-            self._spawn_worker(index, incarnation=0)
-            for index in range(num_workers)
-        ]
+        self._workers = [self._spawn_worker(index)
+                         for index in range(num_workers)]
         self._closed = False
-        # Supervisor bookkeeping, all guarded by _sup_lock.  _restart_lock
-        # serialises actual worker replacement (supervisor vs. manual
-        # restart_worker) without holding up state reads.
+        # _sup_lock guards the supervisor state on the handles and every
+        # swap of a handle into its slot.  _restart_lock serialises actual
+        # worker replacement (supervisor vs. manual restart_worker) without
+        # holding up readers, who take ``list(self._workers)`` once.
         self._sup_lock = threading.Lock()
         self._restart_lock = threading.Lock()
         # Signalled on every handle swap, breaker opening, and close():
         # what a request with no live owner waits on (_await_respawn).
         self._respawned = threading.Condition(self._sup_lock)
-        self._restarts = [0] * num_workers
-        self._consecutive = [0] * num_workers
-        self._breaker = [False] * num_workers
-        self._restart_due: List[Optional[float]] = [None] * num_workers
-        self._last_restart: List[Optional[float]] = [None] * num_workers
-        self._incarnations = [0] * num_workers
         self._sup_stop = threading.Event()
         # Parent-side registry: worker liveness and breaker/restart state,
         # exported live via callbacks (the same state stats_summary()
-        # reports).
+        # reports), plus the rollout flips made through this parent.
         self.metrics = MetricsRegistry()
         self._build_instruments()
         self._supervisor: Optional[threading.Thread] = None
@@ -499,7 +513,7 @@ class PlanCluster:
             )
             self._supervisor.start()
 
-    def _spawn_worker(self, index: int, incarnation: int) -> _WorkerClient:
+    def _spawn_worker(self, index: int, incarnation: int = 0) -> _WorkerClient:
         return _WorkerClient(
             self._context, index, *self._worker_config,
             incarnation=incarnation, log_dir=self._log_dir,
@@ -528,10 +542,13 @@ class PlanCluster:
             "supervisor's respawn, by the key's primary worker.",
             labels=("worker",),
         )
-        self._refresh_broadcasts = metrics.counter(
-            "repro_cluster_registry_refreshes_total",
-            "Registry re-scan broadcasts to every live worker (a plan was "
-            "published after cluster start).",
+        # The rollout table is written here, through the parent catalogue,
+        # so the flips are counted here; the workers' families of the same
+        # name stay empty and merge with this one in a scrape.
+        self._rollout_flips = metrics.counter(
+            "repro_rollout_flips_total",
+            "Rollout table mutations (canary/promote/rollback).",
+            labels=("action",),
         )
         metrics.register_callback(
             "repro_ring_replicas", "gauge",
@@ -550,66 +567,55 @@ class PlanCluster:
             "Live (alive, breaker closed) owners per served model key.",
             self._collect_model_replicas,
         )
-        metrics.register_callback(
-            "repro_cluster_worker_up", "gauge",
-            "1 while the shard's worker process is alive, else 0.",
-            lambda: [
-                ({"worker": str(worker.index)}, 0.0 if worker.dead else 1.0)
-                for worker in list(self._workers)
-            ],
-        )
-        metrics.register_callback(
-            "repro_cluster_breaker_open", "gauge",
-            "1 while the shard's circuit breaker is open.",
-            self._collect_breakers,
-        )
-        metrics.register_callback(
-            "repro_cluster_worker_restarts_total", "counter",
-            "Times each shard's worker has been replaced.",
-            self._collect_restarts,
-        )
-        metrics.register_callback(
-            "repro_cluster_worker_consecutive_crashes", "gauge",
-            "Current crash streak per shard (resets after stability_window).",
-            self._collect_crash_streaks,
-        )
+        for name, kind, text, read in (
+            ("repro_cluster_worker_up", "gauge",
+             "1 while the shard's worker process is alive, else 0.",
+             lambda worker: not worker.dead),
+            ("repro_cluster_breaker_open", "gauge",
+             "1 while the shard's circuit breaker is open.",
+             lambda worker: worker.breaker_open),
+            ("repro_cluster_worker_restarts_total", "counter",
+             "Times each shard's worker has been replaced.",
+             lambda worker: worker.incarnation),
+            ("repro_cluster_worker_consecutive_crashes", "gauge",
+             "Current crash streak per shard (resets after "
+             "stability_window).",
+             lambda worker: worker.crash_streak),
+        ):
+            metrics.register_callback(name, kind, text,
+                                      self._per_worker(read))
 
-    def _collect_breakers(self) -> Sequence[Tuple[Mapping[str, str], float]]:
-        with self._sup_lock:
-            flags = list(self._breaker)
-        return [({"worker": str(i)}, 1.0 if flag else 0.0)
-                for i, flag in enumerate(flags)]
+    def _per_worker(
+        self, read: Callable[[_WorkerClient], object]
+    ) -> Callable[[], Sequence[Tuple[Mapping[str, str], float]]]:
+        """A collect callback: ``read(handle)`` for every shard."""
+        return lambda: [({"worker": str(worker.index)}, float(read(worker)))
+                        for worker in list(self._workers)]
 
-    def _collect_restarts(self) -> Sequence[Tuple[Mapping[str, str], float]]:
-        with self._sup_lock:
-            counts = list(self._restarts)
-        return [({"worker": str(i)}, float(count))
-                for i, count in enumerate(counts)]
+    def _served_owners(self) -> Dict[str, Tuple[int, ...]]:
+        """Ring owners per served base model, from a fresh catalogue scan.
 
-    def _collect_crash_streaks(
-        self,
-    ) -> Sequence[Tuple[Mapping[str, str], float]]:
-        with self._sup_lock:
-            streaks = list(self._consecutive)
-        return [({"worker": str(i)}, float(streak))
-                for i, streak in enumerate(streaks)]
+        Placement is version-blind: a ``__v2`` artifact lives on the same
+        shards as its base model, so requests routed by base key can be
+        canaried onto it inside the worker without re-routing.  The scan
+        lists a plan published after start before any request names it.
+        """
+        self.catalogue.refresh()
+        return {
+            base: self._ring.owners(base, self.effective_replicas)
+            for base in dict.fromkeys(key.base_canonical()
+                                      for key in self.catalogue.keys())
+        }
 
     def _collect_model_replicas(
         self,
     ) -> Sequence[Tuple[Mapping[str, str], float]]:
-        workers, breakers, _, _ = self._snapshot_state()
-        available = [not worker.dead and not breakers[worker.index]
-                     for worker in workers]
-        samples = []
-        # Ring placement is version-blind: a __v2 artifact lives on the same
-        # shards as its base model, so requests routed by base key can be
-        # canaried onto it inside the worker without re-routing.
-        for base in dict.fromkeys(k.base_canonical()
-                                  for k in self.catalogue.keys()):
-            owners = self._ring.owners(base, self.effective_replicas)
-            live = sum(1 for index in owners if available[index])
-            samples.append(({"model": base}, float(live)))
-        return samples
+        workers = list(self._workers)
+        return [
+            ({"model": base},
+             float(sum(1 for index in owners if workers[index].available)))
+            for base, owners in self._served_owners().items()
+        ]
 
     def metrics_families(self, timeout: Optional[float] = 5.0) -> List[MetricFamily]:
         """Parent instruments plus every live worker's families.
@@ -636,20 +642,6 @@ class PlanCluster:
             families.extend(relabel(worker_families, "worker", str(index)))
         return families
 
-    def _snapshot_state(
-        self,
-    ) -> Tuple[List[_WorkerClient], List[bool], List[int], List[int]]:
-        """One consistent (workers, breakers, restarts, streaks) snapshot.
-
-        Handle swaps during a restart happen under the same lock, so no
-        reader can observe a respawn half-applied — a worker is never
-        counted dead under the old handle while its restart is already in
-        the counters (or vice versa).
-        """
-        with self._sup_lock:
-            return (list(self._workers), list(self._breaker),
-                    list(self._restarts), list(self._consecutive))
-
     def health_summary(self) -> Tuple[str, Dict[str, Dict[str, object]]]:
         """(status, detail) for the health endpoint.
 
@@ -662,36 +654,26 @@ class PlanCluster:
         than R replicas), or ``"down"`` (no live owner — the only case
         where requests for the model actually fail).
         """
-        detail: Dict[str, Dict[str, object]] = {}
-        degraded = False
-        workers, breakers, restarts, _ = self._snapshot_state()
-        available = [False] * self.num_workers
-        for worker in workers:
-            index = worker.index
-            alive = not worker.dead
-            breaker_open = breakers[index] if index < len(breakers) else False
-            available[index] = alive and not breaker_open
-            if not alive or breaker_open:
-                degraded = True
-            detail[f"worker-{index}"] = {
-                "alive": alive,
-                "breaker_open": breaker_open,
-                "restarts": restarts[index] if index < len(restarts) else 0,
+        workers = list(self._workers)
+        detail: Dict[str, Dict[str, object]] = {
+            f"worker-{worker.index}": {
+                "alive": not worker.dead,
+                "breaker_open": worker.breaker_open,
+                "restarts": worker.incarnation,
             }
+            for worker in workers
+        }
         models: Dict[str, Dict[str, object]] = {}
-        # Version-blind placement: all versions of a model share the base
-        # stem's ring owners, so health is reported once per base model.
-        for base in dict.fromkeys(k.base_canonical()
-                                  for k in self.catalogue.keys()):
-            owners = self._ring.owners(base, self.effective_replicas)
-            live = sum(1 for index in owners if available[index])
+        for base, owners in self._served_owners().items():
+            live = sum(1 for index in owners if workers[index].available)
             state = ("ok" if live == len(owners)
                      else "degraded" if live else "down")
             models[base] = {
                 "replicas": len(owners), "live": live, "state": state,
             }
         detail["models"] = models
-        return ("degraded" if degraded else "ok"), detail
+        healthy = all(worker.available for worker in workers)
+        return ("ok" if healthy else "degraded"), detail
 
     def describe_workers(self) -> List[Dict[str, object]]:
         """JSON-ready per-shard process detail (the ``/admin/workers`` body).
@@ -701,37 +683,29 @@ class PlanCluster:
         is *primary* for (first ring owner) and the keys it backs as a
         *replica*.
         """
-        workers, breakers, restarts, streaks = self._snapshot_state()
-        ownership: Dict[int, Dict[str, List[str]]] = {
-            worker.index: {"primary": [], "replica": []}
-            for worker in workers
-        }
-        for base in dict.fromkeys(k.base_canonical()
-                                  for k in self.catalogue.keys()):
-            owners = self._ring.owners(base, self.effective_replicas)
+        workers = list(self._workers)
+        serves: List[Dict[str, List[str]]] = [
+            {"primary": [], "replica": []} for _ in workers
+        ]
+        for base, owners in self._served_owners().items():
             for position, index in enumerate(owners):
-                if index in ownership:
-                    role = "primary" if position == 0 else "replica"
-                    ownership[index][role].append(base)
-        described: List[Dict[str, object]] = []
-        for worker in workers:
-            index = worker.index
-            described.append({
-                "index": index,
+                role = "primary" if position == 0 else "replica"
+                serves[index][role].append(base)
+        return [
+            {
+                "index": worker.index,
                 "alive": not worker.dead,
                 "retiring": worker.retiring,
                 "pid": worker.process.pid,
                 "incarnation": worker.incarnation,
-                "restarts": restarts[index] if index < len(restarts) else 0,
-                "consecutive_crashes":
-                    streaks[index] if index < len(streaks) else 0,
-                "breaker_open":
-                    breakers[index] if index < len(breakers) else False,
+                "restarts": worker.incarnation,
+                "consecutive_crashes": worker.crash_streak,
+                "breaker_open": worker.breaker_open,
                 "load": worker.load(),
-                "serves": ownership.get(index,
-                                        {"primary": [], "replica": []}),
-            })
-        return described
+                "serves": serves[worker.index],
+            }
+            for worker in workers
+        ]
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -749,19 +723,18 @@ class PlanCluster:
             PlanKey(model, bits, mapping).canonical(), self.effective_replicas
         )
 
-    def _no_replica_error(
-        self, owners: Tuple[int, ...], breakers: List[bool]
-    ) -> WorkerDied:
+    def _no_replica_error(self, owners: Sequence[_WorkerClient]) -> WorkerDied:
         """The typed error when every owner of a key is unavailable.
 
         ``breaker_open=True`` (the operator-action fail-fast signal) only
         when *all* owners are breaker-open; any mix that includes a merely
         dead worker stays retryable.
         """
-        primary = owners[0]
+        primary = owners[0].index
         phrase = (f"worker {primary}" if len(owners) == 1
-                  else "all replicas " + "/".join(str(i) for i in owners))
-        if all(breakers[index] for index in owners):
+                  else "all replicas "
+                  + "/".join(str(owner.index) for owner in owners))
+        if all(owner.breaker_open for owner in owners):
             return WorkerDied(
                 f"{phrase} crash-looped; the circuit breaker(s) are open "
                 f"and the key stays down until restart_worker() re-admits "
@@ -801,7 +774,7 @@ class PlanCluster:
         if self._closed:
             raise RuntimeError("cluster is closed")
         owners = self.replicas_for(model, bits, mapping)
-        workers, breakers, _, _ = self._snapshot_state()
+        workers = list(self._workers)
         candidates: List[Tuple[int, _WorkerClient]] = []
         retiring: List[Tuple[int, _WorkerClient]] = []
         skipped: List[Tuple[int, str]] = []
@@ -813,7 +786,7 @@ class PlanCluster:
             if worker.dead:
                 skipped.append((index, "dead"))
                 continue
-            if breakers[index]:
+            if worker.breaker_open:
                 skipped.append((index, "breaker_open"))
                 continue
             if worker.retiring:
@@ -864,12 +837,11 @@ class PlanCluster:
             while True:
                 if self._closed:
                     raise RuntimeError("cluster is closed")
-                if any(not self._workers[index].dead
-                       and not self._breaker[index]
-                       and self._workers[index] not in excluded
-                       for index in owners):
+                handles = [self._workers[index] for index in owners]
+                if any(worker.available and worker not in excluded
+                       for worker in handles):
                     return
-                all_open = all(self._breaker[index] for index in owners)
+                all_open = all(worker.breaker_open for worker in handles)
                 remaining = (None if deadline is None
                              else deadline - time.monotonic())
                 if (not self.auto_restart or all_open
@@ -877,58 +849,17 @@ class PlanCluster:
                     if excluded and not all_open:
                         # Re-raise what the last attempt actually saw.
                         raise next(reversed(list(excluded.values())))
-                    raise self._no_replica_error(owners, self._breaker)
+                    raise self._no_replica_error(handles)
                 if not counted:
                     self._respawn_waits.inc(worker=str(owners[0]))
                     counted = True
                 self._respawned.wait(remaining)
 
-    def _ensure_catalogued(
-        self, model: str, bits: Optional[int], mapping: str
-    ) -> None:
-        """Heal the publish-after-start gap before routing.
-
-        A key missing from the parent catalogue triggers one re-scan; if
-        the scan finds it (the plan was published after cluster start),
-        every live worker is told to re-index too — otherwise only the
-        replica that happened to receive a request would heal via its
-        ModelNotFound retry, leaving the other R-1 replicas serving 404s.
-        """
-        key = PlanKey(model, bits, mapping)
-        if key in self.catalogue:
-            return
-        self.catalogue.refresh()
-        if key in self.catalogue:
-            self.refresh_workers()
-
-    def refresh_workers(self, timeout: Optional[float] = 30.0) -> None:
-        """Broadcast a registry re-scan to every live worker.
-
-        Waits for the acknowledgements (bounded by ``timeout``) so that a
-        request routed immediately afterwards cannot hit a stale replica;
-        workers that die mid-broadcast are skipped — their replacement
-        re-indexes the directory on spawn anyway.
-        """
-        futures: List[Future] = []
-        workers, _, _, _ = self._snapshot_state()
-        for worker in workers:
-            if worker.dead:
-                continue
-            try:
-                futures.append(worker.submit("refresh", None))
-            except (WorkerDied, RuntimeError):
-                continue
-        for future in futures:
-            try:
-                future.result(timeout=timeout)
-            except Exception:  # noqa: BLE001 - dead replica heals on respawn
-                continue
-        self._refresh_broadcasts.inc()
-
     # ------------------------------------------------------------------ #
     # Versioned rollout (admin surface; the shared plan directory is the
     # source of truth, so one `_rollout.json` write is seen by every
-    # worker's registry on its next stat of the file)
+    # worker's registry on its next stat of the file, and a worker that
+    # has not indexed the version yet finds it on its first miss)
     # ------------------------------------------------------------------ #
     def set_canary(
         self,
@@ -938,16 +869,10 @@ class PlanCluster:
         version: int,
         fraction: float,
     ) -> Dict[str, Any]:
-        """Canary ``fraction`` of traffic onto ``version``, cluster-wide.
-
-        The refresh broadcast makes every replica index the versioned
-        artifact *before* the first canaried request can route to it —
-        without it only the replica that happened to take the first
-        request would heal via its ModelNotFound retry.
-        """
+        """Canary ``fraction`` of traffic onto ``version``, cluster-wide."""
         state = self.catalogue.set_canary(model, bits, mapping, version,
                                           fraction)
-        self.refresh_workers()
+        self._rollout_flips.inc(action="canary")
         log_event(_LOG, "rollout_canary", model=model, mapping=mapping,
                   bits=bits, version=version, fraction=fraction)
         return state
@@ -961,7 +886,7 @@ class PlanCluster:
     ) -> Dict[str, Any]:
         """Atomically make ``version`` (default: the canary) active."""
         state = self.catalogue.promote(model, bits, mapping, version)
-        self.refresh_workers()
+        self._rollout_flips.inc(action="promote")
         log_event(_LOG, "rollout_promote", model=model, mapping=mapping,
                   bits=bits, active=state.get("active"))
         return state
@@ -971,6 +896,7 @@ class PlanCluster:
     ) -> Dict[str, Any]:
         """Atomically revert to the previously active version."""
         state = self.catalogue.rollback(model, bits, mapping)
+        self._rollout_flips.inc(action="rollback")
         log_event(_LOG, "rollout_rollback", model=model, mapping=mapping,
                   bits=bits, active=state.get("active"))
         return state
@@ -981,21 +907,14 @@ class PlanCluster:
 
     @property
     def dead_workers(self) -> List[int]:
-        """Indices of workers whose process has died (shards excluded).
-
-        Read through the same snapshot the restart path writes, so a
-        respawning worker can never appear dead here while its restart is
-        already counted elsewhere.
-        """
-        workers, _, _, _ = self._snapshot_state()
-        return [worker.index for worker in workers if worker.dead]
+        """Indices of workers whose process has died (shards excluded)."""
+        return [worker.index for worker in list(self._workers) if worker.dead]
 
     @property
     def open_breakers(self) -> List[int]:
         """Shards whose circuit breaker is open (no automatic respawn)."""
-        with self._sup_lock:
-            return [index for index, is_open in enumerate(self._breaker)
-                    if is_open]
+        return [worker.index for worker in list(self._workers)
+                if worker.breaker_open]
 
     # ------------------------------------------------------------------ #
     # Self-healing supervisor
@@ -1019,69 +938,44 @@ class PlanCluster:
 
     def _supervise_one(self, index: int, now: float) -> None:
         with self._sup_lock:
-            if self._closed or self._breaker[index]:
-                return
             worker = self._workers[index]
-            if not worker.dead:
-                # Healthy: once the latest respawn has survived the
-                # stability window, the crash streak is forgiven.
-                last = self._last_restart[index]
-                if (self._consecutive[index] and last is not None
-                        and now - last >= self.stability_window):
-                    self._consecutive[index] = 0
-                self._restart_due[index] = None
+            if self._closed or worker.breaker_open:
                 return
-            if self._consecutive[index] >= self.max_restarts:
+            if not worker.dead:
+                # Healthy: once this incarnation has survived the
+                # stability window, the crash streak is forgiven.
+                if (worker.crash_streak
+                        and now - worker.started >= self.stability_window):
+                    worker.crash_streak = 0
+                worker.restart_due = None
+                return
+            if worker.crash_streak >= self.max_restarts:
                 # Crash-looping past the budget: trip the breaker instead
                 # of burning CPU respawning a shard that cannot stay up.
-                self._breaker[index] = True
-                self._restart_due[index] = None
+                worker.breaker_open = True
+                worker.restart_due = None
                 log_event(_LOG, "breaker_open", level=logging.WARNING,
-                          worker=index, crashes=self._consecutive[index])
+                          worker=index, crashes=worker.crash_streak)
                 self._respawned.notify_all()
                 return
-            due = self._restart_due[index]
-            if due is None:
+            if worker.restart_due is None:
                 delay = min(
-                    self.restart_backoff * (2 ** self._consecutive[index]),
+                    self.restart_backoff * (2 ** worker.crash_streak),
                     self.max_restart_backoff,
                 )
-                self._restart_due[index] = now + delay
+                worker.restart_due = now + delay
                 return
-            if now < due:
+            if now < worker.restart_due:
                 return
-            self._restart_due[index] = None
-            self._consecutive[index] += 1
-        self._respawn(index)
-
-    def _respawn(self, index: int) -> None:
-        """Replace one dead worker (supervisor path; spawning is slow, so
-        it happens outside ``_sup_lock``)."""
+            worker.restart_due = None
+            # Counted before the spawn, so a failed attempt is retried
+            # with a longer backoff and still bounded by the breaker.
+            worker.crash_streak += 1
         with self._restart_lock:
-            if self._closed:
-                return
-            old = self._workers[index]
-            if not old.dead:  # raced with a manual restart_worker
-                return
-            old.retiring = True
-            old.close(timeout=10.0)
-            with self._sup_lock:
-                incarnation = self._incarnations[index] + 1
-            # May raise under resource exhaustion; counters update only on
-            # success so a failed attempt is retried (with backoff) rather
-            # than recorded as a restart.
-            replacement = self._spawn_worker(index, incarnation)
-            # Counters and the handle swap commit atomically: no reader
-            # can see the restart counted while the dead handle still
-            # routes (or the new handle live with a stale streak).
-            with self._sup_lock:
-                self._incarnations[index] = incarnation
-                self._restarts[index] += 1
-                self._last_restart[index] = time.monotonic()
-                self._workers[index] = replacement
-                self._respawned.notify_all()
-            log_event(_LOG, "worker_respawned", worker=index,
-                      incarnation=incarnation, pid=replacement.process.pid)
+            # A manual restart_worker may have replaced the handle since.
+            if not self._closed and self._workers[index] is worker:
+                self._replace_worker(worker, reset=False, close_timeout=10.0,
+                                     event="worker_respawned")
 
     def restart_worker(self, index: int) -> None:
         """Replace one worker process, re-admitting its shard.
@@ -1107,30 +1001,37 @@ class PlanCluster:
         with self._restart_lock:
             if self._closed:
                 raise RuntimeError("cluster is closed")
-            old = self._workers[index]
-            # Route new work to the other replicas before draining; with
-            # replicas=1 the router still uses the retiring handle as the
-            # last resort, preserving the pre-ring behavior.
-            old.retiring = True
-            # For a dead worker this just reaps the corpse and fails any
-            # straggler futures; for a live one it is the graceful drain.
-            old.close(timeout=30.0)
-            with self._sup_lock:
-                incarnation = self._incarnations[index] + 1
-            replacement = self._spawn_worker(index, incarnation)
-            # Swap and counters commit atomically (see _respawn).
-            with self._sup_lock:
-                self._incarnations[index] = incarnation
-                self._restarts[index] += 1
-                self._consecutive[index] = 0
-                self._breaker[index] = False
-                self._restart_due[index] = None
-                self._last_restart[index] = time.monotonic()
-                self._workers[index] = replacement
-                self._respawned.notify_all()
-            log_event(_LOG, "worker_restarted", worker=index,
-                      incarnation=incarnation,
-                      pid=replacement.process.pid)
+            self._replace_worker(self._workers[index], reset=True,
+                                 close_timeout=30.0, event="worker_restarted")
+
+    def _replace_worker(self, old: _WorkerClient, reset: bool,
+                        close_timeout: float, event: str) -> None:
+        """Retire, close, respawn and swap in one shard's worker.
+
+        The caller holds ``_restart_lock``.  Spawning is slow, so it runs
+        outside ``_sup_lock``.  The replacement is the next incarnation,
+        starts with its breaker closed, inherits its predecessor's crash
+        streak unless ``reset`` (an operator's re-admission), and enters
+        the slot in one assignment.  A spawn that raises (resource
+        exhaustion) leaves the old handle in place, so the supervisor
+        retries with backoff.
+        """
+        # Route new work to the other replicas before draining; with
+        # replicas=1 the router still uses the retiring handle as the last
+        # resort, preserving the pre-ring behavior.
+        old.retiring = True
+        # For a dead worker this just reaps the corpse and fails any
+        # straggler futures; for a live one it is the graceful drain.
+        old.close(timeout=close_timeout)
+        replacement = self._spawn_worker(old.index, old.incarnation + 1)
+        if not reset:
+            replacement.crash_streak = old.crash_streak
+        with self._sup_lock:
+            self._workers[old.index] = replacement
+            self._respawned.notify_all()
+        log_event(_LOG, event, worker=old.index,
+                  incarnation=replacement.incarnation,
+                  pid=replacement.process.pid)
 
     # ------------------------------------------------------------------ #
     # Requests
@@ -1189,8 +1090,6 @@ class PlanCluster:
         if request_id != request.request_id or images is not request.images:
             request = replace(request, images=images, request_id=request_id)
         try:
-            self._ensure_catalogued(request.model, request.bits,
-                                    request.mapping)
             excluded: Dict[_WorkerClient, BaseException] = {}
             while True:
                 worker, future = self._submit_routed(kind, request, excluded,
@@ -1243,13 +1142,13 @@ class PlanCluster:
         ``supervisor`` block (restart counts, crash streak, breaker state).
         A dead worker reports ``{"status": {"dead": True}}`` instead of
         failing the whole listing, so monitoring keeps working while a
-        shard is down.  Liveness and supervisor counters come from one
-        state snapshot, so this listing, ``dead_workers``, and
+        shard is down.  Liveness and supervisor counters are read from one
+        handle per shard, so this listing, ``dead_workers``, and
         ``/admin/workers`` agree at every point of a rolling restart.
         """
         if self._closed:
             raise RuntimeError("cluster is closed")
-        workers, breakers, restarts, streaks = self._snapshot_state()
+        workers = list(self._workers)
         futures: Dict[int, Future] = {}
         for worker in workers:
             if worker.dead:
@@ -1270,9 +1169,9 @@ class PlanCluster:
                 stats = {"status": {"dead": True}}
             stats["supervisor"] = {
                 "auto_restart": self.auto_restart,
-                "restarts": restarts[worker.index],
-                "consecutive_crashes": streaks[worker.index],
-                "breaker_open": breakers[worker.index],
+                "restarts": worker.incarnation,
+                "consecutive_crashes": worker.crash_streak,
+                "breaker_open": worker.breaker_open,
             }
             summary[f"worker-{worker.index}"] = stats
         return summary

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.api.errors import InvalidRequest
-from repro.api.types import parse_bits_token
+from repro.api.types import canonical_name, parse_bits_token
 from repro.runtime.plan import InferencePlan
 
 
@@ -48,10 +48,6 @@ class PlanArtifactError(RuntimeError):
     corrupted, or not a plan at all; the registry itself stays consistent —
     other keys keep serving and a repaired artifact loads on the next get.
     """
-
-
-def _bits_token(bits: Optional[int]) -> str:
-    return "fp32" if bits is None else f"{int(bits)}b"
 
 
 def parse_bits(token: str) -> Optional[int]:
@@ -66,8 +62,6 @@ def parse_bits(token: str) -> Optional[int]:
     except InvalidRequest as error:
         raise ValueError(str(error)) from None
 
-
-_parse_bits = parse_bits
 
 #: Rollout-state file kept next to the artifacts (never matches ``*.npz``).
 ROLLOUT_FILENAME = "_rollout.json"
@@ -167,7 +161,7 @@ class PlanKey:
 
     def base_canonical(self) -> str:
         """The version-blind stem — rollout state and ring routing key."""
-        return f"{self.model}__{_bits_token(self.bits)}__{self.mapping}"
+        return canonical_name(self.model, self.bits, self.mapping)
 
     def canonical(self) -> str:
         """Filesystem-safe canonical stem, e.g. ``lenet__4b__acm`` (version
@@ -204,7 +198,7 @@ class PlanKey:
         try:
             return cls(
                 model=parts[0],
-                bits=_parse_bits(parts[1]),
+                bits=parse_bits(parts[1]),
                 mapping=parts[2],
                 version=version,
             )
@@ -357,7 +351,12 @@ class PlanRegistry:
         mapping: str,
         version: int = 1,
     ) -> InferencePlan:
-        """The plan for ``(model, bits, mapping)``, loading it if evicted."""
+        """The plan for ``(model, bits, mapping)``, loading it if evicted.
+
+        A key missing from the index re-scans the directory once before
+        raising, so a plan another process published since the last scan
+        serves on its first request.
+        """
         key = PlanKey(model=model, bits=bits, mapping=mapping, version=version)
         with self._lock:
             plan = self._loaded.get(key)
@@ -365,6 +364,8 @@ class PlanRegistry:
                 self.hits += 1
                 self._loaded.move_to_end(key)
                 return plan
+            if key not in self._entries:
+                self.refresh()
             entry = self._entries.get(key)
             if entry is None:
                 known = ", ".join(k.canonical() for k in self._entries) or "<none>"

@@ -617,6 +617,20 @@ class TestServiceCatalogue:
             other.publish_model(small_mlp(), "late", 4, "acm")
             assert [entry["name"] for entry in service.models()] == ["late__4b__acm"]
 
+    def test_first_request_serves_an_externally_published_plan(self, tmp_path):
+        # The registry re-scans on a miss, so no listing or refresh has to
+        # come first: the very first request for the new key is served.
+        registry = PlanRegistry(tmp_path / "plans")
+        images = np.random.default_rng(5).normal(size=(3, 16))
+        with InferenceService(registry) as service:
+            model = small_mlp(seed=3)
+            PlanRegistry(tmp_path / "plans").publish_model(model, "late", 4,
+                                                           "acm")
+            logits = service.predict_request(PredictRequest(
+                images, model="late", bits=4, mapping="acm",
+            )).logits
+        np.testing.assert_array_equal(logits, compile_model(model).run(images))
+
     def test_stats_summary_is_json_ready(self, tmp_path):
         import json
 

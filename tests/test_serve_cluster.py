@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import queue
 import signal
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -37,6 +38,7 @@ from repro.serve import (
     PlanKey,
     PlanRegistry,
     PlanServer,
+    canary_bucket,
     shard_index,
 )
 from repro.serve.cluster import _WorkerClient
@@ -541,6 +543,151 @@ class TestReplicatedDeath:
     def test_invalid_replicas_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             PlanCluster(tmp_path, num_workers=1, replicas=0)
+
+
+class TestShardTable:
+    """Each shard's state is one handle, swapped whole on a restart."""
+
+    def test_concurrent_restarts_lose_no_update(self, tmp_path):
+        directory = tmp_path / "plans"
+        model = make_mlp(input_size=16, hidden_sizes=(4,), mapping="acm",
+                         quantizer_bits=4, seed=0)
+        PlanRegistry(directory).publish_model(model, "solo", 4, "acm")
+        cluster = PlanCluster(directory, num_workers=2, replicas=2,
+                              handler_threads=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cluster.wait_ready(timeout=120)
+            stop = threading.Event()
+            seen = {0: [], 1: []}
+
+            def read():
+                while not stop.is_set():
+                    for entry in cluster.describe_workers():
+                        seen[entry["index"]].append(entry["restarts"])
+
+            reader = threading.Thread(target=read, daemon=True)
+            reader.start()
+            # Four restarters on two cores, two per shard: replacement is
+            # serialised, so each builds on its predecessor's incarnation.
+            restarters = [
+                threading.Thread(target=cluster.restart_worker,
+                                 args=(call % 2,), daemon=True)
+                for call in range(4)
+            ]
+            for thread in restarters:
+                thread.start()
+            for thread in restarters:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+            stop.set()
+            reader.join(timeout=10)
+            assert not reader.is_alive()
+            assert [worker.incarnation for worker in cluster._workers] == [2, 2]
+            for counts in seen.values():
+                assert counts and counts == sorted(counts)
+            supervisor = {name: stats["supervisor"]["restarts"]
+                          for name, stats in cluster.stats_summary().items()}
+            assert supervisor == {"worker-0": 2, "worker-1": 2}
+            images = np.random.default_rng(23).normal(size=(2, 16))
+            np.testing.assert_array_equal(
+                cluster.predict_request(PredictRequest(
+                    images, model="solo", bits=4, mapping="acm",
+                )).logits,
+                compile_model(model).run(images),
+            )
+        finally:
+            sys.setswitchinterval(interval)
+            cluster.close()
+
+
+def _rollout_flips(cluster):
+    """``repro_rollout_flips_total`` per action, summed over every family
+    of that name in one cluster scrape (the parent's and each worker's)."""
+    counts = {}
+    for family in cluster.metrics_families():
+        if family.name == "repro_rollout_flips_total":
+            for sample in family.samples:
+                action = dict(sample.labels)["action"]
+                counts[action] = counts.get(action, 0.0) + sample.value
+    return counts
+
+
+class TestClusterRollout:
+    """Canary, promote and rollback driven through the cluster parent,
+    for a version published after the workers indexed the directory."""
+
+    @pytest.fixture
+    def rollout_env(self, tmp_path):
+        directory = tmp_path / "plans"
+        registry = PlanRegistry(directory)
+        v1 = make_mlp(input_size=16, hidden_sizes=(6,), mapping="acm",
+                      quantizer_bits=4, seed=20)
+        registry.publish_model(v1, "roll", 4, "acm")
+        cluster = PlanCluster(directory, num_workers=2, replicas=2,
+                              handler_threads=2)
+        cluster.wait_ready(timeout=120)
+        v2 = compile_model(make_mlp(input_size=16, hidden_sizes=(6,),
+                                    mapping="acm", quantizer_bits=4, seed=21))
+        # Published after start: neither worker has indexed it yet.
+        registry.publish(v2, "roll", 4, "acm", version=2)
+        yield SimpleNamespace(cluster=cluster, v1=compile_model(v1), v2=v2)
+        cluster.close()
+
+    @staticmethod
+    def _served(cluster, images, request_id):
+        return cluster.predict_request(PredictRequest(
+            images, model="roll", bits=4, mapping="acm",
+            request_id=request_id,
+        )).logits
+
+    def test_canary_promote_rollback_serve_the_chosen_version(
+        self, rollout_env
+    ):
+        cluster = rollout_env.cluster
+        images = np.random.default_rng(22).normal(size=(4, 16))
+        expected = {1: rollout_env.v1.run(images),
+                    2: rollout_env.v2.run(images)}
+        assert not np.array_equal(expected[1], expected[2])
+        request_ids = [f"rollout-{index}" for index in range(16)]
+
+        cluster.set_canary("roll", 4, "acm", version=2, fraction=0.5)
+        sides = set()
+        for request_id in request_ids:
+            version = 2 if canary_bucket(request_id) < 0.5 else 1
+            sides.add(version)
+            assert np.array_equal(
+                self._served(cluster, images, request_id), expected[version]
+            ), request_id
+        assert sides == {1, 2}
+
+        assert cluster.promote("roll", 4, "acm")["active"] == 2
+        for request_id in request_ids:
+            assert np.array_equal(
+                self._served(cluster, images, request_id), expected[2])
+
+        assert cluster.rollback("roll", 4, "acm")["active"] == 1
+        for request_id in request_ids:
+            assert np.array_equal(
+                self._served(cluster, images, request_id), expected[1])
+
+    def test_each_rollout_action_counts_one_flip(self, rollout_env):
+        cluster = rollout_env.cluster
+        before = _rollout_flips(cluster)
+        for action, flip in (
+            ("canary", lambda: cluster.set_canary("roll", 4, "acm",
+                                                  version=2, fraction=0.5)),
+            ("promote", lambda: cluster.promote("roll", 4, "acm")),
+            ("rollback", lambda: cluster.rollback("roll", 4, "acm")),
+        ):
+            flip()
+            after = _rollout_flips(cluster)
+            moved = {name: after.get(name, 0.0) - before.get(name, 0.0)
+                     for name in ("canary", "promote", "rollback")}
+            assert moved == {name: 1.0 if name == action else 0.0
+                             for name in moved}, action
+            before = after
 
 
 class _BlockingPipe:
