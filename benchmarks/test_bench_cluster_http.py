@@ -130,14 +130,15 @@ def _cluster_http_throughput(tmp_path):
             )
 
     # -- sharded cluster ------------------------------------------------ #
-    with PlanCluster(plan_dir, num_workers=NUM_WORKERS, max_batch=64,
-                     handler_threads=8) as cluster:
+    with PlanCluster(plan_dir, num_workers=NUM_WORKERS,
+                     max_batch=64) as cluster:
         cluster.wait_ready(timeout=300)
         shards = {name: cluster.worker_for(name, 4, "acm") for name in names}
         for name in names:  # warm every worker's plan + schedulers
             _predict(cluster, name, images[:4])
         # One client thread per request, so the whole workload is in
-        # flight at once; each worker serves handler_threads of it at a time.
+        # flight at once; each worker queues its share straight into its
+        # schedulers, as one process would.
         with ThreadPoolExecutor(
             max_workers=len(names) * REQUESTS_PER_MODEL
         ) as clients:

@@ -81,7 +81,6 @@ _CLUSTER_PARAMS: Dict[str, Callable[[str], Any]] = {
     "max_batch": int,
     "max_queue_depth": int,
     "max_concurrent_ensembles": int,
-    "handler_threads": int,
     "timeout": float,
     "ensemble_timeout": float,
     "auto_restart": _parse_bool,

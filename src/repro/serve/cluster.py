@@ -27,13 +27,17 @@ clockwise from its ring position, so:
   exactly: one owner per key, fail-fast on a dead shard.
 
 The parent/worker protocol is asynchronous: each typed request dataclass
-travels down the pipe under a correlation id, a pool of handler threads
-inside the worker serves them concurrently through the worker service's
-own typed entry points (so micro-batches still form), and a receiver
-thread in the parent scatters the typed results back onto per-request
-futures.  Results are exact — the same float64 arrays an in-process
-service would return, moved across a pickle boundary.  The pipe is the
-only transport: every array, large or small, rides the pickle stream.
+travels down the pipe under a correlation id, and a receiver thread in
+the parent scatters the typed results back onto per-request futures.
+The worker serves its pipe the way an in-process service serves its
+callers: a predict goes from the receive loop straight into its model's
+micro-batch scheduler and is answered from the batch's done-callback,
+so the scheduler queue is the worker's only queue (coalescing and
+``max_queue_depth`` behave as in process); an ensemble or admin request
+runs on a thread of its own, as a caller's thread runs it in process.
+Results are exact — the same float64 arrays an in-process service would
+return, moved across a pickle boundary.  The pipe is the only transport:
+every array, large or small, rides the pickle stream.
 
 **Late publishes** need no coordination: each worker's registry re-scans
 the shared directory when a request names a key it has not indexed
@@ -75,13 +79,15 @@ exit.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import logging
 import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import replace
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
@@ -136,7 +142,6 @@ def _worker_main(
     directory: str,
     capacity: int,
     max_batch: int,
-    handler_threads: int,
     max_queue_depth: Optional[int] = None,
     max_concurrent_ensembles: Optional[int] = None,
     worker_index: int = 0,
@@ -172,10 +177,19 @@ def _worker_main(
         try:
             with send_lock:
                 conn.send((request_id, ok, payload))
+        except OSError:  # the parent is gone: nobody awaits the reply
+            pass
         except Exception as error:  # unpicklable payload; degrade to a message
-            with send_lock:
+            with contextlib.suppress(OSError), send_lock:
                 conn.send((request_id, False,
                            RuntimeError(f"{type(payload).__name__}: {error}")))
+
+    def answer(request_id, future: Future) -> None:
+        error = future.exception()
+        if error is None:
+            reply(request_id, True, future.result())
+        else:
+            reply(request_id, False, error)
 
     def handle(request_id, kind, payload) -> None:
         try:
@@ -186,8 +200,6 @@ def _worker_main(
         reply(request_id, True, result)
 
     def _dispatch(kind, payload):
-        if kind == "predict":
-            return service.predict_request(payload)
         if kind == "ensemble":
             return service.ensemble_request(payload)
         if kind == "stats":
@@ -200,19 +212,31 @@ def _worker_main(
             return "pong"
         raise ValueError(f"unknown request kind {kind!r}")
 
-    with ThreadPoolExecutor(
-        max_workers=handler_threads, thread_name_prefix="plan-worker"
-    ) as pool:
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                break
-            if message is _SHUTDOWN:
-                break
-            pool.submit(handle, *message)
-        # The executor's __exit__ waits for every in-flight request, so all
-        # replies are sent before the shutdown acknowledgement below.
+    # Ensemble and admin requests still running, each on its own thread.
+    threads: List[threading.Thread] = []
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            break
+        if message is _SHUTDOWN:
+            break
+        request_id, kind, payload = message
+        if kind == "predict":
+            service._submit_predict(payload).add_done_callback(
+                functools.partial(answer, request_id))
+            continue
+        threads = [thread for thread in threads if thread.is_alive()]
+        thread = threading.Thread(target=handle, args=message,
+                                  name=f"plan-worker-{kind}", daemon=True)
+        thread.start()
+        threads.append(thread)
+    # Every request received before the sentinel is answered before the
+    # acknowledgement below: the request threads finish first, then
+    # closing the service flushes the schedulers, whose done-callbacks
+    # reply to the predicts still queued.
+    for thread in threads:
+        thread.join()
     service.close()
     try:
         conn.send((_SHUTDOWN, True, "closed"))
@@ -238,7 +262,7 @@ class _WorkerClient:
     """
 
     def __init__(self, context, index: int, directory: str, capacity: int,
-                 max_batch: int, handler_threads: int,
+                 max_batch: int,
                  max_queue_depth: Optional[int] = None,
                  max_concurrent_ensembles: Optional[int] = None,
                  incarnation: int = 0,
@@ -255,8 +279,7 @@ class _WorkerClient:
         self.process = context.Process(
             target=_worker_main,
             args=(child_conn, directory, capacity, max_batch,
-                  handler_threads, max_queue_depth, max_concurrent_ensembles,
-                  index, log_path),
+                  max_queue_depth, max_concurrent_ensembles, index, log_path),
             name=f"plan-worker-{index}",
             daemon=True,
         )
@@ -404,10 +427,9 @@ class PlanCluster:
 
     Parameters mirror :class:`InferenceService` (each worker builds one
     with ``max_batch`` / ``capacity`` / ``max_queue_depth`` /
-    ``max_concurrent_ensembles``), plus the process
-    topology: ``num_workers`` serving processes and ``handler_threads``
-    concurrent requests per worker (keep > 1 or micro-batches cannot
-    form).
+    ``max_concurrent_ensembles``, which bound each worker exactly as they
+    bound an in-process service), plus the process topology:
+    ``num_workers`` serving processes.
 
     ``replicas`` is the replication factor R (capped by ``num_workers``):
     each model's ordered owner list is the first R distinct workers
@@ -441,7 +463,6 @@ class PlanCluster:
         replicas: int = DEFAULT_REPLICAS,
         capacity: int = 4,
         max_batch: int = 64,
-        handler_threads: int = 4,
         max_queue_depth: Optional[int] = None,
         max_concurrent_ensembles: Optional[int] = None,
         auto_restart: bool = False,
@@ -456,8 +477,6 @@ class PlanCluster:
         check_max_batch(max_batch)
         if replicas < 1:
             raise ValueError("replicas must be at least 1")
-        if handler_threads < 1:
-            raise ValueError("handler_threads must be at least 1")
         if max_restarts < 1:
             raise ValueError("max_restarts must be at least 1")
         if restart_backoff < 0 or max_restart_backoff < 0:
@@ -485,8 +504,8 @@ class PlanCluster:
         # Kept so worker restarts can spawn identically configured
         # replacements for a dead shard.
         self._worker_config = (str(self.catalogue.directory), capacity,
-                               max_batch, handler_threads,
-                               max_queue_depth, max_concurrent_ensembles)
+                               max_batch, max_queue_depth,
+                               max_concurrent_ensembles)
         self._workers = [self._spawn_worker(index)
                          for index in range(num_workers)]
         self._closed = False

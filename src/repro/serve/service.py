@@ -42,6 +42,8 @@ import logging
 import threading
 import time
 from collections import OrderedDict
+from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -509,10 +511,35 @@ class InferenceService:
         sample comes back as ``(classes,)``.  The request's trace id
         (assigned here when it carries none) selects the served plan
         version when a canary rollout is configured, and is stamped onto
-        the result.
+        the result.  A request still queued after ``timeout`` raises
+        ``ApiTimeout`` here and is counted when its batch resolves.
+        """
+        try:
+            return self._submit_predict(request).result(timeout=timeout)
+        except FutureTimeoutError as error:
+            raise map_exception(error) from error
+
+    def _submit_predict(self, request: PredictRequest) -> "Future[PredictResult]":
+        """The one predict path: route, validate and enqueue ``request``.
+
+        Returns at once with a future of the typed result.
+        :meth:`predict_request` blocks on it; a cluster worker replies from
+        its done-callback, so there too the scheduler queue is the only
+        queue.  Every failure, before enqueueing or in the batch, resolves
+        the future with its typed error, and each request's latency and
+        outcome are observed exactly once.
         """
         request_id = ensure_request_id(request.request_id)
         started = time.monotonic()
+        done: "Future[PredictResult]" = Future()
+
+        def fail(error: BaseException) -> None:
+            self._observe(request.name, "predict", started, request_id, error)
+            typed = map_exception(error)
+            if typed is not error:
+                typed.__cause__ = error
+            done.set_exception(typed)
+
         try:
             key = self._routed_key(
                 PlanKey(request.model, request.bits, request.mapping),
@@ -533,19 +560,28 @@ class InferenceService:
                         f"shortly",
                         retry_after=1.0,
                     )
-            logits = scheduler.submit(array).result(timeout=timeout)
-            if single:
-                logits = logits[0]
+            rows = scheduler.submit(array)
         except Exception as error:
-            self._observe(request.name, "predict", started, request_id, error)
-            if isinstance(error, ApiError):
-                raise
-            raise map_exception(error) from error
-        self._observe(request.name, "predict", started, request_id)
-        return PredictResult(
-            model=request.model, bits=request.bits, mapping=request.mapping,
-            logits=logits, request_id=request_id,
-        )
+            fail(error)
+            return done
+
+        def finish(batch: Future) -> None:
+            # Runs on the scheduler thread as the batch resolves.
+            error = batch.exception()
+            if error is not None:
+                fail(error)
+                return
+            logits = batch.result()
+            self._observe(request.name, "predict", started, request_id)
+            done.set_result(PredictResult(
+                model=request.model, bits=request.bits,
+                mapping=request.mapping,
+                logits=logits[0] if single else logits,
+                request_id=request_id,
+            ))
+
+        rows.add_done_callback(finish)
+        return done
 
     # ------------------------------------------------------------------ #
     # Variation-aware requests

@@ -209,9 +209,9 @@ class TestConnectTargets:
             assert client.backend.restart_backoff == 0.03
             assert client.backend.max_restart_backoff == 0.5
             assert client.backend.stability_window == 1.5
-            # (directory, capacity, max_batch, handler_threads,
-            # max_queue_depth, max_concurrent_ensembles): no transport knob.
-            assert client.backend._worker_config[1:] == (4, 64, 4, None, None)
+            # (directory, capacity, max_batch, max_queue_depth,
+            # max_concurrent_ensembles): no transport or thread-pool knob.
+            assert client.backend._worker_config[1:] == (4, 64, None, None)
 
     def test_cluster_ensemble_timeout_default_exceeds_predict_timeout(self):
         from repro.api import ClusterClient

@@ -100,7 +100,7 @@ class TestChaosMixedLoad:
 
     def test_no_request_lost_under_random_sigkills(self, chaos_env):
         cluster = PlanCluster(
-            chaos_env.directory, num_workers=2, handler_threads=4,
+            chaos_env.directory, num_workers=2,
             max_batch=16,
             auto_restart=True, max_restarts=50,   # breaker must never open
             restart_backoff=0.02, stability_window=0.5,
@@ -335,7 +335,7 @@ class TestRingReplication:
     def test_zero_503s_while_one_replica_is_sigkilled(self, chaos_env):
         cluster = PlanCluster(
             chaos_env.directory, num_workers=2, replicas=2,
-            handler_threads=4, max_batch=16,
+            max_batch=16,
             auto_restart=True, max_restarts=50,
             restart_backoff=0.05, stability_window=0.5,
         )
@@ -388,7 +388,7 @@ class TestRingReplication:
     def test_rolling_restart_under_load_is_zero_downtime(self, chaos_env):
         cluster = PlanCluster(
             chaos_env.directory, num_workers=2, replicas=2,
-            handler_threads=4, max_batch=16,
+            max_batch=16,
         )
         client = ClusterClient(cluster, own_backend=True)
         restarted = []
@@ -434,7 +434,7 @@ class TestRespawnWait:
     def test_http_predict_waits_out_the_respawn(self, chaos_env):
         cluster = PlanCluster(
             chaos_env.directory, num_workers=1, replicas=1,
-            handler_threads=2, auto_restart=True, restart_backoff=1.0,
+            auto_restart=True, restart_backoff=1.0,
         )
         server = PlanServer(cluster, own_backend=True).start()
         name = MODELS[0]
@@ -465,7 +465,7 @@ class TestRespawnWait:
     def stalled_cluster(self, chaos_env):
         """A dead one-worker cluster whose respawn is a minute away."""
         cluster = PlanCluster(
-            chaos_env.directory, num_workers=1, handler_threads=2,
+            chaos_env.directory, num_workers=1,
             auto_restart=True, restart_backoff=60.0,
             max_restart_backoff=60.0,
         )
@@ -520,7 +520,7 @@ class TestKillPoints:
     @pytest.fixture
     def healing_cluster(self, chaos_env):
         cluster = PlanCluster(
-            chaos_env.directory, num_workers=2, handler_threads=2,
+            chaos_env.directory, num_workers=2,
             auto_restart=True, max_restarts=20, restart_backoff=0.02,
             stability_window=0.5,
         )
@@ -575,7 +575,7 @@ class TestCircuitBreaker:
     ):
         max_restarts = 2
         cluster = PlanCluster(
-            chaos_env.directory, num_workers=1, handler_threads=2,
+            chaos_env.directory, num_workers=1,
             auto_restart=True, max_restarts=max_restarts,
             restart_backoff=0.01, max_restart_backoff=0.05,
             stability_window=60.0,  # a streak never resets mid-test
@@ -636,7 +636,7 @@ class TestCircuitBreaker:
         # kill the supervisor: the attempt is retried with backoff and the
         # shard still heals.
         cluster = PlanCluster(
-            chaos_env.directory, num_workers=1, handler_threads=2,
+            chaos_env.directory, num_workers=1,
             auto_restart=True, max_restarts=10, restart_backoff=0.01,
             max_restart_backoff=0.05, stability_window=0.5,
         )
@@ -672,8 +672,7 @@ class TestCircuitBreaker:
     ):
         # The pre-existing manual mode is unchanged: no supervisor, no
         # client retry loop — the typed error surfaces at once.
-        cluster = PlanCluster(chaos_env.directory, num_workers=1,
-                              handler_threads=2)
+        cluster = PlanCluster(chaos_env.directory, num_workers=1)
         client = ClusterClient(cluster, own_backend=True)
         try:
             cluster.wait_ready(timeout=180)
@@ -727,7 +726,7 @@ class TestStudyChaos:
         oracle_manager.close()
 
         cluster = PlanCluster(
-            chaos_env.directory, num_workers=2, handler_threads=4,
+            chaos_env.directory, num_workers=2,
             max_batch=16,
             auto_restart=True, max_restarts=50,
             restart_backoff=0.02, stability_window=0.5,

@@ -5,11 +5,15 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.api import (
+    ApiBackpressure,
+    ApiServerError,
+    ApiTimeout,
     BackendClosed,
     EnsembleRequest,
     InvalidRequest,
@@ -17,7 +21,7 @@ from repro.api import (
 )
 from repro.data.dataset import ArrayDataset
 from repro.models import make_lenet, make_mlp
-from repro.runtime import compile_model
+from repro.runtime import InferencePlan, compile_model
 from repro.serve import (
     InferenceService,
     MicroBatchScheduler,
@@ -417,6 +421,52 @@ class TestInferenceService:
                 dataset.images[:2], model="lenet", bits=4, mapping="acm",
                 sigma_fraction=0.1, num_samples=2,
             ))
+
+    def test_each_predict_is_counted_once_whatever_its_outcome(
+        self, served, monkeypatch
+    ):
+        _, registry, dataset = served
+        run = InferencePlan.run
+        gate = threading.Event()
+        gate.set()
+
+        def gated_run(plan, images):
+            assert gate.wait(10.0)
+            if np.isnan(images).any():
+                raise ArithmeticError("runner failed")
+            return run(plan, images)
+
+        monkeypatch.setattr(InferencePlan, "run", gated_run)
+        images = dataset.images[:2]
+        request = PredictRequest(images, model="lenet", bits=4, mapping="acm")
+        with InferenceService(registry) as service:
+            service.predict_request(request)
+            with pytest.raises(InvalidRequest):
+                service.predict_request(replace(request, images=images[:, 0]))
+            with pytest.raises(ApiServerError, match="runner failed"):
+                service.predict_request(
+                    replace(request, images=np.full_like(images, np.nan)))
+            gate.clear()
+            with pytest.raises(ApiTimeout):
+                service.predict_request(request, timeout=0.05)
+            gate.set()  # the timed-out request is counted as it resolves
+            requests = service.metrics.counter(
+                "repro_requests_total", labels=("model", "lane", "outcome"))
+            latency = service.metrics.histogram(
+                "repro_request_latency_seconds", labels=("model", "lane"))
+            labels = dict(model="lenet__4b__acm", lane="predict")
+            deadline = time.monotonic() + 10.0
+            while latency.count(**labels) < 4 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert requests.value(**labels, outcome="ok") == 2
+            assert requests.value(**labels, outcome="error") == 2
+            assert latency.count(**labels) == 4
+        with InferenceService(registry, max_queue_depth=0) as service:
+            with pytest.raises(ApiBackpressure):
+                service.predict_request(request)
+            assert service.metrics.counter(
+                "repro_requests_total", labels=("model", "lane", "outcome"),
+            ).value(**labels, outcome="error") == 1
 
     def test_both_request_flavours_serve_the_same_pinned_plan(self, served):
         """A republish must not split deterministic vs ensemble responses."""

@@ -10,6 +10,7 @@ worker processes is the expensive part.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import queue
 import signal
@@ -23,15 +24,18 @@ import pytest
 from types import SimpleNamespace
 
 from repro.api import (
+    ApiBackpressure,
+    ApiServerError,
     BackendClosed,
     EnsembleRequest,
     InvalidRequest,
     ModelNotFound,
     PredictRequest,
     WorkerDied,
+    connect,
 )
 from repro.models import make_mlp
-from repro.runtime import compile_model, decode_array
+from repro.runtime import InferencePlan, compile_model, decode_array
 from repro.serve import (
     InferenceService,
     PlanCluster,
@@ -41,7 +45,7 @@ from repro.serve import (
     canary_bucket,
     shard_index,
 )
-from repro.serve.cluster import _WorkerClient
+from repro.serve.cluster import _WorkerClient, _worker_main
 from tests.test_serve_http import _predict_body, _request
 
 MODEL_NAMES = ("alpha", "beta", "gamma")
@@ -112,11 +116,15 @@ class TestSharding:
             shard_index(PlanKey("m", 4, "acm"), 0)
         with pytest.raises(ValueError):
             PlanCluster(tmp_path, num_workers=0)
-        with pytest.raises(ValueError):
-            PlanCluster(tmp_path, num_workers=2, handler_threads=0)
         # The shared-memory transport is gone; so is its knob.
         with pytest.raises(TypeError):
             PlanCluster(tmp_path, shm_threshold=0)
+        # So is the worker's handler pool: the scheduler queue is the
+        # only queue, and the old knob fails loudly on both surfaces.
+        with pytest.raises(TypeError):
+            PlanCluster(tmp_path, handler_threads=4)
+        with pytest.raises(ValueError, match="unknown cluster"):
+            connect(f"cluster:{tmp_path}?handler_threads=4")
 
 
 class TestClusterRequests:
@@ -310,8 +318,7 @@ class TestWorkerDeath:
         small = make_mlp(input_size=16, hidden_sizes=(4,), mapping="acm",
                          quantizer_bits=4, seed=1)
         registry.publish_model(small, "small", 4, "acm")
-        cluster = PlanCluster(directory, num_workers=2, replicas=1,
-                              handler_threads=2)
+        cluster = PlanCluster(directory, num_workers=2, replicas=1)
         cluster.wait_ready(timeout=120)
         yield SimpleNamespace(cluster=cluster, directory=directory,
                               plans={"big": compile_model(model),
@@ -415,8 +422,7 @@ class TestReplicatedDeath:
                              quantizer_bits=4, seed=seed)
             registry.publish_model(model, name, 4, "acm")
             plans[name] = compile_model(model)
-        cluster = PlanCluster(directory, num_workers=2, replicas=2,
-                              handler_threads=2)
+        cluster = PlanCluster(directory, num_workers=2, replicas=2)
         cluster.wait_ready(timeout=120)
         yield SimpleNamespace(cluster=cluster, registry=registry, plans=plans)
         cluster.close()
@@ -553,8 +559,7 @@ class TestShardTable:
         model = make_mlp(input_size=16, hidden_sizes=(4,), mapping="acm",
                          quantizer_bits=4, seed=0)
         PlanRegistry(directory).publish_model(model, "solo", 4, "acm")
-        cluster = PlanCluster(directory, num_workers=2, replicas=2,
-                              handler_threads=2)
+        cluster = PlanCluster(directory, num_workers=2, replicas=2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -625,8 +630,7 @@ class TestClusterRollout:
         v1 = make_mlp(input_size=16, hidden_sizes=(6,), mapping="acm",
                       quantizer_bits=4, seed=20)
         registry.publish_model(v1, "roll", 4, "acm")
-        cluster = PlanCluster(directory, num_workers=2, replicas=2,
-                              handler_threads=2)
+        cluster = PlanCluster(directory, num_workers=2, replicas=2)
         cluster.wait_ready(timeout=120)
         v2 = compile_model(make_mlp(input_size=16, hidden_sizes=(6,),
                                     mapping="acm", quantizer_bits=4, seed=21))
@@ -744,7 +748,7 @@ def _within(seconds, function):
 class TestPipeSendLocking:
     def test_load_and_replies_proceed_while_a_send_is_blocked(self):
         pipe = _BlockingPipe()
-        worker = _WorkerClient(_StubContext(pipe), 0, "unused", 1, 1, 1)
+        worker = _WorkerClient(_StubContext(pipe), 0, "unused", 1, 1)
         try:
             first = worker.submit("predict", "small")
             pipe.release.clear()
@@ -777,7 +781,7 @@ class TestPipeSendLocking:
             pipe.replies.put((None, True, "closed"))
 
         pipe.send = broken_send
-        worker = _WorkerClient(_StubContext(pipe), 0, "unused", 1, 1, 1)
+        worker = _WorkerClient(_StubContext(pipe), 0, "unused", 1, 1)
         try:
             with pytest.raises(WorkerDied):
                 worker.submit("predict", "rows")
@@ -785,3 +789,198 @@ class TestPipeSendLocking:
             assert worker.load() == 0
         finally:
             worker.close(timeout=5.0)
+
+
+@pytest.fixture(scope="module")
+def parity_env(tmp_path_factory):
+    """Plans for the worker-parity tests: a predict model heavy enough that
+    requests pile up behind a running batch, a light one, and an ensemble
+    model whose cold draws take far longer than a light predict."""
+    directory = tmp_path_factory.mktemp("parity-plans")
+    registry = PlanRegistry(directory)
+    models = {
+        "heavy": make_mlp(input_size=4, hidden_sizes=(1024, 1024),
+                          mapping="acm", quantizer_bits=4, seed=30),
+        "light": make_mlp(input_size=16, hidden_sizes=(6,), mapping="acm",
+                          quantizer_bits=4, seed=31),
+        "draws": make_mlp(input_size=64, hidden_sizes=(128, 128),
+                          mapping="acm", quantizer_bits=4, seed=32),
+    }
+    for name, model in models.items():
+        registry.publish_model(model, name, 4, "acm")
+    return SimpleNamespace(
+        directory=directory,
+        plans={name: compile_model(model) for name, model in models.items()},
+    )
+
+
+def _stopped_burst(cluster, requests):
+    """Submit every request to the sole worker while its process is
+    stopped, then resume it: the whole burst is in the worker's pipe at
+    once, however slowly the parent sends it."""
+    worker = cluster._workers[0]
+    os.kill(worker.process.pid, signal.SIGSTOP)
+    try:
+        futures = [worker.submit("predict", request) for request in requests]
+        _wait_pending(worker, len(futures))
+    finally:
+        os.kill(worker.process.pid, signal.SIGCONT)
+    return futures
+
+
+class TestWorkerParity:
+    """A cluster worker queues and sheds load the way ``local:`` does: the
+    scheduler queue is its only queue."""
+
+    def test_concurrent_predicts_coalesce_past_any_handler_cap(
+        self, parity_env
+    ):
+        rng = np.random.default_rng(40)
+        batches = [rng.normal(size=(8, 4)) for _ in range(48)]
+        with PlanCluster(parity_env.directory, num_workers=1) as cluster:
+            cluster.wait_ready(timeout=120)
+            cluster.predict_request(PredictRequest(
+                batches[0], model="heavy", bits=4, mapping="acm"))  # warm
+            futures = _stopped_burst(cluster, [
+                PredictRequest(rows, model="heavy", bits=4, mapping="acm")
+                for rows in batches
+            ])
+            for rows, future in zip(batches, futures):
+                np.testing.assert_allclose(
+                    future.result(timeout=60).logits,
+                    parity_env.plans["heavy"].run(rows), atol=1e-10, rtol=0)
+            stats = cluster.stats_summary()["worker-0"]["heavy__4b__acm"]
+        # A worker admitting four requests at a time (the removed handler
+        # pool's default) could coalesce at most 4 x 8 = 32 rows.
+        assert stats["max_rows_per_batch"] > 32
+        assert stats["num_batches"] < 48
+
+    def test_max_queue_depth_sheds_a_burst(self, parity_env):
+        rng = np.random.default_rng(41)
+        batches = [rng.normal(size=(64, 4)) for _ in range(48)]
+        with PlanCluster(parity_env.directory, num_workers=1,
+                         max_queue_depth=4) as cluster:
+            cluster.wait_ready(timeout=120)
+            futures = _stopped_burst(cluster, [
+                PredictRequest(rows, model="heavy", bits=4, mapping="acm")
+                for rows in batches
+            ])
+            rejected = 0
+            for rows, future in zip(batches, futures):
+                try:
+                    logits = future.result(timeout=60).logits
+                except ApiBackpressure:
+                    rejected += 1
+                    continue
+                # 64 rows fill a batch alone: served ones are bit-exact.
+                np.testing.assert_array_equal(
+                    logits, parity_env.plans["heavy"].run(rows))
+        assert 0 < rejected < len(batches)
+
+    def test_predict_is_not_queued_behind_ensembles(self, parity_env):
+        images = np.random.default_rng(42).normal(size=(128, 64))
+        rows = np.random.default_rng(43).normal(size=(8, 16))
+        with PlanCluster(parity_env.directory, num_workers=1) as cluster:
+            cluster.wait_ready(timeout=120)
+            cluster.predict_request(PredictRequest(
+                rows, model="light", bits=4, mapping="acm"))  # warm
+            worker = cluster._workers[0]
+            # Four cold (distinct-seed) draws, each far slower than a
+            # light predict; the pipe is FIFO, so all four are running in
+            # the worker before it reads the predict below.
+            ensembles = [
+                worker.submit("ensemble", EnsembleRequest(
+                    images, model="draws", bits=4, mapping="acm",
+                    sigma_fraction=0.1, num_samples=128, seed=seed))
+                for seed in range(4)
+            ]
+            _wait_pending(worker, len(ensembles))
+            logits = cluster.predict_request(PredictRequest(
+                rows, model="light", bits=4, mapping="acm")).logits
+            in_flight = sum(not future.done() for future in ensembles)
+            for future in ensembles:
+                future.result(timeout=120)
+        np.testing.assert_array_equal(logits,
+                                      parity_env.plans["light"].run(rows))
+        assert in_flight == len(ensembles)
+
+
+class TestWorkerLoop:
+    """``_worker_main`` on a thread of this process, over a real pipe."""
+
+    @staticmethod
+    def _serve(directory, messages, timeout=60.0):
+        """Send ``messages`` and the shutdown sentinel to a worker loop;
+        return every reply up to and including its acknowledgement."""
+        parent, child = multiprocessing.Pipe()
+        loop = threading.Thread(target=_worker_main,
+                                args=(child, str(directory), 4, 64),
+                                daemon=True)
+        loop.start()
+        for message in messages:
+            parent.send(message)
+        parent.send(None)
+        replies = []
+        while not replies or replies[-1][0] is not None:
+            assert parent.poll(timeout), "the worker loop stopped answering"
+            replies.append(parent.recv())
+        loop.join(timeout)
+        assert not loop.is_alive()
+        parent.close()
+        return replies
+
+    def test_shutdown_answers_every_request_before_the_ack(self, parity_env):
+        rng = np.random.default_rng(44)
+        predicts = {index: rng.normal(size=(8, 4)) for index in range(12)}
+        images = rng.normal(size=(16, 64))
+        messages = [
+            (12, "ensemble", EnsembleRequest(
+                images, model="draws", bits=4, mapping="acm",
+                sigma_fraction=0.1, num_samples=32, seed=1)),
+            *((index, "predict", PredictRequest(
+                rows, model="heavy", bits=4, mapping="acm"))
+              for index, rows in predicts.items()),
+            (13, "ping", None),
+        ]
+        replies = self._serve(parity_env.directory, messages)
+        assert replies[-1] == (None, True, "closed")
+        answered = {request_id: (ok, payload)
+                    for request_id, ok, payload in replies[:-1]}
+        assert sorted(answered) == list(range(14))
+        assert all(ok for ok, _ in answered.values())
+        for index, rows in predicts.items():
+            np.testing.assert_allclose(
+                answered[index][1].logits,
+                parity_env.plans["heavy"].run(rows), atol=1e-10, rtol=0)
+        assert answered[12][1].mean_logits.shape == (16, 10)
+        assert answered[13][1] == "pong"
+
+    def test_failed_batch_answers_every_request_with_the_error(
+        self, parity_env, monkeypatch
+    ):
+        def broken_run(plan, images):
+            time.sleep(0.01)  # let the requests behind the first coalesce
+            raise ArithmeticError("runner failed")
+
+        monkeypatch.setattr(InferencePlan, "run", broken_run)
+        rows = np.random.default_rng(45).normal(size=(2, 16))
+        messages = [(index, "predict", PredictRequest(
+            rows, model="light", bits=4, mapping="acm")) for index in range(6)]
+        replies = self._serve(parity_env.directory, messages, timeout=10.0)
+        assert sorted(reply[0] for reply in replies[:-1]) == list(range(6))
+        for _, ok, payload in replies[:-1]:
+            assert not ok
+            assert isinstance(payload, ApiServerError)
+            assert "runner failed" in str(payload)
+
+    def test_unpicklable_reply_degrades_to_a_message(
+        self, parity_env, monkeypatch
+    ):
+        monkeypatch.setattr(InferenceService, "stats_summary",
+                            lambda service: {"hook": lambda: None})
+        replies = self._serve(parity_env.directory, [(0, "stats", None)])
+        assert len(replies) == 2
+        request_id, ok, payload = replies[0]
+        assert (request_id, ok) == (0, False)
+        assert isinstance(payload, RuntimeError)
+        assert str(payload).startswith("dict: ")
