@@ -142,7 +142,7 @@ def main() -> None:
     plan_dir = args.plan_dir or tempfile.mkdtemp(prefix="repro-plans-")
     print(f"plan directory: {plan_dir}")
 
-    registry = PlanRegistry(plan_dir, capacity=4)
+    registry = PlanRegistry(plan_dir)
     test_set = publish_models(registry, epochs=args.epochs)
     results = {}
 

@@ -30,9 +30,10 @@ contribution:
     ops) and the Fig. 6 variation protocol runs as a vectorized Monte-Carlo
     sweep over the plan.
 ``repro.serve``
-    The plan-serving subsystem: a multi-model plan registry (lazy loading,
-    LRU caching, content digests), a dynamic micro-batching scheduler, and
-    an inference service with deterministic and variation-ensemble requests.
+    The plan-serving subsystem: a multi-model plan registry (a catalogue
+    with content digests), a work-conserving micro-batching scheduler, and
+    an inference service with deterministic and variation-ensemble requests
+    that loads each served plan once.
 ``repro.api``
     The unified typed client layer over the serving stack: one ``Client``
     protocol with interchangeable in-process, HTTP, and cluster backends

@@ -5,7 +5,7 @@ configuration.  Query parameters and keyword options merge (keyword wins),
 so the same target string can be stored in config and tuned at the call
 site:
 
-``local:plans/``  or  ``local:plans/?capacity=8&max_batch=32``
+``local:plans/``  or  ``local:plans/?max_batch=32``
     Build a :class:`~repro.serve.registry.PlanRegistry` over the directory
     plus an in-process :class:`~repro.serve.service.InferenceService`;
     returns a :class:`~repro.api.client.LocalClient` that owns both.
@@ -66,7 +66,6 @@ def _parse_bool(text: str) -> bool:
 #: Query parameters each directory-backed scheme understands, with the
 #: parser applied to the (string) query value.
 _LOCAL_PARAMS: Dict[str, Callable[[str], Any]] = {
-    "capacity": int,
     "max_batch": int,
     "max_queue_depth": int,
     "max_concurrent_ensembles": int,
@@ -77,7 +76,6 @@ _LOCAL_PARAMS: Dict[str, Callable[[str], Any]] = {
 _CLUSTER_PARAMS: Dict[str, Callable[[str], Any]] = {
     "workers": int,
     "replicas": int,
-    "capacity": int,
     "max_batch": int,
     "max_queue_depth": int,
     "max_concurrent_ensembles": int,
@@ -172,10 +170,8 @@ def connect(target: str, **options: Any) -> Client:
             target, "local", _LOCAL_PARAMS, options
         )
         timeout = params.pop("timeout", 60.0)
-        capacity = params.pop("capacity", 4)
         jobs_dir = params.pop("jobs_dir", None)
-        registry = PlanRegistry(path, capacity=capacity)
-        service = InferenceService(registry, **params)
+        service = InferenceService(PlanRegistry(path), **params)
         return LocalClient(service, own_backend=True, timeout=timeout,
                            jobs_dir=jobs_dir)
 

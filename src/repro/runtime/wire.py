@@ -47,17 +47,13 @@ class WireFormatError(ValueError):
     """A payload that does not describe a well-formed array."""
 
 
-def encode_array(array: np.ndarray, dtype=None) -> dict:
+def encode_array(array: np.ndarray) -> dict:
     """Render ``array`` as a packed JSON-serialisable payload.
 
     The raw bytes (little-endian, C order) are base64-encoded alongside
-    shape and dtype.  ``dtype`` optionally re-packs the data
-    (e.g. ``"float32"`` to halve response bandwidth when exactness is not
-    required); by default the array's own dtype is kept.
+    shape and the array's own dtype; cast before encoding to send another.
     """
     array = np.asarray(array)
-    if dtype is not None:
-        array = array.astype(dtype)
     if array.dtype.name not in WIRE_DTYPES:
         raise WireFormatError(
             f"dtype {array.dtype.name!r} is not wire-encodable; "

@@ -6,17 +6,19 @@ the step from "a trained model can be frozen into a serialisable
 such plans to concurrent clients over the network":
 
 * :class:`PlanRegistry` (:mod:`repro.serve.registry`) — a directory of plan
-  artifacts indexed by ``(model, bits, mapping)``, loaded lazily, kept
-  resident in a bounded LRU cache, and addressable by content digest.
+  artifacts indexed by ``(model, bits, mapping)`` and addressable by
+  content digest; it loads an artifact on request and keeps none resident.
 * :class:`MicroBatchScheduler` (:mod:`repro.serve.scheduler`) — work-
   conserving micro-batching: the requests already queued coalesce (up to
   ``max_batch`` rows, with no coalescing window) into single stacked plan
   executions whose rows scatter back onto per-request futures.
 * :class:`InferenceService` (:mod:`repro.serve.service`) — the in-process
   façade with two typed request methods: ``predict_request`` (deterministic
-  logits, bit-equivalent to the evaluation helpers) and
+  logits: a request executed alone is bit-identical to ``plan.run`` on its
+  rows, and rows coalesced with other requests agree within 1e-10) and
   ``ensemble_request`` (seeded Monte-Carlo ensembles whose sampled weight
-  stacks are cached per (plan, sigma, samples, seed)).
+  stacks are cached per (plan, sigma, samples, seed)).  It loads each
+  served key's plan once and pins it: the process's only plan cache.
 * :class:`PlanServer` (:mod:`repro.serve.http`) — the stdlib HTTP/JSON
   front-end: ``POST /v1/predict``, ``POST /v1/predict_under_variation``,
   ``GET /v1/models``, ``GET /v1/stats``, ``GET /healthz``, with arrays

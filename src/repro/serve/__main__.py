@@ -66,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-batch", type=int, default=64,
                         help="micro-batch row cap per scheduler; a batch "
                              "takes only what is already queued (default: 64)")
-    parser.add_argument("--capacity", type=int, default=4,
-                        help="plans kept resident per process (default: 4)")
     parser.add_argument("--max-queue-depth", type=int, default=None,
                         help="reject (HTTP 429 + Retry-After) deterministic "
                              "requests once a scheduler queue holds this many "
@@ -120,7 +118,7 @@ def build_backend(args: argparse.Namespace):
     Routed through :func:`repro.api.connect` so the CLI, the examples, and
     library consumers all construct backends the exact same way.
     """
-    options = {"capacity": args.capacity, "max_batch": args.max_batch}
+    options = {"max_batch": args.max_batch}
     if args.max_queue_depth is not None:
         options["max_queue_depth"] = args.max_queue_depth
     if args.max_concurrent_ensembles is not None:

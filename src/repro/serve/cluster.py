@@ -140,7 +140,6 @@ def shard_index(key: PlanKey, num_workers: int) -> int:
 def _worker_main(
     conn,
     directory: str,
-    capacity: int,
     max_batch: int,
     max_queue_depth: Optional[int] = None,
     max_concurrent_ensembles: Optional[int] = None,
@@ -166,7 +165,7 @@ def _worker_main(
         root = logging.getLogger("repro")
         root.addHandler(handler)
         root.setLevel(logging.INFO)
-    registry = PlanRegistry(directory, capacity=capacity)
+    registry = PlanRegistry(directory)
     service = InferenceService(registry, max_batch=max_batch,
                                max_queue_depth=max_queue_depth,
                                max_concurrent_ensembles=max_concurrent_ensembles,
@@ -261,8 +260,7 @@ class _WorkerClient:
     restart count.
     """
 
-    def __init__(self, context, index: int, directory: str, capacity: int,
-                 max_batch: int,
+    def __init__(self, context, index: int, directory: str, max_batch: int,
                  max_queue_depth: Optional[int] = None,
                  max_concurrent_ensembles: Optional[int] = None,
                  incarnation: int = 0,
@@ -278,7 +276,7 @@ class _WorkerClient:
         parent_conn, child_conn = context.Pipe(duplex=True)
         self.process = context.Process(
             target=_worker_main,
-            args=(child_conn, directory, capacity, max_batch,
+            args=(child_conn, directory, max_batch,
                   max_queue_depth, max_concurrent_ensembles, index, log_path),
             name=f"plan-worker-{index}",
             daemon=True,
@@ -426,7 +424,7 @@ class PlanCluster:
     """Multi-process plan serving over one registry directory.
 
     Parameters mirror :class:`InferenceService` (each worker builds one
-    with ``max_batch`` / ``capacity`` / ``max_queue_depth`` /
+    with ``max_batch`` / ``max_queue_depth`` /
     ``max_concurrent_ensembles``, which bound each worker exactly as they
     bound an in-process service), plus the process topology:
     ``num_workers`` serving processes.
@@ -461,7 +459,6 @@ class PlanCluster:
         directory,
         num_workers: int = 2,
         replicas: int = DEFAULT_REPLICAS,
-        capacity: int = 4,
         max_batch: int = 64,
         max_queue_depth: Optional[int] = None,
         max_concurrent_ensembles: Optional[int] = None,
@@ -482,8 +479,8 @@ class PlanCluster:
         if restart_backoff < 0 or max_restart_backoff < 0:
             raise ValueError("restart backoffs must be non-negative")
         # The parent never deserialises a plan; its registry is the
-        # catalogue index used for listings (capacity 1 keeps it tiny).
-        self.catalogue = PlanRegistry(directory, capacity=1)
+        # catalogue index used for listings.
+        self.catalogue = PlanRegistry(directory)
         self.num_workers = num_workers
         self.replicas = replicas
         #: R capped by the worker count — what the router actually uses.
@@ -503,9 +500,8 @@ class PlanCluster:
             os.makedirs(self._log_dir, exist_ok=True)
         # Kept so worker restarts can spawn identically configured
         # replacements for a dead shard.
-        self._worker_config = (str(self.catalogue.directory), capacity,
-                               max_batch, max_queue_depth,
-                               max_concurrent_ensembles)
+        self._worker_config = (str(self.catalogue.directory), max_batch,
+                               max_queue_depth, max_concurrent_ensembles)
         self._workers = [self._spawn_worker(index)
                          for index in range(num_workers)]
         self._closed = False

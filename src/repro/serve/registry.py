@@ -1,12 +1,13 @@
-"""Multi-model plan registry: on-disk artifacts, lazy loading, LRU caching.
+"""Multi-model plan registry: on-disk artifacts and their loader.
 
 A :class:`PlanRegistry` manages a directory of ``InferencePlan.save``
 artifacts as the deployment catalogue of a serving process.  Artifacts are
 named canonically — ``{model}__{bits}__{mapping}.npz``, e.g.
 ``lenet__4b__acm.npz`` or ``vgg9__fp32__de.npz`` — so the registry can index
-a directory without opening a single file; plans are deserialised only on
-first use and a bounded LRU cache keeps the hottest ones resident, evicting
-cold plans back to disk (reloading later is transparent).
+a directory without opening a single file.  The registry keeps no plan in
+memory: :meth:`PlanRegistry.get` deserialises the artifact on every call,
+and the serving process pins what it serves
+(:class:`~repro.serve.service.InferenceService` loads each key once).
 
 Every artifact also has a SHA-256 *content digest*, computed lazily and
 cached against the file's stat signature.  Digests give deployments an
@@ -31,7 +32,6 @@ import os
 import re
 import threading
 import uuid
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -227,29 +227,22 @@ class PlanEntry:
 
 
 class PlanRegistry:
-    """Directory-backed, LRU-cached store of compiled inference plans.
+    """Directory-backed catalogue and loader of compiled inference plans.
 
-    ``capacity`` bounds how many *deserialised* plans stay in memory at
-    once; the on-disk catalogue is unbounded.  All methods are thread-safe,
-    so one registry can back every scheduler thread of a serving process.
+    The catalogue indexes artifacts by key; :meth:`get` loads one.  All
+    methods are thread-safe, so one registry can back every scheduler
+    thread of a serving process.
     """
 
-    def __init__(self, directory, capacity: int = 4) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
+    def __init__(self, directory) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.capacity = capacity
         self._entries: Dict[PlanKey, PlanEntry] = {}
-        self._loaded: "OrderedDict[PlanKey, InferencePlan]" = OrderedDict()
         self._lock = threading.RLock()
         # Rollout table cache: (stat signature of _rollout.json, entries).
         self._rollout_cache: Tuple[
             Optional[Tuple[int, int]], Dict[str, RolloutEntry]
         ] = (None, {})
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
         self.refresh()
 
     # ------------------------------------------------------------------ #
@@ -288,12 +281,6 @@ class PlanRegistry:
     def __contains__(self, key: PlanKey) -> bool:
         return key in self._entries
 
-    @property
-    def cached_keys(self) -> List[PlanKey]:
-        """Keys currently resident in the LRU cache, least-recent first."""
-        with self._lock:
-            return list(self._loaded)
-
     # ------------------------------------------------------------------ #
     # Publishing
     # ------------------------------------------------------------------ #
@@ -305,16 +292,13 @@ class PlanRegistry:
         mapping: str,
         version: int = 1,
     ) -> PlanEntry:
-        """Save ``plan`` under its canonical name and index it (hot in LRU)."""
+        """Save ``plan`` under its canonical name and index it."""
         key = PlanKey(model=model, bits=bits, mapping=mapping, version=version)
         path = self.directory / f"{key.canonical()}.npz"
         plan.save(path)
         with self._lock:
             entry = PlanEntry(key=key, path=path)
             self._entries[key] = entry
-            self._loaded[key] = plan
-            self._loaded.move_to_end(key)
-            self._evict_over_capacity()
             return entry
 
     def publish_model(
@@ -351,19 +335,15 @@ class PlanRegistry:
         mapping: str,
         version: int = 1,
     ) -> InferencePlan:
-        """The plan for ``(model, bits, mapping)``, loading it if evicted.
+        """A freshly deserialised plan for ``(model, bits, mapping)``.
 
-        A key missing from the index re-scans the directory once before
-        raising, so a plan another process published since the last scan
-        serves on its first request.
+        Every call reads the artifact; callers that serve a key keep the
+        plan they got.  A key missing from the index re-scans the directory
+        once before raising, so a plan another process published since the
+        last scan serves on its first request.
         """
         key = PlanKey(model=model, bits=bits, mapping=mapping, version=version)
         with self._lock:
-            plan = self._loaded.get(key)
-            if plan is not None:
-                self.hits += 1
-                self._loaded.move_to_end(key)
-                return plan
             if key not in self._entries:
                 self.refresh()
             entry = self._entries.get(key)
@@ -373,9 +353,9 @@ class PlanRegistry:
                     f"no plan published for {key.canonical()!r}; available: {known}"
                 )
         # Deserialising reads the whole artifact; do it outside the lock so a
-        # cold load of one model cannot stall cache hits on every other.
+        # load of one model cannot stall catalogue reads for every other.
         try:
-            plan = InferencePlan.load(entry.path)
+            return InferencePlan.load(entry.path)
         except Exception as error:
             # Truncated download, partial write, or a foreign file under a
             # canonical name: surface one typed error naming the artifact
@@ -384,16 +364,6 @@ class PlanRegistry:
                 f"cannot load plan artifact {entry.path}: "
                 f"{type(error).__name__}: {error}"
             ) from error
-        with self._lock:
-            racer = self._loaded.get(key)
-            if racer is not None:
-                self.hits += 1
-                self._loaded.move_to_end(key)
-                return racer
-            self.misses += 1
-            self._loaded[key] = plan
-            self._evict_over_capacity()
-            return plan
 
     def describe(self) -> List[dict]:
         """The catalogue as JSON-ready dicts (one per artifact, with digest).
@@ -472,11 +442,6 @@ class PlanRegistry:
         # The full key (version included) — a digest naming a __v2 artifact
         # must load that artifact, never its version-1 sibling.
         return self.get(key.model, key.bits, key.mapping, version=key.version)
-
-    def _evict_over_capacity(self) -> None:
-        while len(self._loaded) > self.capacity:
-            self._loaded.popitem(last=False)
-            self.evictions += 1
 
     # ------------------------------------------------------------------ #
     # Versioned rollout

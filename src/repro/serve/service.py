@@ -12,9 +12,12 @@ produces the shared ``repro.api`` dataclasses:
 
 * :meth:`InferenceService.predict_request` — deterministic logits from the
   frozen plan (the sigma=0 operating point).  Execution is
-  ``InferencePlan.run`` in float64, so results are bit-equivalent to
-  ``evaluate_accuracy(use_runtime=True)`` regardless of how requests were
-  micro-batched (row-independent matmuls).
+  ``InferencePlan.run`` in float64, so a request executed alone is
+  bit-identical to ``plan.run`` on the same rows, on every backend.  Rows
+  coalesced into a larger micro-batch agree within 1e-10, not bitwise:
+  BLAS may sum a matmul's terms in a different order for a different
+  batch height (a 64-row LeNet batch split into runs of 1 to 16 rows
+  differs by about 2e-15).
 * :meth:`InferenceService.ensemble_request` — a seeded Monte-Carlo
   ensemble over device-variation draws (the Fig. 6 protocol as a serving
   scenario): per-request sigma and sample count, returning mean logits plus
@@ -108,10 +111,10 @@ class InferenceService:
         self.max_concurrent_ensembles = max_concurrent_ensembles
         self._ensembles_in_flight = 0
         self._schedulers: Dict[PlanKey, MicroBatchScheduler] = {}
-        # Plans pinned per active scheduler: request handling must not pay a
-        # registry LRU miss (a full .npz deserialisation) per request, and a
-        # scheduler's runner has to keep serving the exact plan it was
-        # created with even after the registry evicts it.
+        # The process's only store of deserialised plans: each key is loaded
+        # from the registry once (a full .npz read) and pinned for the
+        # service's lifetime, so a scheduler's runner and the ensemble lane
+        # keep serving the exact plan the key first resolved to.
         self._plans: Dict[PlanKey, InferencePlan] = {}
         # Sampled Monte-Carlo weight stacks, keyed by the full draw identity
         # (plan key, sigma, sample count, seed).  Sampling is the
@@ -289,18 +292,23 @@ class InferenceService:
 
         Both request flavours resolve through here, so deterministic and
         ensemble responses for one key always come from the same artifact
-        even if the registry republishes or evicts it mid-flight.
+        even if the registry republishes it mid-flight.
         """
         with self._lock:
             if self._closed:
                 raise RuntimeError("service is closed")
             plan = self._plans.get(key)
-            if plan is None:
-                plan = self.registry.get(
-                    key.model, key.bits, key.mapping, version=key.version
-                )
-                self._plans[key] = plan
+        if plan is not None:
             return plan
+        # Deserialising reads the whole artifact; do it outside the lock so
+        # a cold load of one key cannot stall other keys' requests, the
+        # ensemble cache or a metrics scrape.  Racing loads of one key keep
+        # whichever plan was inserted first, so every request serves it.
+        loaded = self.registry.get(
+            key.model, key.bits, key.mapping, version=key.version
+        )
+        with self._lock:
+            return self._plans.setdefault(key, loaded)
 
     # ------------------------------------------------------------------ #
     # Versioned rollout (admin surface; delegates to the registry)

@@ -118,10 +118,9 @@ class TestLocalClient:
 
 class TestConnectTargets:
     def test_query_parameters_configure_the_service(self, tmp_path):
-        with connect(f"local:{tmp_path}/plans?capacity=2&max_batch=5"
+        with connect(f"local:{tmp_path}/plans?max_batch=5"
                      "&max_queue_depth=9") as client:
             service = client.backend
-            assert service.registry.capacity == 2
             assert service.max_batch == 5
             assert service.max_queue_depth == 9
 
@@ -175,6 +174,15 @@ class TestConnectTargets:
         with pytest.raises(ValueError, match="max_batch"):
             connect(f"{scheme}:{tmp_path}/plans", max_batch="auto")
 
+    @pytest.mark.parametrize("scheme", ["local", "cluster"])
+    def test_removed_plan_cache_capacity_is_rejected(self, scheme, tmp_path):
+        # The service pins every plan it serves, so a registry cache bound
+        # behind it bounded nothing; the knob is gone.
+        with pytest.raises(ValueError, match="parameter 'capacity'"):
+            connect(f"{scheme}:{tmp_path}/plans?capacity=2")
+        with pytest.raises(ValueError, match="capacity"):
+            connect(f"{scheme}:{tmp_path}/plans", capacity=2)
+
     def test_http_target_builds_http_client(self):
         client = connect("http://127.0.0.1:59999", token="t", retries=0)
         assert isinstance(client, HttpClient)
@@ -209,9 +217,10 @@ class TestConnectTargets:
             assert client.backend.restart_backoff == 0.03
             assert client.backend.max_restart_backoff == 0.5
             assert client.backend.stability_window == 1.5
-            # (directory, capacity, max_batch, max_queue_depth,
-            # max_concurrent_ensembles): no transport or thread-pool knob.
-            assert client.backend._worker_config[1:] == (4, 64, None, None)
+            # (directory, max_batch, max_queue_depth,
+            # max_concurrent_ensembles): no transport, thread-pool or
+            # plan-cache knob.
+            assert client.backend._worker_config[1:] == (64, None, None)
 
     def test_cluster_ensemble_timeout_default_exceeds_predict_timeout(self):
         from repro.api import ClusterClient

@@ -52,42 +52,23 @@ class TestPlanKey:
 class TestPlanRegistry:
     @pytest.fixture
     def registry(self, tmp_path):
-        registry = PlanRegistry(tmp_path / "plans", capacity=4)
+        registry = PlanRegistry(tmp_path / "plans")
         for mapping, seed in (("acm", 0), ("de", 1), ("bc", 2)):
             registry.publish_model(small_mlp(mapping=mapping, seed=seed),
                                    "mlp", 4, mapping)
         return registry
 
-    def test_scan_indexes_artifacts_without_loading(self, tmp_path):
+    def test_scan_indexes_artifacts_without_loading(self, tmp_path, monkeypatch):
         plan = compile_model(small_mlp())
         plan.save(tmp_path / "mlp__4b__acm.npz")
         plan.save(tmp_path / "not-a-plan-key.npz")
-        registry = PlanRegistry(tmp_path, capacity=2)
+
+        def refuse(cls, path):
+            raise AssertionError(f"indexing deserialised {path}")
+
+        monkeypatch.setattr(InferencePlan, "load", classmethod(refuse))
+        registry = PlanRegistry(tmp_path)
         assert registry.keys() == [PlanKey("mlp", 4, "acm")]
-        assert registry.cached_keys == []  # nothing deserialised yet
-
-    def test_get_loads_lazily_and_caches(self, registry, rng):
-        registry._loaded.clear()
-        inputs = rng.normal(size=(3, 1, 4, 4))
-        first = registry.get("mlp", 4, "acm")
-        assert registry.misses == 1
-        second = registry.get("mlp", 4, "acm")
-        assert second is first and registry.hits == 1
-        expected = compile_model(small_mlp()).run(inputs)
-        np.testing.assert_array_equal(first.run(inputs), expected)
-
-    def test_lru_eviction_and_reload_round_trip(self, tmp_path, rng):
-        registry = PlanRegistry(tmp_path, capacity=1)
-        registry.publish_model(small_mlp(mapping="acm", seed=0), "mlp", 4, "acm")
-        reference = registry.get("mlp", 4, "acm")
-        registry.publish_model(small_mlp(mapping="de", seed=1), "mlp", 4, "de")
-        assert registry.evictions == 1
-        assert registry.cached_keys == [PlanKey("mlp", 4, "de")]
-        # The evicted plan reloads transparently from disk, bit-identically.
-        inputs = rng.normal(size=(4, 1, 4, 4))
-        reloaded = registry.get("mlp", 4, "acm")
-        assert reloaded is not reference
-        np.testing.assert_array_equal(reloaded.run(inputs), reference.run(inputs))
 
     def test_unknown_key_raises_with_catalogue(self, registry):
         with pytest.raises(KeyError, match="mlp__4b__acm"):
@@ -488,6 +469,90 @@ class TestInferenceService:
             ))
         np.testing.assert_array_equal(after, before)
         np.testing.assert_allclose(ensemble.mean_logits, before, atol=1e-12)
+
+
+class TestResidentPlans:
+    """The service's pin is a process's only store of deserialised plans."""
+
+    @staticmethod
+    def _counting_load(monkeypatch, before_load=lambda path: None):
+        """Patch ``InferencePlan.load``; returns the list of loaded paths."""
+        real_load = InferencePlan.load
+        loads = []
+
+        def load(cls, path):
+            before_load(path)
+            loads.append(path)
+            return real_load(path)
+
+        monkeypatch.setattr(InferencePlan, "load", classmethod(load))
+        return loads
+
+    def test_a_served_key_loads_its_plan_once(self, tmp_path, monkeypatch):
+        PlanRegistry(tmp_path).publish_model(small_mlp(), "mlp", 4, "acm")
+        loads = self._counting_load(monkeypatch)
+        images = np.zeros((2, 1, 4, 4))
+        key = dict(model="mlp", bits=4, mapping="acm")
+        with InferenceService(PlanRegistry(tmp_path)) as service:
+            for index in range(5):
+                if index % 2:
+                    service.ensemble_request(EnsembleRequest(
+                        images, sigma_fraction=0.1, num_samples=2, seed=index,
+                        **key))
+                else:
+                    service.predict_request(PredictRequest(images, **key))
+        assert len(loads) == 1
+
+    def test_racing_cold_loads_pin_one_plan(self, tmp_path, monkeypatch):
+        PlanRegistry(tmp_path).publish_model(small_mlp(), "mlp", 4, "acm")
+        racers = 8
+        # Every racer is mid-load at once: none can find the key pinned.
+        barrier = threading.Barrier(racers, timeout=10.0)
+        loads = self._counting_load(monkeypatch, lambda path: barrier.wait())
+        key = PlanKey("mlp", 4, "acm")
+        with InferenceService(PlanRegistry(tmp_path)) as service, \
+                ThreadPoolExecutor(racers) as pool:
+            pinned = list(pool.map(lambda _: service._pinned_plan(key),
+                                   range(racers)))
+            assert len(loads) == racers
+            assert all(plan is pinned[0] for plan in pinned)
+            assert service._pinned_plan(key) is pinned[0]
+
+    def test_cold_load_stalls_no_other_key(self, tmp_path, monkeypatch):
+        publisher = PlanRegistry(tmp_path)
+        publisher.publish_model(small_mlp("acm", seed=0), "mlp", 4, "acm")
+        publisher.publish_model(small_mlp("de", seed=1), "mlp", 4, "de")
+        images = np.zeros((2, 1, 4, 4))
+        cold = PredictRequest(images, model="mlp", bits=4, mapping="acm")
+        warm = PredictRequest(images, model="mlp", bits=4, mapping="de")
+        loading, release = threading.Event(), threading.Event()
+
+        def block_cold_key(path):
+            if path.name == "mlp__4b__acm.npz":
+                loading.set()
+                assert release.wait(30.0), "the cold load was never released"
+
+        with InferenceService(PlanRegistry(tmp_path)) as service, \
+                ThreadPoolExecutor(3) as pool:
+            expected = service.predict_request(warm).logits  # pins the key
+            self._counting_load(monkeypatch, block_cold_key)
+            try:
+                served = pool.submit(service.predict_request, cold)
+                assert loading.wait(10.0)
+                # While the cold key's artifact is still loading, the pinned
+                # key serves and the stats answer.
+                np.testing.assert_array_equal(
+                    pool.submit(service.predict_request, warm)
+                    .result(timeout=10.0).logits,
+                    expected)
+                assert "mlp__4b__de" in pool.submit(
+                    service.stats_summary).result(timeout=10.0)
+                assert not served.done()
+            finally:
+                release.set()
+            np.testing.assert_array_equal(
+                served.result(timeout=30.0).logits,
+                compile_model(small_mlp("acm", seed=0)).run(images))
 
 
 class TestOneMonteCarloEngine:

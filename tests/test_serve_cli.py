@@ -84,7 +84,10 @@ class TestArgumentParsing:
                                        ["--max-batch", "auto"],
                                        # Removed transport knob: every
                                        # array rides the worker pipe.
-                                       ["--shm-threshold", "1024"]])
+                                       ["--shm-threshold", "1024"],
+                                       # Removed plan-cache bound: the
+                                       # service pins each served plan.
+                                       ["--capacity", "4"]])
     def test_removed_edge_flags_are_rejected(self, flags, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["--plan-dir", "plans", *flags])

@@ -748,7 +748,7 @@ def _within(seconds, function):
 class TestPipeSendLocking:
     def test_load_and_replies_proceed_while_a_send_is_blocked(self):
         pipe = _BlockingPipe()
-        worker = _WorkerClient(_StubContext(pipe), 0, "unused", 1, 1)
+        worker = _WorkerClient(_StubContext(pipe), 0, "unused", 1)
         try:
             first = worker.submit("predict", "small")
             pipe.release.clear()
@@ -781,7 +781,7 @@ class TestPipeSendLocking:
             pipe.replies.put((None, True, "closed"))
 
         pipe.send = broken_send
-        worker = _WorkerClient(_StubContext(pipe), 0, "unused", 1, 1)
+        worker = _WorkerClient(_StubContext(pipe), 0, "unused", 1)
         try:
             with pytest.raises(WorkerDied):
                 worker.submit("predict", "rows")
@@ -914,7 +914,7 @@ class TestWorkerLoop:
         return every reply up to and including its acknowledgement."""
         parent, child = multiprocessing.Pipe()
         loop = threading.Thread(target=_worker_main,
-                                args=(child, str(directory), 4, 64),
+                                args=(child, str(directory), 64),
                                 daemon=True)
         loop.start()
         for message in messages:

@@ -61,7 +61,7 @@ class TestWireFormat:
 
     def test_float32_repack(self, rng):
         array = rng.normal(size=(3,))
-        payload = encode_array(array, dtype="float32")
+        payload = encode_array(array.astype(np.float32))
         assert payload["dtype"] == "float32"
         np.testing.assert_array_equal(decode_array(payload),
                                       array.astype(np.float32))

@@ -1,4 +1,4 @@
-"""Fuzz/property tests for the registry: names, digests, artifacts, eviction.
+"""Fuzz/property tests for the registry: names, digests, artifacts.
 
 The registry is the deployment catalogue of the serving stack, so its three
 contracts are hardened here with randomized inputs:
@@ -9,10 +9,9 @@ contracts are hardened here with randomized inputs:
   construction time, so no published artifact can be unreachable).
 * **Digest lookup** — prefix resolution must be exact: short prefixes are
   rejected, unknown prefixes and ambiguous prefixes raise ``KeyError``.
-* **Artifacts and eviction** — a truncated or corrupt ``.npz`` surfaces a
-  typed :class:`PlanArtifactError` (naming the file) without poisoning the
-  rest of the catalogue, and the LRU cache invariants hold under any
-  access order.
+* **Artifacts** — a truncated or corrupt ``.npz`` surfaces a typed
+  :class:`PlanArtifactError` (naming the file) without poisoning the rest
+  of the catalogue.
 """
 
 from __future__ import annotations
@@ -121,7 +120,7 @@ class TestDigestFuzz:
     def registry(self, artifact_pool, tmp_path):
         directory, _ = artifact_pool
         shutil.copytree(directory, tmp_path / "plans")
-        return PlanRegistry(tmp_path / "plans", capacity=2)
+        return PlanRegistry(tmp_path / "plans")
 
     def test_every_digest_resolves_to_its_own_artifact(self, registry):
         for key in registry.keys():
@@ -135,7 +134,7 @@ class TestDigestFuzz:
     @settings(max_examples=50, deadline=None)
     def test_short_prefixes_rejected(self, artifact_pool, prefix):
         directory, _ = artifact_pool
-        registry = PlanRegistry(directory, capacity=1)
+        registry = PlanRegistry(directory)
         with pytest.raises(ValueError):
             registry.get_by_digest(prefix)
 
@@ -143,7 +142,7 @@ class TestDigestFuzz:
     @settings(max_examples=25, deadline=None)
     def test_unknown_prefixes_raise_keyerror(self, artifact_pool, data):
         directory, _ = artifact_pool
-        registry = PlanRegistry(directory, capacity=1)
+        registry = PlanRegistry(directory)
         known = {entry["digest"] for entry in registry.describe()}
         prefix = data.draw(
             st.text(alphabet="0123456789abcdef", min_size=8, max_size=64)
@@ -185,7 +184,7 @@ class TestCorruptArtifacts:
             victim.write_bytes(b"\x00" * 64)
         else:
             victim.write_bytes(b"")
-        registry = PlanRegistry(tmp_path / "plans", capacity=2)
+        registry = PlanRegistry(tmp_path / "plans")
         with pytest.raises(PlanArtifactError, match=victim.name):
             registry.get(victim_key.model, victim_key.bits, victim_key.mapping)
         # The rest of the catalogue still serves.
@@ -198,39 +197,3 @@ class TestCorruptArtifacts:
         healed = registry.get(victim_key.model, victim_key.bits, victim_key.mapping)
         assert healed.run(np.zeros((1, 16))).shape == (1, 10)
 
-
-# ---------------------------------------------------------------------- #
-# LRU eviction under randomized access orders
-# ---------------------------------------------------------------------- #
-class TestEvictionFuzz:
-    @given(
-        accesses=st.lists(st.integers(min_value=0, max_value=3), min_size=1,
-                          max_size=24),
-        capacity=st.integers(min_value=1, max_value=3),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_lru_invariants_hold_for_any_access_order(
-        self, artifact_pool, accesses, capacity
-    ):
-        directory, keys = artifact_pool
-        registry = PlanRegistry(directory, capacity=capacity)
-        reference: dict = {}
-        recency: list = []
-        for index in accesses:
-            key = keys[index]
-            plan = registry.get(key.model, key.bits, key.mapping)
-            # Correctness: each key keeps resolving to its own artifact.
-            inputs = np.zeros((2, 16))
-            if index not in reference:
-                reference[index] = plan.run(inputs)
-            else:
-                np.testing.assert_array_equal(plan.run(inputs), reference[index])
-            if key in recency:
-                recency.remove(key)
-            recency.append(key)
-            recency = recency[-capacity:]
-            # LRU invariants: bounded residency, exact recency order.
-            assert len(registry.cached_keys) <= capacity
-            assert registry.cached_keys == recency
-        assert registry.hits + registry.misses == len(accesses)
-        assert registry.evictions == registry.misses - len(registry.cached_keys)
