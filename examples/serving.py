@@ -33,6 +33,7 @@ Run with:  python examples/serving.py [--plan-dir DIR] [--sigma 0.15]
 from __future__ import annotations
 
 import argparse
+import contextlib
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
@@ -57,7 +58,8 @@ AUTH_TOKEN = "example-shared-secret"
 def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--plan-dir", default=None,
-                        help="directory for plan artifacts (default: a temp dir)")
+                        help="directory for plan artifacts (default: a temp dir "
+                             "removed on exit)")
     parser.add_argument("--sigma", type=float, default=0.15,
                         help="device-variation sigma for the ensemble requests")
     parser.add_argument("--epochs", type=int, default=2,
@@ -139,7 +141,20 @@ def run_client_script(client, test_set, sigma: float) -> dict:
 
 def main() -> None:
     args = parse_args()
-    plan_dir = args.plan_dir or tempfile.mkdtemp(prefix="repro-plans-")
+    with contextlib.ExitStack() as stack:
+        plan_dir = args.plan_dir or stack.enter_context(
+            tempfile.TemporaryDirectory(prefix="repro-plans-")
+        )
+        run_backends(args, plan_dir)
+    # Only a persistent plan directory outlives this script.
+    if args.plan_dir:
+        print(f"\ndeploy standalone with: python -m repro.serve "
+              f"--plan-dir {args.plan_dir} --port 8100 --workers 2 "
+              f"--auth-token SECRET --max-queue-depth 64")
+
+
+def run_backends(args: argparse.Namespace, plan_dir: str) -> None:
+    """Publish the models into ``plan_dir`` and drive every backend."""
     print(f"plan directory: {plan_dir}")
 
     registry = PlanRegistry(plan_dir)
@@ -193,10 +208,6 @@ def main() -> None:
         ))
         print(f"  local == {backend}: bit-identical={exact}  "
               f"coalesced traffic within 1e-10: {coalesced}")
-
-    print(f"\ndeploy standalone with: python -m repro.serve "
-          f"--plan-dir {plan_dir} --port 8100 --workers 2 "
-          f"--auth-token SECRET --max-queue-depth 64")
 
 
 if __name__ == "__main__":

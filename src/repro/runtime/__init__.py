@@ -7,7 +7,8 @@ stack.  A trained :class:`~repro.nn.module.Module` is compiled into a frozen
 once) and whose ops are pure NumPy — no autograd graph, no per-batch weight
 rebuild.  On top of the plan, :mod:`repro.runtime.montecarlo` vectorises the
 paper's Fig. 6 variation protocol: device-variation draws are sampled as one
-stacked perturbation per crossbar and evaluated with batched einsum matmuls.
+stacked perturbation per crossbar and evaluated with batched ``np.matmul``
+GEMMs over the sample axis.
 Plans and Monte-Carlo sweeps execute in float64 only, so an offline sweep and
 a served ensemble over the same images and seed compute the same bits.
 

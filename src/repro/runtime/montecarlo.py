@@ -5,12 +5,12 @@ batch rebuilds every layer's effective weight through the autograd graph with
 a fresh perturbation.  Here the variation draws are sampled *once* as a
 stacked ``(num_samples, ND, NI)`` perturbation of each crossbar's raw
 conductances, realized to per-sample effective weights, and the whole plan is
-executed with batched einsum matmuls over the sample axis — a 25-draw sigma
-point costs roughly one plan execution instead of 25 eager model runs.
+executed with batched ``np.matmul`` GEMMs over the sample axis — a 25-draw
+sigma point costs roughly one plan execution instead of 25 eager model runs.
 
 Values stay *sample-invariant* (no sample axis) until they flow through the
-first crossbar-backed op, so the early im2col/pooling work before the first
-mapped layer is never duplicated across samples.
+first crossbar-backed op, so the early conv lowering and pooling work before
+the first mapped layer is never duplicated across samples.
 
 There is one engine and one precision: offline sweeps
 (:func:`monte_carlo_accuracy`) and served ensembles
@@ -77,9 +77,7 @@ def run_plan_samples(
         inputs = [values[slot] for slot in op.inputs]
         input_stacked = [stacked[slot] for slot in op.inputs]
         if index in sampled_weights:
-            result = op.run_sampled(
-                inputs[0], sampled_weights[index], input_stacked[0]
-            )
+            result = op.run_sampled(inputs[0], sampled_weights[index])
             is_stacked = True
         elif not any(input_stacked):
             result = op.run(*inputs)

@@ -5,9 +5,18 @@ trained :class:`~repro.nn.module.Module` for inference
 (:func:`repro.runtime.engine.compile_model`).  Every weight-bearing layer is
 lowered to a *realized* effective-weight ndarray — the periphery matrix is
 applied once and the device quantisation is applied once — together with a
-pure-NumPy op (matmul, im2col-matmul, activation, pooling, normalisation).
+pure-NumPy op (matmul, tap-major conv, activation, pooling, normalisation).
 Executing a plan therefore pays none of the training-time costs: no autograd
 graph, no per-batch ``W = S @ M`` rebuild, no per-batch re-quantisation.
+
+Convolutions lower *tap-major*: the input becomes ``(C·kh·kw, N·oh·ow)``
+columns, one strided slice copy per kernel tap, and the GEMM is
+``W @ columns`` (the unrolled-GEMM convolution of Chellapilla et al., 2006,
+with the operands swapped).  The GEMM's ``(C_out, N, oh, ow)`` block is
+returned as an NCHW transpose view, so activations stay channel-major in
+memory through the elementwise and pooling ops.  The eager layers keep the
+row-major :func:`~repro.tensor.functional.im2col`, so trained weights do
+not depend on the plan's lowering.
 
 Crossbar-backed ops additionally keep a :class:`CrossbarSpec` — the raw
 programmed conductances, periphery matrix and device model — so the
@@ -31,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.tensor.functional import conv_output_size, im2col
+from repro.tensor.functional import conv_output_size
 from repro.xbar.quantization import ConductanceRange, UniformQuantizer
 from repro.xbar.variation import DeviceVariationModel
 
@@ -201,9 +210,7 @@ class DenseOp(PlanOp):
             )
         return shape[:-1] + (self.weight.shape[0],)
 
-    def run_sampled(
-        self, x: np.ndarray, weights: np.ndarray, x_stacked: bool
-    ) -> np.ndarray:
+    def run_sampled(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Apply per-sample weights ``(S, NO, NI)``; returns ``(S, B, NO)``.
 
         Implemented as a batched BLAS matmul over the sample axis; a
@@ -217,7 +224,15 @@ class DenseOp(PlanOp):
 
 @dataclass
 class ConvOp(PlanOp):
-    """im2col convolution against a frozen ``(C_out, C_in*kh*kw)`` matrix."""
+    """Tap-major convolution against a frozen ``(C_out, C_in*kh*kw)`` matrix.
+
+    The input is lowered to tap-major columns ``(C·kh·kw, N·oh·ow)`` by
+    :func:`_tap_columns` and multiplied as ``weight @ columns``, so the
+    GEMM writes a channel-major ``(C_out, N, oh, ow)`` block.  The NCHW
+    result is a transpose *view* of that block: activations stay
+    channel-major in memory through the elementwise and pooling ops, and
+    the next conv's lowering reads its channels as contiguous planes.
+    """
 
     weight: np.ndarray = None
     bias: Optional[np.ndarray] = None
@@ -239,52 +254,81 @@ class ConvOp(PlanOp):
                 f"{self.kernel_shape[0]}"
             )
 
-    def run(self, x: np.ndarray) -> np.ndarray:
-        batch, channels, height, width = x.shape
-        self._check_channels(channels)
-        _, kernel_h, kernel_w = self.kernel_shape
-        out_h, out_w = self._geometry(height, width)
-        columns = im2col(x, (kernel_h, kernel_w), self.stride, self.padding)
-        out = columns @ self.weight.T
+    def _convolve(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        """``weight @ columns`` over any leading axes of ``x`` and ``weight``."""
+        self._check_channels(x.shape[-3])
+        out_h, out_w = self._geometry(*x.shape[-2:])
+        columns = _tap_columns(
+            x, self.kernel_shape[1:], self.stride, self.padding, (out_h, out_w)
+        )
+        out = np.matmul(weight, columns)
         if self.bias is not None:
-            out += self.bias
-        out = out.reshape(batch, out_h, out_w, self.weight.shape[0])
-        return out.transpose(0, 3, 1, 2)
+            out += self.bias[:, None]
+        out = out.reshape(out.shape[:-1] + (x.shape[-4], out_h, out_w))
+        return np.swapaxes(out, -3, -4)
 
-    def run_sampled(
-        self, x: np.ndarray, weights: np.ndarray, x_stacked: bool
-    ) -> np.ndarray:
+    def run(self, x: np.ndarray) -> np.ndarray:
+        return self._convolve(x, self.weight)
+
+    def run_sampled(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Apply per-sample kernels ``(S, C_out, K)``; returns 5-D output.
 
-        When the input is still sample-invariant (the layers before the first
-        crossbar layer), im2col runs once and the sample axis appears only in
-        the batched matmul.
+        The sample axis rides through the lowering as a leading axis.  When
+        the input is still sample-invariant (the layers before the first
+        crossbar layer), the columns are built once and broadcast against
+        the weight stack, so the sample axis appears only in the matmul.
         """
-        num_samples, out_channels = weights.shape[0], weights.shape[1]
-        _, kernel_h, kernel_w = self.kernel_shape
-        self._check_channels(x.shape[-3])
-        if x_stacked:
-            stacked, batch = x.shape[0], x.shape[1]
-            height, width = x.shape[3], x.shape[4]
-            out_h, out_w = self._geometry(height, width)
-            flat = x.reshape((stacked * batch,) + x.shape[2:])
-            columns = im2col(flat, (kernel_h, kernel_w), self.stride, self.padding)
-            columns = columns.reshape(stacked, batch * out_h * out_w, -1)
-        else:
-            batch, height, width = x.shape[0], x.shape[2], x.shape[3]
-            out_h, out_w = self._geometry(height, width)
-            columns = im2col(x, (kernel_h, kernel_w), self.stride, self.padding)
-        out = np.matmul(columns, weights.transpose(0, 2, 1))
-        if self.bias is not None:
-            out += self.bias
-        out = out.reshape(num_samples, batch, out_h, out_w, out_channels)
-        return out.transpose(0, 1, 4, 2, 3)
+        return self._convolve(x, weights)
 
     def infer_shape(self, *shapes: Tuple[int, ...]) -> Tuple[int, ...]:
         channels, height, width = shapes[0]
         self._check_channels(channels)
         out_h, out_w = self._geometry(height, width)
         return (self.weight.shape[0], out_h, out_w)
+
+
+def _tap_columns(
+    x: np.ndarray,
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+    out_size: Tuple[int, int],
+) -> np.ndarray:
+    """Lower ``(..., N, C, H, W)`` to tap-major columns ``(..., C·kh·kw, N·oh·ow)``.
+
+    One copy pads the input and moves its channels ahead of the batch;
+    then each of the ``kh * kw`` taps fills its ``(..., C, N, oh, ow)``
+    slot of a ``(..., C, kh, kw, N, oh, ow)`` buffer with one strided 2-D
+    slice copy.  The buffer reshapes to the columns for free, and row
+    ``c·kh·kw + y·kw + z`` matches the weight matrix's channel-major column
+    order.  Each tap moves whole ``oh × ow`` planes, where a row-major
+    ``(N·oh·ow, C·kh·kw)`` layout gathers ``C·kh·kw`` scattered elements per
+    output pixel.  Leading axes (a Monte-Carlo sample axis) pass through.
+    """
+    *leading, batch, channels, height, width = x.shape
+    leading = tuple(leading)
+    (kernel_h, kernel_w), (stride_h, stride_w) = kernel, stride
+    pad_h, pad_w = padding
+    out_h, out_w = out_size
+    source = np.swapaxes(x, -3, -4)  # (..., C, N, H, W), a view
+    if pad_h or pad_w:
+        padded = np.zeros(
+            leading + (channels, batch, height + 2 * pad_h, width + 2 * pad_w),
+            dtype=x.dtype,
+        )
+        padded[..., pad_h:pad_h + height, pad_w:pad_w + width] = source
+        source = padded
+    columns = np.empty(
+        leading + (channels, kernel_h, kernel_w, batch, out_h, out_w), dtype=x.dtype
+    )
+    for y in range(kernel_h):
+        for z in range(kernel_w):
+            columns[..., y, z, :, :, :] = source[
+                ..., y:y + stride_h * out_h:stride_h, z:z + stride_w * out_w:stride_w
+            ]
+    return columns.reshape(
+        leading + (channels * kernel_h * kernel_w, batch * out_h * out_w)
+    )
 
 
 @dataclass
@@ -373,7 +417,14 @@ class GlobalAvgPoolOp(PlanOp):
     """Global average pooling, reducing ``(N, C, H, W)`` to ``(N, C)``."""
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        return x.mean(axis=(2, 3))
+        # A reduction follows its input's memory order, and so does the
+        # layout of its result: a channel-major conv output would pool to an
+        # F-ordered (N, C), which the next dense GEMM rounds differently from
+        # the C-ordered rows it gets after the Monte-Carlo fold's contiguous
+        # copy.  Reducing a contiguous array gives both paths the same sums
+        # in the same layout, so sample k of a sampled run stays bitwise
+        # ``plan.run``.
+        return np.ascontiguousarray(x).mean(axis=(2, 3))
 
     def infer_shape(self, *shapes: Tuple[int, ...]) -> Tuple[int, ...]:
         return (shapes[0][0],)

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.mapping import MappedConv2d, MappedLinear
 from repro.models import make_lenet, make_mlp, make_resnet20, make_vgg9
@@ -17,6 +18,7 @@ from repro.runtime import (
     ConvOp,
     CrossbarSpec,
     FlattenOp,
+    GlobalAvgPoolOp,
     InferencePlan,
     MaxPoolOp,
     PlanCompilationError,
@@ -32,6 +34,7 @@ from repro.runtime import (
 )
 from repro.serve import PlanArtifactError, PlanRegistry
 from repro.tensor import Tensor, no_grad
+from repro.tensor.functional import conv2d_from_matrix
 
 
 def eager_logits(model, inputs: np.ndarray) -> np.ndarray:
@@ -357,6 +360,68 @@ class TestDrawBits:
             tracemalloc.stop()
         stack_bytes = sum(stack.nbytes for stack in sampled.values())
         assert peak < 1.5 * stack_bytes, f"peak {peak / stack_bytes:.2f}x the stacks"
+
+
+@st.composite
+def conv_cases(draw):
+    """A small random conv geometry with seeded weights, bias and inputs."""
+    batch = draw(st.integers(1, 5))
+    channels = draw(st.integers(1, 4))
+    height, width = draw(st.integers(3, 9)), draw(st.integers(3, 9))
+    out_channels = draw(st.integers(1, 5))
+    kernel_h, kernel_w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    stride = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    padding = (draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+    num_samples = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    op = ConvOp(
+        weight=rng.normal(size=(out_channels, channels * kernel_h * kernel_w)),
+        bias=rng.normal(size=out_channels),
+        kernel_shape=(channels, kernel_h, kernel_w),
+        stride=stride,
+        padding=padding,
+    )
+    images = rng.normal(size=(num_samples, batch, channels, height, width))
+    weights = rng.normal(size=(num_samples,) + op.weight.shape)
+    return op, images, weights
+
+
+class TestConvLoweringFuzz:
+    """Differential checks of the tap-major plan conv over random geometries."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(conv_cases())
+    def test_plan_conv_matches_eager_conv(self, case):
+        op, images, _ = case
+        with no_grad():
+            expected = conv2d_from_matrix(
+                Tensor(images[0]), Tensor(op.weight), op.kernel_shape,
+                Tensor(op.bias), op.stride, op.padding,
+            ).data
+        np.testing.assert_allclose(op.run(images[0]), expected, atol=1e-10, rtol=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(conv_cases())
+    def test_sample_k_is_run_with_weight_k(self, case):
+        op, images, weights = case
+        invariant = op.run_sampled(images[0], weights)
+        stacked = op.run_sampled(images, weights)
+        for sample, weight in enumerate(weights):
+            single = dataclasses.replace(op, weight=weight)
+            np.testing.assert_array_equal(invariant[sample], single.run(images[0]))
+            np.testing.assert_array_equal(stacked[sample], single.run(images[sample]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(conv_cases())
+    def test_global_pool_is_layout_independent(self, case):
+        op, images, _ = case
+        view = op.run(images[0])
+        pool = GlobalAvgPoolOp()
+        pooled, expected = pool.run(view), pool.run(np.ascontiguousarray(view))
+        np.testing.assert_array_equal(pooled, expected)
+        # The layout matters too: the next GEMM rounds an F-ordered operand
+        # differently from a C-ordered one.
+        assert pooled.strides == expected.strides
 
 
 class TestPlanSerialization:

@@ -947,7 +947,13 @@ class TestWorkerLoop:
         answered = {request_id: (ok, payload)
                     for request_id, ok, payload in replies[:-1]}
         assert sorted(answered) == list(range(14))
-        assert all(ok for ok, _ in answered.values())
+        failed = {request_id: payload
+                  for request_id, (ok, payload) in answered.items() if not ok}
+        assert all(ok for ok, _ in answered.values()), (
+            "failed replies (id: payload): "
+            + ", ".join(f"{request_id}: {payload!r}"
+                        for request_id, payload in sorted(failed.items()))
+        )
         for index, rows in predicts.items():
             np.testing.assert_allclose(
                 answered[index][1].logits,
