@@ -10,6 +10,11 @@ batched side with dynamic micro-batching — so the
 measured ratio isolates exactly what the scheduler adds.  The raw
 ``plan.run`` loop (no serving layer at all) is printed as a reference
 point.
+
+A single serial/batched pair on a shared 2-core host once read 2.11x
+against the 3x floor, so the gate is the median ratio of ``PAIRS``
+interleaved pairs (serial pass, then batched pass, each pair on the same
+two warm services); every pair's ratio is printed so the spread shows.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from repro.serve import InferenceService, PlanRegistry
 
 NUM_REQUESTS = 384
 SPEEDUP_FLOOR = 3.0
+PAIRS = 5
 
 
 def _serve_throughput(tmp_path):
@@ -42,37 +48,41 @@ def _serve_throughput(tmp_path):
     raw_logits = np.stack([plan.run(images[i:i + 1])[0] for i in range(NUM_REQUESTS)])
     raw_seconds = time.perf_counter() - start
 
-    # One-request-at-a-time serving: batching disabled, the client waits for
-    # each response before issuing the next request.
-    with InferenceService(registry, max_batch=1) as service:
-        scheduler = service.scheduler_for("lenet", 4, "acm")
-        start = time.perf_counter()
-        serial_logits = np.stack([
-            scheduler.submit(images[i:i + 1]).result(120)[0]
-            for i in range(NUM_REQUESTS)
-        ])
-        serial_seconds = time.perf_counter() - start
+    def serial_pass(scheduler):
+        # One request at a time: the client waits for each response before
+        # issuing the next request.
+        return np.stack([scheduler.submit(images[i:i + 1]).result(120)[0]
+                         for i in range(NUM_REQUESTS)])
 
-    # Micro-batched serving: the same requests submitted concurrently
-    # coalesce into stacked executions.  Best of two runs, since a single
-    # pass on a shared box is at the mercy of scheduler noise.
-    batched_seconds = float("inf")
-    with InferenceService(registry, max_batch=64) as service:
-        scheduler = service.scheduler_for("lenet", 4, "acm")
-        for _ in range(2):
-            start = time.perf_counter()
-            futures = [
-                scheduler.submit(images[i:i + 1]) for i in range(NUM_REQUESTS)
-            ]
-            batched_logits = np.stack([future.result(120)[0]
-                                       for future in futures])
-            batched_seconds = min(batched_seconds, time.perf_counter() - start)
-        stats = service.stats["lenet__4b__acm"]
+    def batched_pass(scheduler):
+        # The same requests submitted concurrently coalesce into stacked
+        # executions.
+        futures = [scheduler.submit(images[i:i + 1])
+                   for i in range(NUM_REQUESTS)]
+        return np.stack([future.result(120)[0] for future in futures])
+
+    def timed(run, scheduler):
+        start = time.perf_counter()
+        logits = run(scheduler)
+        return time.perf_counter() - start, logits
+
+    # Serial serving has batching disabled; both services stay up for the
+    # whole measurement, so every pair sees the same warm state.
+    pairs = []
+    with InferenceService(registry, max_batch=1) as serial_service, \
+            InferenceService(registry, max_batch=64) as batched_service:
+        serial = serial_service.scheduler_for("lenet", 4, "acm")
+        batched = batched_service.scheduler_for("lenet", 4, "acm")
+        batched_pass(batched)  # untimed warm-up of the coalescing path
+        for _ in range(PAIRS):
+            serial_seconds, serial_logits = timed(serial_pass, serial)
+            batched_seconds, batched_logits = timed(batched_pass, batched)
+            pairs.append((serial_seconds, batched_seconds))
+        stats = batched_service.stats["lenet__4b__acm"]
 
     return {
         "raw_seconds": raw_seconds,
-        "serial_seconds": serial_seconds,
-        "batched_seconds": batched_seconds,
+        "pairs": pairs,
         "raw_logits": raw_logits,
         "serial_logits": serial_logits,
         "batched_logits": batched_logits,
@@ -84,19 +94,26 @@ def _serve_throughput(tmp_path):
 def test_microbatched_serving_beats_serial_requests(benchmark, tmp_path):
     result = run_once(benchmark, _serve_throughput, tmp_path)
 
-    requests_per_second = NUM_REQUESTS / result["batched_seconds"]
-    speedup = result["serial_seconds"] / result["batched_seconds"]
+    pairs = result["pairs"]
+    ratios = [serial / batched for serial, batched in pairs]
+    speedup = float(np.median(ratios))
+    serial_seconds = float(np.median([serial for serial, _ in pairs]))
+    batched_seconds = float(np.median([batched for _, batched in pairs]))
     stats = result["stats"]
 
     print_header("Micro-batched serving vs one-request-at-a-time (LeNet, 4-bit ACM)")
-    print(f"requests: {NUM_REQUESTS} single images")
+    print(f"requests: {NUM_REQUESTS} single images, {PAIRS} interleaved "
+          f"serial/batched pairs (medians)")
     print(f"raw plan.run loop   : {result['raw_seconds'] * 1e3:8.1f} ms "
           f"({NUM_REQUESTS / result['raw_seconds']:8.0f} req/s, no serving layer)")
-    print(f"serial serving      : {result['serial_seconds'] * 1e3:8.1f} ms "
-          f"({NUM_REQUESTS / result['serial_seconds']:8.0f} req/s)")
-    print(f"micro-batched       : {result['batched_seconds'] * 1e3:8.1f} ms "
-          f"({requests_per_second:8.0f} req/s)")
-    print(f"speedup             : {speedup:.2f}x  (floor: {SPEEDUP_FLOOR}x)")
+    print(f"serial serving      : {serial_seconds * 1e3:8.1f} ms "
+          f"({NUM_REQUESTS / serial_seconds:8.0f} req/s)")
+    print(f"micro-batched       : {batched_seconds * 1e3:8.1f} ms "
+          f"({NUM_REQUESTS / batched_seconds:8.0f} req/s)")
+    print(f"speedup             : {speedup:.2f}x median  (floor: {SPEEDUP_FLOOR}x)")
+    print(f"pair speedups       : "
+          + ", ".join(f"{ratio:.2f}x" for ratio in ratios)
+          + f"  (spread {min(ratios):.2f}-{max(ratios):.2f}x)")
     print(f"micro-batches       : {stats.num_batches} "
           f"(mean {stats.mean_rows_per_batch:.1f} rows, "
           f"max {stats.max_rows_per_batch})")

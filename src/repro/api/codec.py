@@ -1,4 +1,4 @@
-"""JSON-body codecs between the typed API dataclasses and the wire protocol.
+"""Body codecs between the typed API dataclasses and the wire protocol.
 
 One module owns the translation in both directions, so the HTTP server
 (:class:`~repro.serve.http.PlanServer`) and the HTTP client
@@ -6,17 +6,26 @@ One module owns the translation in both directions, so the HTTP server
 protocol: the server decodes request bodies with the same functions whose
 encoders the client used to produce them, and vice versa for responses.
 
-Arrays ride as :mod:`repro.runtime.wire` payloads.  Responses are always
-base64-packed; requests may also carry nested lists (hand-written or
-``curl`` bodies).  float64 packing round-trips exact bits, which is what
-makes HTTP responses certifiably bit-equivalent to in-process results.
-Any malformed body raises the typed :class:`~repro.api.errors.InvalidRequest`
-so the error a client sees is identical whether the decode failed locally
-or server-side.
+Predict and ensemble bodies have two forms.  The *frame* form
+(``*_frame`` functions, media type :data:`FRAME_CONTENT_TYPE`) is one
+:func:`repro.runtime.wire.encode_frame` frame: a length-prefixed JSON
+header holding the JSON form's scalar fields (``model``, ``bits``,
+``mapping``, the ensemble scalars, ``request_id``) followed by the raw
+little-endian bytes of its arrays.  :class:`~repro.api.HttpClient` sends
+every predict and ensemble as a frame, and the server answers a frame with
+a frame.  The *JSON* form carries arrays as :mod:`repro.runtime.wire`
+payloads: responses always base64-packed, requests also as nested lists
+(hand-written or ``curl`` bodies).  Study bodies and error bodies are JSON
+only.  Both forms round-trip float64 exactly, which is what makes HTTP
+responses certifiably bit-equivalent to in-process results.  Any malformed
+body raises the typed :class:`~repro.api.errors.InvalidRequest` so the
+error a client sees is identical whether the decode failed locally or
+server-side.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -40,7 +49,54 @@ from repro.api.types import (
     StudyStatus,
     parse_bits_token,
 )
-from repro.runtime.wire import decode_array, encode_array
+from repro.runtime.wire import decode_array, decode_frame, encode_array, encode_frame
+
+#: Media type of a binary frame body (see :mod:`repro.runtime.wire`).
+FRAME_CONTENT_TYPE = "application/x-repro-frame"
+
+#: A body's scalar fields and its named arrays, before either rendering.
+_Parts = Tuple[Dict[str, Any], Dict[str, np.ndarray]]
+
+
+def media_type(content_type: Optional[str]) -> str:
+    """The bare, lower-cased media type of a ``Content-Type`` value."""
+    return (content_type or "").split(";", 1)[0].strip().lower()
+
+
+@dataclass(frozen=True)
+class _FrameArray:
+    """An array :func:`decode_frame` already validated, in a body field.
+
+    JSON never decodes to this type, so a JSON body cannot smuggle an
+    unchecked array past :func:`_decode_images`.
+    """
+
+    array: np.ndarray
+
+
+def _json_form(parts: _Parts) -> Dict[str, Any]:
+    body, arrays = parts
+    body.update((name, encode_array(array)) for name, array in arrays.items())
+    return body
+
+
+def _frame_form(parts: _Parts) -> bytes:
+    frame: bytes = encode_frame(*parts)
+    return frame
+
+
+def _frame_body(frame: bytes) -> Dict[str, Any]:
+    """A frame as the field mapping the JSON-body decoders read."""
+    try:
+        fields, arrays = decode_frame(frame)
+    except Exception as error:  # WireFormatError -> typed
+        raise map_exception(error) from error
+    clash = sorted(set(fields) & set(arrays))
+    if clash:
+        raise InvalidRequest(f"frame fields {clash} are also frame arrays")
+    body: Dict[str, Any] = fields
+    body.update((name, _FrameArray(array)) for name, array in arrays.items())
+    return body
 
 
 def _check_encoding(body: Mapping[str, Any]) -> None:
@@ -61,6 +117,8 @@ def _require(body: Mapping[str, Any], field: str) -> Any:
 
 
 def _decode_images(payload: Any) -> np.ndarray:
+    if isinstance(payload, _FrameArray):
+        return payload.array
     try:
         return np.asarray(decode_array(payload))
     except ApiError:
@@ -91,14 +149,22 @@ def _key_fields(body: Mapping[str, Any]) -> Tuple[str, Optional[int], str]:
 # ---------------------------------------------------------------------- #
 # Requests
 # ---------------------------------------------------------------------- #
+def _predict_request_parts(request: PredictRequest) -> _Parts:
+    return (
+        {"model": request.model, "bits": request.bits,
+         "mapping": request.mapping},
+        {"images": np.asarray(request.images)},
+    )
+
+
 def encode_predict_request(request: PredictRequest) -> Dict[str, Any]:
     """Render a :class:`PredictRequest` as a ``POST /v1/predict`` body."""
-    return {
-        "model": request.model,
-        "bits": request.bits,
-        "mapping": request.mapping,
-        "images": encode_array(np.asarray(request.images)),
-    }
+    return _json_form(_predict_request_parts(request))
+
+
+def encode_predict_request_frame(request: PredictRequest) -> bytes:
+    """Render a :class:`PredictRequest` as a ``POST /v1/predict`` frame."""
+    return _frame_form(_predict_request_parts(request))
 
 
 def decode_predict_request(body: Mapping[str, Any]) -> PredictRequest:
@@ -113,17 +179,29 @@ def decode_predict_request(body: Mapping[str, Any]) -> PredictRequest:
     )
 
 
+def decode_predict_request_frame(frame: bytes) -> PredictRequest:
+    """Parse a ``POST /v1/predict`` frame."""
+    return decode_predict_request(_frame_body(frame))
+
+
+def _ensemble_request_parts(request: EnsembleRequest) -> _Parts:
+    return (
+        {"model": request.model, "bits": request.bits,
+         "mapping": request.mapping,
+         "sigma_fraction": request.sigma_fraction,
+         "num_samples": request.num_samples, "seed": request.seed},
+        {"images": np.asarray(request.images)},
+    )
+
+
 def encode_ensemble_request(request: EnsembleRequest) -> Dict[str, Any]:
     """Render an :class:`EnsembleRequest` as a ``POST /v1/predict_under_variation`` body."""
-    return {
-        "model": request.model,
-        "bits": request.bits,
-        "mapping": request.mapping,
-        "images": encode_array(np.asarray(request.images)),
-        "sigma_fraction": request.sigma_fraction,
-        "num_samples": request.num_samples,
-        "seed": request.seed,
-    }
+    return _json_form(_ensemble_request_parts(request))
+
+
+def encode_ensemble_request_frame(request: EnsembleRequest) -> bytes:
+    """Render an :class:`EnsembleRequest` as a ``POST /v1/predict_under_variation`` frame."""
+    return _frame_form(_ensemble_request_parts(request))
 
 
 def decode_ensemble_request(body: Mapping[str, Any]) -> EnsembleRequest:
@@ -152,20 +230,37 @@ def decode_ensemble_request(body: Mapping[str, Any]) -> EnsembleRequest:
     )
 
 
+def decode_ensemble_request_frame(frame: bytes) -> EnsembleRequest:
+    """Parse a ``POST /v1/predict_under_variation`` frame."""
+    return decode_ensemble_request(_frame_body(frame))
+
+
 # ---------------------------------------------------------------------- #
 # Results
 # ---------------------------------------------------------------------- #
+def _with_request_id(fields: Dict[str, Any],
+                     request_id: Optional[str]) -> Dict[str, Any]:
+    if request_id is not None:
+        fields["request_id"] = request_id
+    return fields
+
+
+def _predict_result_parts(result: PredictResult) -> _Parts:
+    return (
+        _with_request_id({"model": result.model, "bits": result.bits,
+                          "mapping": result.mapping}, result.request_id),
+        {"logits": np.asarray(result.logits)},
+    )
+
+
 def encode_predict_result(result: PredictResult) -> Dict[str, Any]:
     """Render a :class:`PredictResult` as the ``/v1/predict`` response body."""
-    body = {
-        "model": result.model,
-        "bits": result.bits,
-        "mapping": result.mapping,
-        "logits": encode_array(np.asarray(result.logits)),
-    }
-    if result.request_id is not None:
-        body["request_id"] = result.request_id
-    return body
+    return _json_form(_predict_result_parts(result))
+
+
+def encode_predict_result_frame(result: PredictResult) -> bytes:
+    """Render a :class:`PredictResult` as the ``/v1/predict`` response frame."""
+    return _frame_form(_predict_result_parts(result))
 
 
 def _decode_request_id(value: Any) -> Optional[str]:
@@ -183,33 +278,35 @@ def decode_predict_result(body: Mapping[str, Any]) -> PredictResult:
     )
 
 
-def encode_ensemble_result(result: EnsembleResult) -> Dict[str, Any]:
-    """Render an :class:`EnsembleResult` as the ensemble response body.
+def decode_predict_result_frame(frame: bytes) -> PredictResult:
+    """Parse a ``/v1/predict`` response frame."""
+    return decode_predict_result(_frame_body(frame))
 
-    The integer aggregates are packed as int64 and the confidence as
-    float64, matching the in-process dtypes exactly.
-    """
-    body: Dict[str, Any] = {
-        "model": result.model,
-        "bits": result.bits,
-        "mapping": result.mapping,
-        "sigma_fraction": result.sigma_fraction,
-        "num_samples": result.num_samples,
-        "seed": result.seed,
-        "mean_logits": encode_array(np.asarray(result.mean_logits)),
-        "predictions": encode_array(
-            np.asarray(result.predictions, dtype=np.int64)
-        ),
-        "confidence": encode_array(
-            np.asarray(result.confidence, dtype=np.float64)
-        ),
-        "vote_counts": encode_array(
-            np.asarray(result.vote_counts, dtype=np.int64)
-        ),
-    }
-    if result.request_id is not None:
-        body["request_id"] = result.request_id
-    return body
+
+def _ensemble_result_parts(result: EnsembleResult) -> _Parts:
+    # The integer aggregates travel as int64 and the confidence as
+    # float64, matching the in-process dtypes exactly.
+    return (
+        _with_request_id({"model": result.model, "bits": result.bits,
+                          "mapping": result.mapping,
+                          "sigma_fraction": result.sigma_fraction,
+                          "num_samples": result.num_samples,
+                          "seed": result.seed}, result.request_id),
+        {"mean_logits": np.asarray(result.mean_logits),
+         "predictions": np.asarray(result.predictions, dtype=np.int64),
+         "confidence": np.asarray(result.confidence, dtype=np.float64),
+         "vote_counts": np.asarray(result.vote_counts, dtype=np.int64)},
+    )
+
+
+def encode_ensemble_result(result: EnsembleResult) -> Dict[str, Any]:
+    """Render an :class:`EnsembleResult` as the ensemble response body."""
+    return _json_form(_ensemble_result_parts(result))
+
+
+def encode_ensemble_result_frame(result: EnsembleResult) -> bytes:
+    """Render an :class:`EnsembleResult` as the ensemble response frame."""
+    return _frame_form(_ensemble_result_parts(result))
 
 
 def decode_ensemble_result(body: Mapping[str, Any]) -> EnsembleResult:
@@ -236,6 +333,11 @@ def decode_ensemble_result(body: Mapping[str, Any]) -> EnsembleResult:
         seed=seed,
         request_id=_decode_request_id(body.get("request_id")),
     )
+
+
+def decode_ensemble_result_frame(frame: bytes) -> EnsembleResult:
+    """Parse an ensemble response frame."""
+    return decode_ensemble_result(_frame_body(frame))
 
 
 # ---------------------------------------------------------------------- #

@@ -1,11 +1,20 @@
 """``HttpClient``: the :class:`~repro.api.client.Client` protocol over HTTP.
 
-Speaks the JSON wire protocol of :class:`~repro.serve.http.PlanServer`
+Speaks the wire protocol of :class:`~repro.serve.http.PlanServer`
 (``POST /v1/predict``, ``POST /v1/predict_under_variation``, ``GET
-/v1/models``, ``GET /v1/stats``, ``GET /healthz``) through the shared
-codecs in :mod:`repro.api.codec`, so requests and responses are the exact
-dataclasses every other backend consumes — base64-packed float64 arrays
-make the results bit-equivalent to in-process execution.
+/v1/models``, ``GET /v1/stats``, ``GET /healthz``, the study routes)
+through the shared codecs in :mod:`repro.api.codec`, so requests and
+responses are the exact dataclasses every other backend consumes.
+
+Predicts and ensembles always travel as binary frames
+(``Content-Type: application/x-repro-frame``): 4 magic bytes, a u32
+little-endian header length, a JSON header with the scalar fields and an
+``arrays`` table of ``{dtype, shape, offset}``, then the raw C-order
+little-endian array bytes (:mod:`repro.runtime.wire`).  The server answers
+a frame with a frame, so no array crosses base64 or a JSON string; float64
+frames make the results bit-equivalent to in-process execution.  Every
+response is decoded by its own ``Content-Type``; every other route, and
+every error response, is JSON.
 
 Connections are pooled: up to ``pool_size`` idle keep-alive connections
 are retained (LIFO, so the warmest socket is reused first) and handed back
@@ -50,16 +59,22 @@ import time
 import urllib.parse
 from dataclasses import replace
 from types import TracebackType
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Type
+from typing import (
+    Any, Callable, Dict, List, Mapping, Optional, Tuple, Type, TypeVar,
+)
 
 from repro.api.codec import (
+    FRAME_CONTENT_TYPE,
     decode_ensemble_result,
+    decode_ensemble_result_frame,
     decode_error,
     decode_predict_result,
+    decode_predict_result_frame,
     decode_study_status,
-    encode_ensemble_request,
-    encode_predict_request,
+    encode_ensemble_request_frame,
+    encode_predict_request_frame,
     encode_study_spec,
+    media_type,
 )
 from repro.api.errors import ApiConnectionError, ApiTimeout, InvalidRequest
 from repro.api.types import (
@@ -77,6 +92,10 @@ from repro.obs.tracing import REQUEST_ID_HEADER, ensure_request_id
 #: Transport-level failures worth a retry: the request may never have
 #: reached the server, or the (idempotent) response was lost in flight.
 _RETRYABLE = (ConnectionError, http.client.HTTPException, OSError)
+
+_JSON_CONTENT_TYPE = "application/json"
+
+_Result = TypeVar("_Result")
 
 
 def _retry_after(headers: Mapping[str, str]) -> Optional[float]:
@@ -98,6 +117,26 @@ def _parse_json_body(raw: bytes) -> Any:
         return json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         return {}
+
+
+def _json_payload(body: Mapping[str, Any]) -> bytes:
+    return json.dumps(body, allow_nan=False).encode("utf-8")
+
+
+def _decode_result(
+    headers: Mapping[str, str],
+    raw: bytes,
+    from_frame: Callable[[bytes], _Result],
+    from_json: Callable[[Mapping[str, Any]], _Result],
+    what: str,
+) -> _Result:
+    """Decode a 200 prediction response by its own ``Content-Type``."""
+    if media_type(headers.get("content-type")) == FRAME_CONTENT_TYPE:
+        return from_frame(raw)
+    body = _parse_json_body(raw)
+    if not isinstance(body, Mapping):
+        raise InvalidRequest(f"malformed {what} response: {body!r}")
+    return from_json(body)
 
 
 def _study_status(body: Any) -> StudyStatus:
@@ -202,6 +241,11 @@ class HttpClient:
         it at or below the server's idle timeout (30 s on ``PlanServer``)
         so the pool never hands out a socket the server is about to close.
 
+    :meth:`predict` and :meth:`ensemble` send one binary frame each
+    (``Content-Type: application/x-repro-frame``, layout in
+    :mod:`repro.runtime.wire`) and decode the response by its
+    ``Content-Type``; every other call is JSON.
+
     Every request carries an ``X-Request-Id`` (the request dataclass's, or
     client-minted) so client, edge, and worker logs line up; transport
     retries, timeouts, and connection reuse are counted in
@@ -256,8 +300,9 @@ class HttpClient:
                 context = ssl.create_default_context(cafile=cafile)
             self._ssl_context = context
         self._pool = _ConnectionPool(pool_size, keepalive_timeout)
-        # Per-call request id, carried thread-locally so _attempt keeps
-        # its (method, path, payload) seam for tests and subclasses.
+        # Per-call request id and body media type, carried thread-locally
+        # so _attempt keeps its (method, path, payload) seam for tests and
+        # subclasses.
         self._call_context = threading.local()
         # Client-side transport counters (thread-safe): how this client
         # experienced the wire, independent of what the server recorded.
@@ -303,16 +348,17 @@ class HttpClient:
         method: str,
         path: str,
         payload: Optional[bytes],
-    ) -> Tuple[int, Dict[str, str], Any, bool]:
+    ) -> Tuple[int, Dict[str, str], bytes, bool]:
         """One request/response on ``connection``.
 
-        Returns ``(status, headers, body, reusable)`` — ``reusable`` is
+        Returns ``(status, headers, raw body, reusable)`` — ``reusable`` is
         True only when the response was fully read off a socket the
         server will keep open, i.e. the connection is provably in a clean
         between-requests state.  Any exception leaves the connection
         ambiguous; the *caller* must close it, never pool it.
         """
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": getattr(self._call_context, "content_type",
+                                           _JSON_CONTENT_TYPE)}
         if self.token is not None:
             headers["Authorization"] = f"Bearer {self.token}"
         request_id = getattr(self._call_context, "request_id", None)
@@ -329,17 +375,17 @@ class HttpClient:
         status = response.status
         header_map = {key.lower(): value for key, value in response.getheaders()}
         reusable = bool(response.isclosed()) and not response.will_close
-        return status, header_map, _parse_json_body(raw), reusable
+        return status, header_map, raw, reusable
 
     def _attempt(
         self,
         method: str,
         path: str,
         payload: Optional[bytes],
-    ) -> Tuple[int, Dict[str, str], Any]:
+    ) -> Tuple[int, Dict[str, str], bytes]:
         """One request over a pooled or fresh connection.
 
-        Returns ``(status, headers, body)``.  Connection hygiene lives
+        Returns ``(status, headers, raw body)``.  Connection hygiene lives
         here: a clean, fully-read keep-alive exchange releases the socket
         back to the pool; every failure path closes it.  A *reused*
         connection that fails before yielding a response gets one free
@@ -388,24 +434,27 @@ class HttpClient:
         self,
         method: str,
         path: str,
-        body: Optional[Mapping[str, Any]] = None,
+        payload: Optional[bytes] = None,
+        content_type: str = _JSON_CONTENT_TYPE,
         request_id: Optional[str] = None,
         ok_statuses: Tuple[int, ...] = (200,),
-    ) -> Any:
-        """Issue one API call, retrying transport failures; typed errors out."""
-        payload = (
-            None if body is None
-            else json.dumps(body, allow_nan=False).encode("utf-8")
-        )
+    ) -> Tuple[Dict[str, str], bytes]:
+        """Issue one API call, retrying transport failures; typed errors out.
+
+        Returns the ``(headers, raw body)`` of a response whose status is
+        in ``ok_statuses``; any other status raises the typed error its
+        JSON body names.
+        """
         last_error: Optional[BaseException] = None
         self._call_context.request_id = request_id
+        self._call_context.content_type = content_type
         for attempt in range(self.retries + 1):
             if attempt:
                 self._count("retries")
                 time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
             self._count("requests")
             try:
-                status, headers, parsed = self._attempt(method, path, payload)
+                status, headers, raw = self._attempt(method, path, payload)
             except TimeoutError as error:
                 # socket.timeout.  The request reached the server and is
                 # (still) being computed — re-sending it would multiply the
@@ -423,38 +472,50 @@ class HttpClient:
                 continue
             self._count("responses")
             if status in ok_statuses:
-                return parsed
+                return headers, raw
             self._count("http_errors")
-            raise decode_error(parsed, status,
+            raise decode_error(_parse_json_body(raw), status,
                                retry_after=_retry_after(headers))
         raise ApiConnectionError(
             f"{self.base_url} unreachable after {self.retries + 1} attempt(s): "
             f"{type(last_error).__name__}: {last_error}"
         )
 
+    def _call_json(
+        self,
+        method: str,
+        path: str,
+        body: Optional[Mapping[str, Any]] = None,
+        request_id: Optional[str] = None,
+        ok_statuses: Tuple[int, ...] = (200,),
+    ) -> Any:
+        """:meth:`_call` with a JSON request body and a parsed JSON reply."""
+        payload = None if body is None else _json_payload(body)
+        _, raw = self._call(method, path, payload, request_id=request_id,
+                            ok_statuses=ok_statuses)
+        return _parse_json_body(raw)
+
     # ------------------------------------------------------------------ #
     # Client protocol
     # ------------------------------------------------------------------ #
     def predict(self, request: PredictRequest) -> PredictResult:
         request_id = ensure_request_id(request.request_id)
-        body = self._call("POST", "/v1/predict",
-                          encode_predict_request(request),
-                          request_id=request_id)
-        if not isinstance(body, Mapping):
-            raise InvalidRequest(f"malformed predict response: {body!r}")
-        result = decode_predict_result(body)
+        headers, raw = self._call("POST", "/v1/predict",
+                                  encode_predict_request_frame(request),
+                                  FRAME_CONTENT_TYPE, request_id=request_id)
+        result = _decode_result(headers, raw, decode_predict_result_frame,
+                                decode_predict_result, "predict")
         if result.request_id is None:  # pre-tracing server
             result = replace(result, request_id=request_id)
         return result
 
     def ensemble(self, request: EnsembleRequest) -> EnsembleResult:
         request_id = ensure_request_id(request.request_id)
-        body = self._call("POST", "/v1/predict_under_variation",
-                          encode_ensemble_request(request),
-                          request_id=request_id)
-        if not isinstance(body, Mapping):
-            raise InvalidRequest(f"malformed ensemble response: {body!r}")
-        result = decode_ensemble_result(body)
+        headers, raw = self._call("POST", "/v1/predict_under_variation",
+                                  encode_ensemble_request_frame(request),
+                                  FRAME_CONTENT_TYPE, request_id=request_id)
+        result = _decode_result(headers, raw, decode_ensemble_result_frame,
+                                decode_ensemble_result, "ensemble")
         if result.request_id is None:  # pre-tracing server
             result = replace(result, request_id=request_id)
         return result
@@ -468,14 +529,14 @@ class HttpClient:
         (deterministic, seeded) results.
         """
         request_id = ensure_request_id(spec.request_id)
-        body = self._call("POST", "/v1/studies", encode_study_spec(spec),
-                          request_id=request_id)
+        body = self._call_json("POST", "/v1/studies", encode_study_spec(spec),
+                               request_id=request_id)
         return _study_status(body).job_id
 
     def get_study(self, job_id: str) -> StudyStatus:
         """Poll one study job: state, progress, result when done."""
         _require_job_id(job_id)
-        body = self._call("GET", f"/v1/studies/{job_id}")
+        body = self._call_json("GET", f"/v1/studies/{job_id}")
         return _study_status(body)
 
     def cancel_study(self, job_id: str) -> StudyStatus:
@@ -487,16 +548,16 @@ class HttpClient:
         (:class:`~repro.api.errors.ModelNotFound`).
         """
         _require_job_id(job_id)
-        body = self._call("DELETE", f"/v1/studies/{job_id}")
+        body = self._call_json("DELETE", f"/v1/studies/{job_id}")
         return _study_status(body)
 
     def models(self) -> List[ModelInfo]:
-        body = self._call("GET", "/v1/models")
+        body = self._call_json("GET", "/v1/models")
         entries = body.get("models", []) if isinstance(body, Mapping) else []
         return [ModelInfo.from_wire(entry) for entry in entries]
 
     def stats(self) -> Dict[str, Any]:
-        body = self._call("GET", "/v1/stats")
+        body = self._call_json("GET", "/v1/stats")
         stats = body.get("stats", {}) if isinstance(body, Mapping) else {}
         stats = dict(stats)
         # The caller's view of the wire, alongside the server's counters.
@@ -507,7 +568,7 @@ class HttpClient:
         # A degraded or draining server answers the probe with 503 plus a
         # diagnostic body — that is a *successful* health check reporting
         # an unhealthy service, not a transport error.
-        body = self._call("GET", "/healthz", ok_statuses=(200, 503))
+        body = self._call_json("GET", "/healthz", ok_statuses=(200, 503))
         if not isinstance(body, Mapping):
             raise InvalidRequest(f"malformed health response: {body!r}")
         return HealthStatus.from_wire(body)

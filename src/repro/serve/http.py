@@ -1,4 +1,4 @@
-"""HTTP front-end: the serving stack as a stdlib JSON-over-HTTP endpoint.
+"""HTTP front-end: the serving stack as a stdlib HTTP endpoint.
 
 :class:`PlanServer` is a threaded ``http.server`` edge: one handler
 thread per HTTP/1.1 keep-alive connection, requests on a connection
@@ -54,6 +54,18 @@ The wire protocol:
     "mapping", "bits"?, "version", "fraction"}``), then promote it to
     active or revert — all without a restart.
 
+Both prediction routes also take their body as one binary frame, sent
+with ``Content-Type: application/x-repro-frame``: 4 magic bytes
+(``RPF1``), a u32 little-endian header length, a UTF-8 JSON header with
+the scalar fields above plus ``"arrays": {name: {"dtype", "shape",
+"offset"}}``, then the arrays' raw C-order little-endian bytes (layout and
+checks in :mod:`repro.runtime.wire`).  A frame request is answered with a
+frame of the same layout; :class:`~repro.api.HttpClient` sends every
+predict and ensemble this way.  Only that media type is read as a frame:
+any other ``Content-Type`` (``curl -d`` sends
+``application/x-www-form-urlencoded``) is parsed as JSON.  Error
+responses are JSON whatever the request's form.
+
 Every response echoes an ``X-Request-Id`` header — the client's, when it
 sent a valid one, else server-assigned — and the same id is threaded into
 the typed request the backend serves, so worker-side structured logs line
@@ -68,12 +80,12 @@ scheduler queue past the backend's ``max_queue_depth`` answers 429 with a
 the matching ``Authorization: Bearer`` token answers 401 — the token
 compare is constant-time.  A request body shorter than its declared
 ``Content-Length`` (the client died or lied) answers 400 with an explicit
-"truncated" message instead of a misleading JSON-parse failure — the body
+"truncated" message instead of a misleading parse failure — the body
 is read in a loop until the declared length or EOF, so a slow client
 dribbling its body in segments is served normally.  A request line
 ``http.server`` cannot parse answers the same JSON 400.  Every error
-response closes the connection.  Responses carried base64-packed as
-float64 are bit-equivalent to in-process results.
+response closes the connection.  float64 arrays, base64-packed or
+framed, are bit-equivalent to in-process results.
 
 Shutdown is graceful: :meth:`PlanServer.close` stops accepting
 connections, waits for in-flight requests to finish, hangs up the idle
@@ -104,14 +116,20 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Mapping, Optional, Set, Tuple
 
 from repro.api.codec import (
+    FRAME_CONTENT_TYPE,
     _key_fields,
     decode_ensemble_request,
+    decode_ensemble_request_frame,
     decode_predict_request,
+    decode_predict_request_frame,
     decode_study_spec,
     encode_ensemble_result,
+    encode_ensemble_result_frame,
     encode_error,
     encode_predict_result,
+    encode_predict_result_frame,
     encode_study_status,
+    media_type,
 )
 from repro.api.errors import ApiAuthError, ApiBackpressure, map_exception
 from repro.serve.jobs import JobManager
@@ -390,7 +408,10 @@ class EdgeCore:
                                 405, f"{method} is not allowed on {path}"
                             )
                         raise RequestError(404, f"unknown path {path!r}")
-                    response = handler(body, request_id)
+                    response = handler(
+                        body, request_id,
+                        media_type(headers.get("content-type")),
+                    )
             except Exception as error:  # noqa: BLE001 - becomes JSON
                 response = self._error_response(error, request_id)
             status = response.status
@@ -448,6 +469,11 @@ class EdgeCore:
         return self._payload_response(status, payload, request_id,
                                       headers=headers, close=close)
 
+    def _frame(self, payload: bytes, request_id: str) -> EdgeResponse:
+        """A 200 carrying one binary frame (see :mod:`repro.runtime.wire`)."""
+        return self._payload_response(200, payload, request_id,
+                                      content_type=FRAME_CONTENT_TYPE)
+
     def _error_response(
         self, error: BaseException, request_id: str
     ) -> EdgeResponse:
@@ -488,12 +514,16 @@ class EdgeCore:
                 "'Authorization: Bearer <token>'"
             )
 
-    def _json_body(self, body: Optional[bytes]) -> dict:
+    def _body(self, body: Optional[bytes]) -> bytes:
         if body is None:
             raise RequestError(400, "Content-Length header is required")
+        return body
+
+    def _json_body(self, body: Optional[bytes]) -> dict:
+        raw = self._body(body)
         try:
-            parsed = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+            parsed = json.loads(raw.decode("utf-8"))
+        except (ValueError, RecursionError) as error:  # UTF-8, JSON, nesting
             raise RequestError(400, f"request body is not valid JSON: {error}")
         if not isinstance(parsed, dict):
             raise RequestError(400, "request body must be a JSON object")
@@ -509,8 +539,8 @@ class EdgeCore:
     # -------------------------------------------------------------- #
     # Routes
     # -------------------------------------------------------------- #
-    def _handle_health(self, body: Optional[bytes],
-                       request_id: str) -> EdgeResponse:
+    def _handle_health(self, body: Optional[bytes], request_id: str,
+                       body_type: str) -> EdgeResponse:
         models = len(self.backend.models())
         status = "ok"
         detail = None
@@ -537,8 +567,8 @@ class EdgeCore:
         # alone; the body still carries the per-shard specifics.
         return self._json(503, doc, request_id)
 
-    def _handle_metrics(self, body: Optional[bytes],
-                        request_id: str) -> EdgeResponse:
+    def _handle_metrics(self, body: Optional[bytes], request_id: str,
+                        body_type: str) -> EdgeResponse:
         families = list(self.metrics.collect())
         collect = getattr(self.backend, "metrics_families", None)
         if callable(collect):
@@ -547,8 +577,8 @@ class EdgeCore:
         return self._payload_response(200, payload, request_id,
                                       content_type=METRICS_CONTENT_TYPE)
 
-    def _handle_admin_workers(self, body: Optional[bytes],
-                              request_id: str) -> EdgeResponse:
+    def _handle_admin_workers(self, body: Optional[bytes], request_id: str,
+                              body_type: str) -> EdgeResponse:
         describe = getattr(self.backend, "describe_workers", None)
         if not callable(describe):
             raise RequestError(
@@ -556,8 +586,8 @@ class EdgeCore:
             )
         return self._json(200, {"workers": describe()}, request_id)
 
-    def _handle_admin_restart(self, body: Optional[bytes],
-                              request_id: str) -> EdgeResponse:
+    def _handle_admin_restart(self, body: Optional[bytes], request_id: str,
+                              body_type: str) -> EdgeResponse:
         restart = getattr(self.backend, "restart_worker", None)
         if not callable(restart):
             raise RequestError(
@@ -572,8 +602,8 @@ class EdgeCore:
                   worker=worker)
         return self._json(200, {"restarted": worker}, request_id)
 
-    def _handle_admin_drain(self, body: Optional[bytes],
-                            request_id: str) -> EdgeResponse:
+    def _handle_admin_drain(self, body: Optional[bytes], request_id: str,
+                            body_type: str) -> EdgeResponse:
         parsed = self._optional_json_body(body)
         drain = parsed.get("drain", True)
         if not isinstance(drain, bool):
@@ -583,47 +613,59 @@ class EdgeCore:
                   draining=drain)
         return self._json(200, {"draining": drain}, request_id)
 
-    def _handle_models(self, body: Optional[bytes],
-                       request_id: str) -> EdgeResponse:
+    def _handle_models(self, body: Optional[bytes], request_id: str,
+                       body_type: str) -> EdgeResponse:
         return self._json(200, {"models": self.backend.models()}, request_id)
 
-    def _handle_stats(self, body: Optional[bytes],
-                      request_id: str) -> EdgeResponse:
+    def _handle_stats(self, body: Optional[bytes], request_id: str,
+                      body_type: str) -> EdgeResponse:
         return self._json(200, {"stats": self.backend.stats_summary()},
                           request_id)
 
-    # The two prediction routes are nothing but codec shells: JSON body ->
-    # shared request dataclass -> typed backend entry point -> shared
-    # result dataclass -> JSON body.  All validation lives in the codec
-    # and the dataclasses themselves, so every transport applies it
-    # identically.
+    # The two prediction routes are nothing but codec shells: body (a
+    # frame or JSON, by media type) -> shared request dataclass -> typed
+    # backend entry point -> shared result dataclass -> body of the same
+    # form.  All validation lives in the codec and the dataclasses
+    # themselves, so every transport applies it identically.
     def _reject_if_draining(self) -> None:
         if self.draining:
             raise RequestError(
                 503, "server is draining; no new prediction work is accepted"
             )
 
-    def _handle_predict(self, body: Optional[bytes],
-                        request_id: str) -> EdgeResponse:
+    def _handle_predict(self, body: Optional[bytes], request_id: str,
+                        body_type: str) -> EdgeResponse:
         self._reject_if_draining()
-        request = decode_predict_request(self._json_body(body))
+        framed = body_type == FRAME_CONTENT_TYPE
+        if framed:
+            request = decode_predict_request_frame(self._body(body))
+        else:
+            request = decode_predict_request(self._json_body(body))
         request = replace(request, request_id=request_id)
         result = self.backend.predict_request(request)
+        if framed:
+            return self._frame(encode_predict_result_frame(result), request_id)
         return self._json(200, encode_predict_result(result), request_id)
 
-    def _handle_ensemble(self, body: Optional[bytes],
-                         request_id: str) -> EdgeResponse:
+    def _handle_ensemble(self, body: Optional[bytes], request_id: str,
+                         body_type: str) -> EdgeResponse:
         self._reject_if_draining()
-        request = decode_ensemble_request(self._json_body(body))
+        framed = body_type == FRAME_CONTENT_TYPE
+        if framed:
+            request = decode_ensemble_request_frame(self._body(body))
+        else:
+            request = decode_ensemble_request(self._json_body(body))
         request = replace(request, request_id=request_id)
         result = self.backend.ensemble_request(request)
+        if framed:
+            return self._frame(encode_ensemble_result_frame(result), request_id)
         return self._json(200, encode_ensemble_result(result), request_id)
 
     # -------------------------------------------------------------- #
     # Study jobs
     # -------------------------------------------------------------- #
-    def _handle_study_submit(self, body: Optional[bytes],
-                             request_id: str) -> EdgeResponse:
+    def _handle_study_submit(self, body: Optional[bytes], request_id: str,
+                             body_type: str) -> EdgeResponse:
         self._reject_if_draining()
         spec = decode_study_spec(self._json_body(body))
         job_id = self.jobs.submit(spec)
@@ -656,13 +698,13 @@ class EdgeCore:
             raise RequestError(404, "backend has no versioned-rollout surface")
         return method
 
-    def _handle_admin_rollout(self, body: Optional[bytes],
-                              request_id: str) -> EdgeResponse:
+    def _handle_admin_rollout(self, body: Optional[bytes], request_id: str,
+                              body_type: str) -> EdgeResponse:
         status = self._rollout_backend("rollout_status")
         return self._json(200, {"rollout": status()}, request_id)
 
-    def _handle_admin_canary(self, body: Optional[bytes],
-                             request_id: str) -> EdgeResponse:
+    def _handle_admin_canary(self, body: Optional[bytes], request_id: str,
+                             body_type: str) -> EdgeResponse:
         set_canary = self._rollout_backend("set_canary")
         parsed = self._json_body(body)
         model, bits, mapping = _key_fields(parsed)
@@ -677,8 +719,8 @@ class EdgeCore:
                   model=model, version=version, fraction=fraction)
         return self._json(200, {"rollout": state}, request_id)
 
-    def _handle_admin_promote(self, body: Optional[bytes],
-                              request_id: str) -> EdgeResponse:
+    def _handle_admin_promote(self, body: Optional[bytes], request_id: str,
+                              body_type: str) -> EdgeResponse:
         promote = self._rollout_backend("promote")
         parsed = self._json_body(body)
         model, bits, mapping = _key_fields(parsed)
@@ -692,8 +734,8 @@ class EdgeCore:
                   model=model, active=state.get("active"))
         return self._json(200, {"rollout": state}, request_id)
 
-    def _handle_admin_rollback(self, body: Optional[bytes],
-                               request_id: str) -> EdgeResponse:
+    def _handle_admin_rollback(self, body: Optional[bytes], request_id: str,
+                               body_type: str) -> EdgeResponse:
         rollback = self._rollout_backend("rollback")
         parsed = self._json_body(body)
         model, bits, mapping = _key_fields(parsed)

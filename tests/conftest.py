@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -47,3 +49,30 @@ def tiny_cifar():
     )
     dataset = make_classification_images(task)
     return train_test_split(dataset, 0.25, rng=np.random.default_rng(6))
+
+
+@pytest.fixture
+def record_edge(monkeypatch):
+    """Record what an ``EdgeCore`` receives and answers.
+
+    ``record_edge(core)`` wraps ``core.handle`` for the test and returns a
+    list that gains one entry per exchange: ``path``, the request's
+    ``request_type`` (its Content-Type header) and the response's
+    ``response_type`` and ``status``.
+    """
+    def install(core):
+        seen = []
+        handle = core.handle
+
+        def recording(method, path, headers, body=None, body_error=None):
+            response = handle(method, path, headers, body, body_error)
+            seen.append(SimpleNamespace(
+                path=path, request_type=headers.get("content-type"),
+                response_type=response.content_type, status=response.status,
+            ))
+            return response
+
+        monkeypatch.setattr(core, "handle", recording)
+        return seen
+
+    return install

@@ -30,6 +30,7 @@ from repro.api import (
     PredictRequest,
     connect,
 )
+from repro.api.codec import FRAME_CONTENT_TYPE
 from repro.models import make_mlp
 from repro.runtime import compile_model
 from repro.serve import (
@@ -310,6 +311,98 @@ class TestHttpClient:
         monkeypatch.setattr(HttpClient, "_attempt", flaky)
         assert client.health().ok
         assert attempts["count"] == 2
+
+
+class TestFrameRequests:
+    """``HttpClient`` predicts and ensembles travel as binary frames.
+
+    Their failures must still resolve to the typed errors ``local:``
+    raises: the edge answers every error as JSON, whatever the request's
+    form.
+    """
+
+    def test_predict_and_ensemble_cross_as_frames(self, env, record_edge):
+        seen = record_edge(env.server.core)
+        request = EnsembleRequest(images=env.images, model="mlp",
+                                  mapping="acm", bits=4, num_samples=5)
+        with connect(env.server.url, token=TOKEN) as client:
+            logits = client.predict(PredictRequest(
+                images=env.images, model="mlp", mapping="acm",
+                bits=4)).logits
+            ensemble = client.ensemble(request)
+        assert [(exchange.path, exchange.request_type, exchange.response_type)
+                for exchange in seen] == [
+            ("/v1/predict", FRAME_CONTENT_TYPE, FRAME_CONTENT_TYPE),
+            ("/v1/predict_under_variation", FRAME_CONTENT_TYPE,
+             FRAME_CONTENT_TYPE),
+        ]
+        np.testing.assert_array_equal(logits, env.plan.run(env.images))
+        np.testing.assert_array_equal(
+            ensemble.vote_counts,
+            env.service.ensemble_request(request).vote_counts)
+
+    def test_unknown_model_is_model_not_found_like_local(self, env,
+                                                         record_edge):
+        seen = record_edge(env.server.core)
+        requests = (
+            PredictRequest(images=env.images, model="ghost", mapping="acm"),
+            EnsembleRequest(images=env.images, model="ghost", mapping="acm",
+                            num_samples=3),
+        )
+        outcomes = set()
+        for target, options in ((f"local:{env.directory}", {}),
+                                (env.server.url, {"token": TOKEN})):
+            with connect(target, **options) as client:
+                for request in requests:
+                    call = (client.predict
+                            if isinstance(request, PredictRequest)
+                            else client.ensemble)
+                    with pytest.raises(ModelNotFound) as excinfo:
+                        call(request)
+                    outcomes.add((type(excinfo.value), excinfo.value.code))
+        assert len(outcomes) == 1, outcomes
+        assert [(exchange.request_type, exchange.response_type,
+                 exchange.status) for exchange in seen] == [
+            (FRAME_CONTENT_TYPE, "application/json", 404)] * 2
+
+    def test_backpressure_carries_retry_after_like_local(self, tmp_path,
+                                                         record_edge):
+        registry, _ = _publish(tmp_path / "plans")
+        request = PredictRequest(images=np.zeros((1, 16)), model="mlp",
+                                 mapping="acm", bits=4)
+        errors = []
+        with PlanServer(InferenceService(registry,
+                                         max_queue_depth=0)) as server:
+            seen = record_edge(server.core)
+            for target in (f"local:{tmp_path / 'plans'}?max_queue_depth=0",
+                           server.url):
+                with connect(target) as client:
+                    with pytest.raises(ApiBackpressure) as excinfo:
+                        client.predict(request)
+                    errors.append(excinfo.value)
+        assert len({(type(error), error.code) for error in errors}) == 1
+        assert all(error.retry_after > 0 for error in errors)
+        assert [(exchange.request_type, exchange.status)
+                for exchange in seen] == [(FRAME_CONTENT_TYPE, 429)]
+
+    def test_draining_server_answers_503(self, env, record_edge):
+        seen = record_edge(env.server.core)
+        env.server.core.draining = True
+        try:
+            with connect(env.server.url, token=TOKEN) as client:
+                with pytest.raises(BackendClosed) as excinfo:
+                    client.predict(PredictRequest(
+                        images=env.images, model="mlp", mapping="acm",
+                        bits=4))
+                assert excinfo.value.status == 503
+                with pytest.raises(BackendClosed):
+                    client.ensemble(EnsembleRequest(
+                        images=env.images, model="mlp", mapping="acm",
+                        bits=4, num_samples=3))
+        finally:
+            env.server.core.draining = False
+        assert [(exchange.request_type, exchange.status)
+                for exchange in seen] == [(FRAME_CONTENT_TYPE, 503)] * 2
 
 
 class TestAuth:

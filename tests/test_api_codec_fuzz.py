@@ -12,11 +12,19 @@ registry fuzz suite):
   exception type: every malformed body, mutated field, or junk array
   payload maps to the typed :class:`~repro.api.errors.InvalidRequest`
   (``decode_error`` is total and always returns an ``ApiError``).
+
+Both hold for the binary frame form too: frames round-trip every wire
+dtype bit for bit whatever the sender's layout (0-d, empty,
+non-contiguous, big-endian), and every malformed frame is an
+``InvalidRequest`` from the codec and a 400 ``invalid_request`` JSON
+reply from :class:`~repro.serve.http.EdgeCore`, never a 500.
 """
 
 from __future__ import annotations
 
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,15 +32,24 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.api.codec import (
+    FRAME_CONTENT_TYPE,
     decode_ensemble_request,
+    decode_ensemble_request_frame,
     decode_ensemble_result,
+    decode_ensemble_result_frame,
     decode_error,
     decode_predict_request,
+    decode_predict_request_frame,
     decode_predict_result,
+    decode_predict_result_frame,
     encode_ensemble_request,
+    encode_ensemble_request_frame,
     encode_ensemble_result,
+    encode_ensemble_result_frame,
     encode_predict_request,
+    encode_predict_request_frame,
     encode_predict_result,
+    encode_predict_result_frame,
     decode_study_spec,
     decode_study_status,
     encode_study_spec,
@@ -48,6 +65,14 @@ from repro.api.types import (
     StudySpec,
     StudyStatus,
 )
+from repro.runtime.wire import (
+    FRAME_MAGIC,
+    MAX_WIRE_ELEMENTS,
+    WIRE_DTYPES,
+    decode_frame,
+    encode_frame,
+)
+from repro.serve.http import EdgeCore
 
 # ---------------------------------------------------------------------- #
 # Strategies
@@ -358,3 +383,262 @@ class TestStudyCodec:
         except InvalidRequest:
             return
         assert isinstance(status, StudyStatus)
+
+
+# ---------------------------------------------------------------------- #
+# Binary frames: exact bits whatever the layout, typed 400 on garbage
+# ---------------------------------------------------------------------- #
+@st.composite
+def _sent_arrays(draw):
+    """A wire array as a sender may hold it: any layout or byte order."""
+    array = draw(_wire_arrays)
+    if array.ndim and draw(st.booleans()):
+        # Same values, non-contiguous: every other element of a doubled array.
+        array = np.repeat(array, 2, axis=-1)[..., ::2]
+    if array.ndim > 1 and draw(st.booleans()):
+        array = array.T
+    if draw(st.booleans()):
+        array = array.astype(array.dtype.newbyteorder(">"))
+    return array
+
+
+def _assert_bitwise(decoded, sent):
+    """``decoded`` is ``sent``'s exact bits as a native, writable C array."""
+    native = np.ascontiguousarray(sent, dtype=sent.dtype.newbyteorder("="))
+    assert decoded.dtype == native.dtype and decoded.dtype.isnative
+    assert decoded.shape == sent.shape
+    assert decoded.flags.c_contiguous and decoded.flags.writeable
+    assert decoded.tobytes() == native.tobytes()
+
+
+class TestFrameRoundTrips:
+    def test_every_wire_dtype_is_covered(self):
+        # _wire_arrays draws exactly these; a new wire dtype needs a strategy.
+        assert set(WIRE_DTYPES) == {"float32", "float64", "int32", "int64"}
+
+    @given(first=_sent_arrays(), second=_sent_arrays(),
+           fields=st.dictionaries(_names, st.integers(-9, 9), max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_arrays_round_trip_bitwise(self, first, second, fields):
+        frame = encode_frame(fields, {"first": first, "second": second})
+        decoded_fields, arrays = decode_frame(frame)
+        assert decoded_fields == fields
+        assert list(arrays) == ["first", "second"]
+        _assert_bitwise(arrays["first"], first)
+        _assert_bitwise(arrays["second"], second)
+
+    @given(images=_sent_arrays(), model=_names, mapping=_names, bits=_bits,
+           sigma=st.floats(0, 10, allow_nan=False),
+           num_samples=st.integers(1, 500), seed=st.integers(0, 2**31))
+    @settings(max_examples=120, deadline=None)
+    def test_requests_round_trip_bitwise(self, images, model, mapping, bits,
+                                         sigma, num_samples, seed):
+        predict = decode_predict_request_frame(encode_predict_request_frame(
+            PredictRequest(images=images, model=model, mapping=mapping,
+                           bits=bits)))
+        assert (predict.model, predict.bits, predict.mapping) == \
+            (model, bits, mapping)
+        _assert_bitwise(predict.images, images)
+        ensemble = decode_ensemble_request_frame(
+            encode_ensemble_request_frame(EnsembleRequest(
+                images=images, model=model, mapping=mapping, bits=bits,
+                sigma_fraction=sigma, num_samples=num_samples, seed=seed)))
+        assert (ensemble.sigma_fraction, ensemble.num_samples,
+                ensemble.seed) == (sigma, num_samples, seed)
+        _assert_bitwise(ensemble.images, images)
+
+    @given(logits=_float64_arrays, model=_names, mapping=_names, bits=_bits,
+           num_samples=st.integers(1, 99), seed=st.integers(0, 2**31),
+           request_id=st.one_of(st.none(), _names))
+    @settings(max_examples=100, deadline=None)
+    def test_results_round_trip_bitwise(self, logits, model, mapping, bits,
+                                        num_samples, seed, request_id):
+        predict = decode_predict_result_frame(encode_predict_result_frame(
+            PredictResult(model=model, bits=bits, mapping=mapping,
+                          logits=logits, request_id=request_id)))
+        assert predict.request_id == request_id
+        _assert_bitwise(predict.logits, logits)
+        rng = np.random.default_rng(0)
+        batch = logits.shape[0] if logits.ndim else 1
+        result = EnsembleResult(
+            model=model, bits=bits, mapping=mapping, mean_logits=logits,
+            predictions=rng.integers(0, 10, size=batch),
+            confidence=rng.random(batch),
+            vote_counts=rng.integers(0, num_samples, size=(batch, 10)),
+            sigma_fraction=0.1, num_samples=num_samples, seed=seed,
+            request_id=request_id,
+        )
+        decoded = decode_ensemble_result_frame(
+            encode_ensemble_result_frame(result))
+        for name in ("mean_logits", "predictions", "confidence",
+                     "vote_counts"):
+            _assert_bitwise(getattr(decoded, name), getattr(result, name))
+        assert (decoded.num_samples, decoded.seed, decoded.request_id) == \
+            (num_samples, seed, request_id)
+
+    def test_data_starts_eight_byte_aligned(self):
+        frame = encode_frame({"model": "m"}, {"images": np.ones(3)})
+        (header_length,) = struct.unpack_from("<I", frame, 4)
+        assert (8 + header_length) % 8 == 0
+        assert frame[:4] == FRAME_MAGIC
+
+
+def _raw_frame(header=None, data=b"", magic=FRAME_MAGIC, header_bytes=None):
+    """A frame assembled by hand, so any part of it can be wrong."""
+    if header_bytes is None:
+        header_bytes = json.dumps(header).encode("utf-8")
+    return struct.pack("<4sI", magic, len(header_bytes)) + header_bytes + data
+
+
+def _images_header(dtype="float64", shape=(2, 3), offset=0, **arrays):
+    table = {"images": {"dtype": dtype, "shape": shape, "offset": offset}}
+    table.update(arrays)
+    return {"model": "m", "bits": 4, "mapping": "acm",
+            "num_samples": 3, "arrays": table}
+
+
+_IMAGES = np.zeros((2, 3)).tobytes()
+
+MALFORMED_FRAMES = {
+    "empty": b"",
+    "shorter than the prefix": FRAME_MAGIC + b"\x01\x00",
+    "header length past the end": struct.pack("<4sI", FRAME_MAGIC, 1 << 20)
+    + b"{}",
+    "non-JSON header": _raw_frame(header_bytes=b"{not json"),
+    "non-UTF-8 header": _raw_frame(header_bytes=b"\xff\xfe"),
+    "non-object header": _raw_frame(header_bytes=b"[1, 2]"),
+    "too deeply nested header": _raw_frame(header_bytes=b"[" * 100_000),
+    "bad magic": _raw_frame(_images_header(), _IMAGES, magic=b"RPF0"),
+    "no arrays table": _raw_frame({"model": "m", "mapping": "acm"}),
+    "arrays table not an object": _raw_frame(
+        {"model": "m", "mapping": "acm", "arrays": [1]}),
+    "array spec not an object": _raw_frame(
+        {"model": "m", "mapping": "acm", "arrays": {"images": 5}}),
+    "missing images": _raw_frame({"model": "m", "mapping": "acm",
+                                  "arrays": {}}),
+    "unknown dtype": _raw_frame(_images_header(dtype="complex128"),
+                                _IMAGES * 2),
+    "non-string dtype": _raw_frame(_images_header(dtype=8), _IMAGES),
+    "bool extent": _raw_frame(_images_header(shape=(True, 6)), _IMAGES),
+    "negative extent": _raw_frame(_images_header(shape=(-2, -3)), _IMAGES),
+    "string shape": _raw_frame(_images_header(shape="2x3"), _IMAGES),
+    "more than MAX_WIRE_ELEMENTS, no backing bytes": _raw_frame(
+        _images_header(shape=(MAX_WIRE_ELEMENTS + 1,))),
+    "bool offset": _raw_frame(_images_header(offset=False), _IMAGES),
+    "negative offset": _raw_frame(_images_header(offset=-8), _IMAGES),
+    "array overruns the frame": _raw_frame(_images_header(shape=(4, 3)),
+                                           _IMAGES),
+    "arrays overlap": _raw_frame(
+        _images_header(extra={"dtype": "int64", "shape": [1], "offset": 0}),
+        _IMAGES + bytes(8)),
+    "arrays leave a gap": _raw_frame(_images_header(offset=8),
+                                     bytes(8) + _IMAGES),
+    "trailing bytes": _raw_frame(_images_header(), _IMAGES + bytes(8)),
+    "field also sent as an array": _raw_frame(
+        _images_header(model={"dtype": "int64", "shape": [], "offset": 48}),
+        _IMAGES + bytes(8)),
+    "NaN": _raw_frame(_images_header(),
+                      np.array([[0, 0, np.nan], [0, 0, 0]]).tobytes()),
+    "Inf": _raw_frame(_images_header(dtype="float32"),
+                      np.array([0, -np.inf, 0, 0, 0, 0],
+                               dtype="<f4").tobytes()),
+}
+
+_FRAME_DECODERS = (decode_predict_request_frame,
+                   decode_ensemble_request_frame,
+                   decode_predict_result_frame,
+                   decode_ensemble_result_frame)
+
+
+class _UnreachableBackend:
+    """A backend no malformed frame may reach."""
+
+    def predict_request(self, request):
+        raise AssertionError(f"malformed frame reached the backend: {request}")
+
+    ensemble_request = predict_request
+
+
+@pytest.fixture(scope="module")
+def edge():
+    core = EdgeCore(_UnreachableBackend())
+    yield core
+    core.jobs.close()
+
+
+def _post_frame(core, path, frame):
+    return core.handle("POST", path, {"content-type": FRAME_CONTENT_TYPE,
+                                      "content-length": str(len(frame))},
+                       frame)
+
+
+class TestMalformedFrames:
+    def test_the_valid_base_frame_decodes(self):
+        # Every malformed case is one edit away from this frame.
+        request = decode_ensemble_request_frame(
+            _raw_frame(_images_header(), _IMAGES))
+        assert request.images.shape == (2, 3)
+
+    @pytest.mark.parametrize("frame", MALFORMED_FRAMES.values(),
+                             ids=MALFORMED_FRAMES.keys())
+    def test_codec_raises_invalid_request(self, frame):
+        for decoder in _FRAME_DECODERS:
+            with pytest.raises(InvalidRequest):
+                decoder(frame)
+
+    @pytest.mark.parametrize("frame", MALFORMED_FRAMES.values(),
+                             ids=MALFORMED_FRAMES.keys())
+    @pytest.mark.parametrize("path", ["/v1/predict",
+                                      "/v1/predict_under_variation"])
+    def test_edge_answers_400_invalid_request(self, edge, path, frame):
+        response = _post_frame(edge, path, frame)
+        assert response.status == 400
+        assert response.content_type == "application/json"
+        assert json.loads(response.payload)["error"]["code"] == \
+            "invalid_request"
+
+    def test_frame_without_content_length_is_400(self, edge):
+        response = edge.handle("POST", "/v1/predict",
+                               {"content-type": FRAME_CONTENT_TYPE}, None)
+        assert response.status == 400
+        assert "Content-Length" in json.loads(response.payload)["error"][
+            "message"]
+
+    def test_oversized_shape_allocates_nothing(self):
+        frame = MALFORMED_FRAMES[
+            "more than MAX_WIRE_ELEMENTS, no backing bytes"]
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidRequest):
+                decode_predict_request_frame(frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @given(cut=st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_every_truncation_is_invalid(self, cut):
+        frame = encode_predict_request_frame(PredictRequest(
+            images=np.ones((2, 3, 4)), model="m", mapping="acm"))
+        with pytest.raises(InvalidRequest):
+            decode_predict_request_frame(frame[:cut % len(frame)])
+
+    @given(position=st.integers(0, 10_000), value=st.integers(0, 255))
+    @settings(max_examples=300, deadline=None)
+    def test_corrupted_bytes_never_crash(self, position, value):
+        frame = bytearray(encode_ensemble_request_frame(EnsembleRequest(
+            images=np.ones((2, 3)), model="m", mapping="acm", num_samples=3)))
+        frame[position % len(frame)] = value
+        try:
+            request = decode_ensemble_request_frame(bytes(frame))
+        except InvalidRequest:
+            return
+        assert isinstance(request, EnsembleRequest)
+
+    @given(garbage=st.binary(max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_garbage_after_the_magic_never_crashes(self, edge, garbage):
+        frame = FRAME_MAGIC + garbage
+        response = _post_frame(edge, "/v1/predict", frame)
+        assert response.status == 400

@@ -22,6 +22,7 @@ import pytest
 from types import SimpleNamespace
 
 from repro.api import connect
+from repro.api.codec import FRAME_CONTENT_TYPE
 from repro.api.errors import ApiError
 from repro.api.study import variation_sweep_via_client
 from repro.api.types import EnsembleRequest, PredictRequest
@@ -112,6 +113,20 @@ class TestBitEquivalence:
                     actual, expected,
                     err_msg=f"{backend}:{key} is not bit-identical",
                 )
+
+    def test_http_client_rides_the_frame(self, matrix, record_edge):
+        # The http leg above certifies frames, not a JSON fallback: every
+        # predict and ensemble of the script crosses the edge as a frame
+        # and comes back as one.
+        seen = record_edge(matrix.server.core)
+        run_script(matrix.clients["http"], matrix.images, matrix.labels)
+        predictions = [exchange for exchange in seen if exchange.path in (
+            "/v1/predict", "/v1/predict_under_variation")]
+        assert {exchange.path for exchange in predictions} == {
+            "/v1/predict", "/v1/predict_under_variation"}
+        assert {(exchange.request_type, exchange.response_type,
+                 exchange.status) for exchange in predictions} == {
+            (FRAME_CONTENT_TYPE, FRAME_CONTENT_TYPE, 200)}
 
     def test_same_study_spec_identical_through_every_backend(self, matrix):
         """The async study path: one spec, three backends, identical bits.

@@ -20,7 +20,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.api import EnsembleRequest
+from repro.api import EnsembleRequest, PredictRequest
+from repro.api.codec import (
+    FRAME_CONTENT_TYPE,
+    decode_ensemble_result_frame,
+    decode_predict_result_frame,
+    encode_ensemble_request_frame,
+    encode_predict_request_frame,
+)
 from repro.models import make_lenet, make_mlp
 from repro.runtime import compile_model
 from repro.runtime.wire import WireFormatError, decode_array, encode_array
@@ -72,6 +79,8 @@ class TestWireFormat:
         {"shape": [2], "dtype": "complex128", "data": ""},       # bad dtype
         {"shape": "nope", "dtype": "float64", "data": ""},       # bad shape
         {"shape": [-1], "dtype": "float64", "data": ""},         # negative dim
+        {"shape": [True, 2], "dtype": "float64",                 # bool dim
+         "data": encode_array(np.zeros(2))["data"]},
         {"shape": [2], "dtype": "float64", "data": "!!!"},       # bad base64
         {"shape": [2], "dtype": "float64", "data": "AAAA"},      # wrong length
         {"shape": [2], "dtype": "float64", "data": 5},           # non-string data
@@ -82,6 +91,12 @@ class TestWireFormat:
     ])
     def test_malformed_payloads_raise(self, payload):
         with pytest.raises(WireFormatError):
+            decode_array(payload)
+
+    def test_bool_extent_error_names_the_field(self):
+        payload = encode_array(np.zeros((1, 2)))
+        payload["shape"] = [True, 2]
+        with pytest.raises(WireFormatError, match="^shape must be"):
             decode_array(payload)
 
     def test_packed_non_finite_rejected(self):
@@ -109,6 +124,21 @@ def _request(address, method, path, body=None):
                            headers={"Content-Type": "application/json"})
         response = connection.getresponse()
         return response.status, json.loads(response.read().decode("utf-8"))
+    finally:
+        connection.close()
+
+
+def _post(address, path, payload, content_type):
+    """POST raw bytes; returns (status, lower-cased headers, raw body)."""
+    connection = http.client.HTTPConnection(*address, timeout=60)
+    try:
+        headers = {} if content_type is None else {
+            "Content-Type": content_type}
+        connection.request("POST", path, body=payload, headers=headers)
+        response = connection.getresponse()
+        return (response.status,
+                {key.lower(): value for key, value in response.getheaders()},
+                response.read())
     finally:
         connection.close()
 
@@ -231,6 +261,50 @@ class TestPredictEquivalence:
             logits, served.lenet_plan.run(served.images[:1])[0]
         )
 
+    # curl -d sends application/x-www-form-urlencoded; http.client sends
+    # no Content-Type at all.  Every type but the frame's is parsed as JSON.
+    @pytest.mark.parametrize("content_type", [
+        "application/json", "application/x-www-form-urlencoded", None,
+    ])
+    @pytest.mark.parametrize("form", ["packed", "lists"])
+    def test_raw_json_bodies_bit_equivalent(self, served, content_type, form):
+        body = _predict_body(served.images[:5])
+        if form == "lists":
+            body["images"] = served.images[:5].tolist()
+        status, headers, raw = _post(served.address, "/v1/predict",
+                                     json.dumps(body).encode("utf-8"),
+                                     content_type)
+        assert status == 200
+        assert headers["content-type"] == "application/json"
+        np.testing.assert_array_equal(
+            decode_array(json.loads(raw)["logits"]),
+            served.lenet_plan.run(served.images[:5]),
+        )
+
+    @pytest.mark.parametrize("content_type", [
+        FRAME_CONTENT_TYPE, "Application/X-Repro-Frame; charset=binary",
+    ])
+    def test_frame_request_answers_bit_equivalent_frame(self, served,
+                                                        content_type):
+        frame = encode_predict_request_frame(PredictRequest(
+            served.images, model="lenet", bits=4, mapping="acm"))
+        status, headers, raw = _post(served.address, "/v1/predict", frame,
+                                     content_type)
+        assert status == 200
+        assert headers["content-type"] == FRAME_CONTENT_TYPE
+        result = decode_predict_result_frame(raw)
+        np.testing.assert_array_equal(result.logits,
+                                      served.lenet_plan.run(served.images))
+        assert result.request_id == headers["x-request-id"]
+
+    def test_frame_sent_as_json_is_400(self, served):
+        frame = encode_predict_request_frame(PredictRequest(
+            served.images[:1], model="lenet", bits=4, mapping="acm"))
+        status, _, raw = _post(served.address, "/v1/predict", frame,
+                               "application/json")
+        assert status == 400
+        assert json.loads(raw)["error"]["code"] == "invalid_request"
+
     def test_concurrent_http_clients_coalesce_and_stay_exact(self, served):
         expected = served.lenet_plan.run(served.images)
         with ThreadPoolExecutor(max_workers=8) as clients:
@@ -287,6 +361,26 @@ class TestEnsembleEquivalence:
         assert response["num_samples"] == 9
         assert response["seed"] == 21
 
+    def test_frame_ensemble_bit_equivalent_to_in_process(self, served):
+        request = EnsembleRequest(served.images[:5], model="lenet", bits=4,
+                                  mapping="acm", sigma_fraction=0.15,
+                                  num_samples=9, seed=21)
+        status, headers, raw = _post(
+            served.address, "/v1/predict_under_variation",
+            encode_ensemble_request_frame(request), FRAME_CONTENT_TYPE)
+        assert status == 200
+        assert headers["content-type"] == FRAME_CONTENT_TYPE
+        result = decode_ensemble_result_frame(raw)
+        with InferenceService(PlanRegistry(served.directory)) as reference:
+            expected = reference.ensemble_request(request)
+        for name in ("mean_logits", "predictions", "confidence",
+                     "vote_counts"):
+            actual, wanted = getattr(result, name), getattr(expected, name)
+            assert actual.dtype == np.asarray(wanted).dtype, name
+            np.testing.assert_array_equal(actual, wanted, err_msg=name)
+        assert (result.sigma_fraction, result.num_samples, result.seed) == \
+            (0.15, 9, 21)
+
     def test_repeated_ensemble_requests_hit_the_stack_cache(self, served):
         request = _predict_body(
             served.images[:2], sigma_fraction=0.11, num_samples=5, seed=33
@@ -337,10 +431,14 @@ class TestErrorMapping:
         assert response["error"]["status"] == expected_status
         assert response["error"]["message"]
 
-    def test_invalid_json_is_400(self, served):
+    # Nesting past the parser's recursion limit is a malformed body too,
+    # not a server fault.
+    @pytest.mark.parametrize("payload", [b"{not json", b"[" * 100_000],
+                             ids=["syntax", "too deeply nested"])
+    def test_invalid_json_is_400(self, served, payload):
         connection = http.client.HTTPConnection(*served.address, timeout=30)
         try:
-            connection.request("POST", "/v1/predict", body=b"{not json",
+            connection.request("POST", "/v1/predict", body=payload,
                                headers={"Content-Type": "application/json"})
             response = connection.getresponse()
             body = json.loads(response.read())
