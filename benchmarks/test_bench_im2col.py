@@ -1,6 +1,6 @@
 """Conv lowering benchmark: both lowerings against inline references.
 
-Two legs, one record (``BENCH_im2col.json``):
+Three legs, one record (``BENCH_im2col.json``):
 
 * **im2col** — ``repro.tensor.functional.im2col`` feeds eager conv training
   and its backward, so its copy count is paid on every eager conv forward.
@@ -13,7 +13,13 @@ Two legs, one record (``BENCH_im2col.json``):
   (``im2col`` + ``cols @ W.T`` + an NCHW transpose) is kept inline as the
   reference, on LeNet's real conv geometries plus a strided one.
 
-Both legs assert bit-identity to their reference unconditionally and record
+* **fused epilogue** — :meth:`~repro.runtime.plan.ConvOp.run_relu_maxpool`
+  max-pools the raw GEMM block and adds the bias and ReLU on the pooled
+  quarter; the op-by-op ``conv → relu → max-pool`` chain is the reference,
+  on LeNet's two convs at 256 rows and on a 32-sample × 8-image
+  Monte-Carlo stack through both.
+
+Every leg asserts bit-identity to its reference unconditionally and records
 the measured ratio, so a future refactor cannot silently regress the copy
 count or drift the bits.
 """
@@ -27,7 +33,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import persist_results, print_header, run_once
-from repro.runtime.plan import ConvOp
+from repro.runtime.plan import ActivationOp, ConvOp, MaxPoolOp
 from repro.tensor.functional import conv_output_size, im2col
 
 #: (batch, channels, height, width, kernel, stride, padding) — 5×5, pad-2
@@ -45,6 +51,10 @@ PLAN_GEOMETRIES = (
     (256, 6, 8, 8, 16, 3, 1, 1),
     (32, 32, 16, 16, 32, 3, 2, 1),
 )
+#: LeNet's 2×2, stride-2 max pool after each conv.
+POOL = MaxPoolOp(kernel=(2, 2), stride=(2, 2))
+#: Monte-Carlo draws × images of the sampled leg.
+SAMPLED_STACK = (32, 8)
 REPEATS = 30
 WARMUP = 3
 SPEEDUP_FLOOR = 1.0         # enforced on >= 2 cores: never slower than the reference
@@ -101,6 +111,21 @@ def _median_seconds(function) -> float:
     return float(np.median(samples))
 
 
+def _interleaved_median_seconds(old, new) -> tuple:
+    """Medians of ``old`` and ``new`` timed in alternation, so a shift in
+    host load lands on both sides."""
+    for _ in range(WARMUP):
+        old()
+        new()
+    old_times, new_times = [], []
+    for _ in range(REPEATS):
+        for function, times in ((old, old_times), (new, new_times)):
+            start = time.perf_counter()
+            function()
+            times.append(time.perf_counter() - start)
+    return float(np.median(old_times)), float(np.median(new_times))
+
+
 def _im2col_comparison() -> dict:
     rng = np.random.default_rng(5)
     cases = []
@@ -130,18 +155,22 @@ def _im2col_comparison() -> dict:
     }
 
 
+def _plan_conv_op(rng, channels, out_channels, kernel, stride, padding):
+    return ConvOp(
+        weight=rng.normal(size=(out_channels, channels * kernel * kernel)),
+        bias=rng.normal(size=out_channels),
+        kernel_shape=(channels, kernel, kernel),
+        stride=(stride, stride),
+        padding=(padding, padding),
+    )
+
+
 def _plan_conv_comparison() -> dict:
     rng = np.random.default_rng(5)
     cases = []
     for (batch, channels, height, width, out_channels,
          kernel, stride, padding) in PLAN_GEOMETRIES:
-        op = ConvOp(
-            weight=rng.normal(size=(out_channels, channels * kernel * kernel)),
-            bias=rng.normal(size=out_channels),
-            kernel_shape=(channels, kernel, kernel),
-            stride=(stride, stride),
-            padding=(padding, padding),
-        )
+        op = _plan_conv_op(rng, channels, out_channels, kernel, stride, padding)
         images = rng.normal(size=(batch, channels, height, width))
         # Bit-identity against the row-major reference, unconditionally.
         np.testing.assert_array_equal(
@@ -166,14 +195,60 @@ def _plan_conv_comparison() -> dict:
     }
 
 
+def _fused_epilogue_comparison() -> dict:
+    """``conv.run_relu_maxpool`` against ``pool(relu(conv))`` op by op."""
+    rng = np.random.default_rng(5)
+    relu = ActivationOp(kind="relu")
+    convs = [(batch, _plan_conv_op(rng, channels, out_channels, kernel,
+                                   stride, padding), (channels, height, width))
+             for (batch, channels, height, width, out_channels,
+                  kernel, stride, padding) in PLAN_GEOMETRIES[:2]]
+    cases = [(op, rng.normal(size=(batch,) + shape), None)
+             for batch, op, shape in convs]
+    # The sampled stack: the first conv broadcasts one batch against the
+    # draws, the second runs the stacked maps of the first.
+    samples, images = SAMPLED_STACK
+    stacked = rng.normal(size=(images,) + convs[0][2])
+    for _, op, _ in convs:
+        weights = rng.normal(size=(samples,) + op.weight.shape)
+        cases.append((op, stacked, weights))
+        stacked = op.run_relu_maxpool(stacked, POOL, weights)
+
+    def op_by_op(op, x, weights):
+        conv = op.run(x) if weights is None else op.run_sampled(x, weights)
+        return POOL.run(relu.run(conv))
+
+    for op, x, weights in cases:
+        # Bit-identity against the op-by-op chain, unconditionally.
+        fused, expected = op.run_relu_maxpool(x, POOL, weights), op_by_op(op, x, weights)
+        np.testing.assert_array_equal(fused.view(np.uint64), expected.view(np.uint64))
+
+    def run_new() -> None:
+        for op, x, weights in cases:
+            op.run_relu_maxpool(x, POOL, weights)
+
+    def run_old() -> None:
+        for case in cases:
+            op_by_op(*case)
+
+    old_seconds, new_seconds = _interleaved_median_seconds(run_old, run_new)
+    return {
+        "op_by_op_ms": old_seconds * 1e3,
+        "fused_ms": new_seconds * 1e3,
+        "speedup": old_seconds / new_seconds,
+    }
+
+
 def _comparison() -> dict:
-    return {"im2col": _im2col_comparison(), "plan_conv": _plan_conv_comparison()}
+    return {"im2col": _im2col_comparison(), "plan_conv": _plan_conv_comparison(),
+            "fused_epilogue": _fused_epilogue_comparison()}
 
 
 @pytest.mark.benchmark(group="int-kernels")
 def test_conv_lowerings_not_slower_than_their_references(benchmark):
     outcome = run_once(benchmark, _comparison)
     lowering, plan_conv = outcome["im2col"], outcome["plan_conv"]
+    fused = outcome["fused_epilogue"]
     cores = len(os.sched_getaffinity(0))
     sanity_only = bool(os.environ.get("REPRO_BENCH_SANITY_ONLY"))
     floor_enforced = cores >= 2 and not sanity_only
@@ -185,6 +260,9 @@ def test_conv_lowerings_not_slower_than_their_references(benchmark):
     print(f"plan conv row-major:  {plan_conv['row_major_ms']:8.3f} ms median")
     print(f"plan conv tap-major:  {plan_conv['tap_major_ms']:8.3f} ms median")
     print(f"speedup: {plan_conv['speedup']:.2f}x (floor {SPEEDUP_FLOOR}x)")
+    print(f"conv-relu-pool op by op: {fused['op_by_op_ms']:8.3f} ms median")
+    print(f"conv-relu-pool fused:    {fused['fused_ms']:8.3f} ms median")
+    print(f"speedup: {fused['speedup']:.2f}x (floor {SPEEDUP_FLOOR}x)")
 
     persist_results("im2col", {
         "two_copy_ms": lowering["two_copy_ms"],
@@ -197,12 +275,20 @@ def test_conv_lowerings_not_slower_than_their_references(benchmark):
             "speedup": plan_conv["speedup"],
             "geometries": [list(geometry) for geometry in PLAN_GEOMETRIES],
         },
+        "fused_epilogue": {
+            "op_by_op_ms": fused["op_by_op_ms"],
+            "fused_ms": fused["fused_ms"],
+            "speedup": fused["speedup"],
+            "geometries": [list(geometry) for geometry in PLAN_GEOMETRIES[:2]],
+            "sampled_stack": list(SAMPLED_STACK),
+        },
         "floor": SPEEDUP_FLOOR,
         "floor_enforced": floor_enforced,
     })
 
     for name, leg in (("single-copy im2col", lowering),
-                      ("tap-major plan conv", plan_conv)):
+                      ("tap-major plan conv", plan_conv),
+                      ("fused conv epilogue", fused)):
         if floor_enforced:
             assert leg["speedup"] >= SPEEDUP_FLOOR, (
                 f"{name} is slower than its reference ({leg['speedup']:.2f}x)"

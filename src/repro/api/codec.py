@@ -49,7 +49,13 @@ from repro.api.types import (
     StudyStatus,
     parse_bits_token,
 )
-from repro.runtime.wire import decode_array, decode_frame, encode_array, encode_frame
+from repro.runtime.wire import (
+    Buffer,
+    decode_array,
+    decode_frame,
+    encode_array,
+    encode_frame,
+)
 
 #: Media type of a binary frame body (see :mod:`repro.runtime.wire`).
 FRAME_CONTENT_TYPE = "application/x-repro-frame"
@@ -85,7 +91,7 @@ def _frame_form(parts: _Parts) -> bytes:
     return frame
 
 
-def _frame_body(frame: bytes) -> Dict[str, Any]:
+def _frame_body(frame: Buffer) -> Dict[str, Any]:
     """A frame as the field mapping the JSON-body decoders read."""
     try:
         fields, arrays = decode_frame(frame)
@@ -179,7 +185,7 @@ def decode_predict_request(body: Mapping[str, Any]) -> PredictRequest:
     )
 
 
-def decode_predict_request_frame(frame: bytes) -> PredictRequest:
+def decode_predict_request_frame(frame: Buffer) -> PredictRequest:
     """Parse a ``POST /v1/predict`` frame."""
     return decode_predict_request(_frame_body(frame))
 
@@ -230,7 +236,7 @@ def decode_ensemble_request(body: Mapping[str, Any]) -> EnsembleRequest:
     )
 
 
-def decode_ensemble_request_frame(frame: bytes) -> EnsembleRequest:
+def decode_ensemble_request_frame(frame: Buffer) -> EnsembleRequest:
     """Parse a ``POST /v1/predict_under_variation`` frame."""
     return decode_ensemble_request(_frame_body(frame))
 

@@ -68,12 +68,16 @@ def run_plan_samples(
     """Execute the plan once per variation sample, vectorised over samples.
 
     Returns float64 logits of shape ``(num_samples, batch, num_outputs)``.
-    With an empty ``sampled_weights`` (a plan without crossbar layers) the
-    single deterministic result is broadcast across the sample axis.
+    It walks the same steps as :meth:`InferencePlan.run`, fused conv →
+    ReLU → max-pool chains included.  With an empty ``sampled_weights`` (a
+    plan without crossbar layers) the single deterministic result is
+    broadcast across the sample axis.
     """
     values: Dict[int, np.ndarray] = {0: np.asarray(images, dtype=np.float64)}
     stacked: Dict[int, bool] = {0: False}
-    for index, op in enumerate(plan.ops):
+    # A fused conv → ReLU → max-pool step starts at its conv's index, which
+    # is where that conv's sampled weights are keyed.
+    for index, op in plan._steps:
         inputs = [values[slot] for slot in op.inputs]
         input_stacked = [stacked[slot] for slot in op.inputs]
         if index in sampled_weights:

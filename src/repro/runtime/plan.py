@@ -254,18 +254,56 @@ class ConvOp(PlanOp):
                 f"{self.kernel_shape[0]}"
             )
 
-    def _convolve(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """``weight @ columns`` over any leading axes of ``x`` and ``weight``."""
+    def _gemm(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        """The bias-free ``(..., C_out, N, oh, ow)`` block ``weight @ columns``
+        over any leading axes of ``x`` and ``weight``.
+
+        The columns are freed on return, before any epilogue runs.
+        """
         self._check_channels(x.shape[-3])
         out_h, out_w = self._geometry(*x.shape[-2:])
         columns = _tap_columns(
             x, self.kernel_shape[1:], self.stride, self.padding, (out_h, out_w)
         )
         out = np.matmul(weight, columns)
+        return out.reshape(out.shape[:-1] + (x.shape[-4], out_h, out_w))
+
+    def _add_bias(self, block: np.ndarray) -> None:
         if self.bias is not None:
-            out += self.bias[:, None]
-        out = out.reshape(out.shape[:-1] + (x.shape[-4], out_h, out_w))
-        return np.swapaxes(out, -3, -4)
+            block += self.bias[:, None, None, None]
+
+    def _convolve(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        block = self._gemm(x, weight)
+        self._add_bias(block)
+        return np.swapaxes(block, -3, -4)
+
+    def run_relu_maxpool(
+        self, x: np.ndarray, pool: "MaxPoolOp", weight: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``pool.run(relu(conv(x)))`` with the epilogue on the pooled block.
+
+        The raw GEMM block is max-pooled first, then the bias and ReLU are
+        applied in place to the pooled quarter.  This is bitwise the op-by-op
+        chain: rounding ``x + b`` is monotone, so the window maximum of the
+        biased values is the biased window maximum, and ReLU commutes with
+        max.  A NaN propagates from the same window element either way, and
+        ``np.maximum(x, 0.0)`` gives ``+0.0`` for ``-0.0`` as for every
+        negative ``x``, so a zero maximum's sign cannot differ either
+        (``TestConvLoweringFuzz`` pins all of this bit for bit).
+        ``weight`` defaults to the frozen weight; a ``(S, C_out, K)`` stack
+        runs the sampled form.
+        """
+        block = self._gemm(x, self.weight if weight is None else weight)
+        (kh, kw), (sh, sw) = pool.kernel, pool.stride
+        out_h = conv_output_size(block.shape[-2], kh, sh, 0)
+        out_w = conv_output_size(block.shape[-1], kw, sw, 0)
+        # The block is private, so the column pass may write into it when
+        # its taps do not overlap; only the pooled quarter is allocated.
+        rows = _max_taps(block, kw, sw, out_w, -1, in_place=kw <= sw)
+        pooled = _max_taps(rows, kh, sh, out_h, -2)
+        self._add_bias(pooled)
+        np.maximum(pooled, 0.0, out=pooled)
+        return np.swapaxes(pooled, -3, -4)
 
     def run(self, x: np.ndarray) -> np.ndarray:
         return self._convolve(x, self.weight)
@@ -460,19 +498,24 @@ def _pool(
     stride: Tuple[int, int],
     reducer: str,
 ) -> np.ndarray:
-    """Pool by accumulating the ``kh * kw`` strided window slices in place.
+    """Pool over the two trailing axes with binary ufuncs on strided views.
 
-    Binary ufuncs over strided views beat both a materialised window tensor
-    and an axis reduction by a wide margin, and the summation order matches
-    the eager ``avg_pool2d`` loop exactly.  The windows slide over the two
-    trailing axes only, so any leading axes — a batch, or a Monte-Carlo
-    sample axis before it — pass through without being folded (and so
-    copied) into one; each output element is the same fold of the same
-    ``kh * kw`` inputs either way.
+    Max pooling is separable: it reduces each row's ``kw`` column taps,
+    then the ``kh`` rows of that, so an overlapping window reads each input
+    once per direction.  Max is exact in any order, and NaNs and ties pick
+    the same element as a tap-by-tap fold.  Average pooling accumulates the
+    ``kh * kw`` window slices in the eager ``avg_pool2d`` loop's order.
+    Binary ufuncs over strided views beat both a materialised window
+    tensor and an axis reduction by a wide margin.  Any leading axes — a batch, or
+    a Monte-Carlo sample axis before it — pass through without being folded
+    (and so copied) into one.
     """
     height, width = x.shape[-2:]
     out_h = conv_output_size(height, kernel[0], stride[0], 0)
     out_w = conv_output_size(width, kernel[1], stride[1], 0)
+    if reducer == "max":
+        rows = _max_taps(x, kernel[1], stride[1], out_w, axis=-1)
+        return _max_taps(rows, kernel[0], stride[0], out_h, axis=-2)
     accumulated: Optional[np.ndarray] = None
     for y in range(kernel[0]):
         for z in range(kernel[1]):
@@ -481,13 +524,64 @@ def _pool(
             ]
             if accumulated is None:
                 accumulated = np.array(part, copy=True)
-            elif reducer == "max":
-                np.maximum(accumulated, part, out=accumulated)
             else:
                 accumulated += part
-    if reducer == "max":
-        return accumulated
     return accumulated / (kernel[0] * kernel[1])
+
+
+def _max_taps(
+    x: np.ndarray, taps: int, stride: int, size: int, axis: int,
+    in_place: bool = False,
+) -> np.ndarray:
+    """Max of ``taps`` strided slices of ``x`` along ``axis`` (-1 or -2).
+
+    The result is a new array, or with ``in_place`` the first slice of
+    ``x`` itself, which is only sound when no later slice reads what an
+    earlier one overwrote (``taps <= stride``).
+    """
+    def tap(offset: int) -> np.ndarray:
+        window = slice(offset, offset + stride * size, stride)
+        return x[..., window] if axis == -1 else x[..., window, :]
+
+    if in_place:
+        accumulated, first = tap(0), 1
+    elif taps == 1:
+        return np.array(tap(0), copy=True)
+    else:
+        # The first two taps meet in one ufunc call rather than a copy of
+        # the first and a pass over it.
+        accumulated, first = np.maximum(tap(0), tap(1)), 2
+    for offset in range(first, taps):
+        np.maximum(accumulated, tap(offset), out=accumulated)
+    return accumulated
+
+
+@dataclass
+class _ConvReluMaxPool:
+    """One execution step for a ``ConvOp → relu → MaxPoolOp`` chain whose
+    intermediate values have no other consumer (see
+    :meth:`ConvOp.run_relu_maxpool`).  It stands in for the three ops in
+    :meth:`InferencePlan.run` and the Monte-Carlo engine; ``plan.ops``
+    keeps them."""
+
+    conv: ConvOp
+    pool: MaxPoolOp
+
+    leading_dims_safe = False
+
+    @property
+    def inputs(self) -> Tuple[int, ...]:
+        return self.conv.inputs
+
+    @property
+    def output(self) -> int:
+        return self.pool.output
+
+    def run(self, x: np.ndarray) -> np.ndarray:
+        return self.conv.run_relu_maxpool(x, self.pool)
+
+    def run_sampled(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        return self.conv.run_relu_maxpool(x, self.pool, weights)
 
 
 def _pool_shape(
@@ -497,6 +591,35 @@ def _pool_shape(
     out_h = conv_output_size(height, kernel[0], stride[0], 0)
     out_w = conv_output_size(width, kernel[1], stride[1], 0)
     return (channels, out_h, out_w)
+
+
+def _execution_steps(
+    ops: List[PlanOp], readers: Dict[int, int], output: int
+) -> List[Tuple[int, object]]:
+    """``(index of first op, step)`` pairs covering ``ops`` in order.
+
+    A step is an op, or a :class:`_ConvReluMaxPool` for three consecutive
+    ops ``ConvOp → ActivationOp("relu") → MaxPoolOp`` whose two
+    intermediate slots each have exactly one reader and are not the plan
+    output.
+    """
+    steps: List[Tuple[int, object]] = []
+    index = 0
+    while index < len(ops):
+        op, *chain = ops[index:index + 3]
+        if (isinstance(op, ConvOp) and len(chain) == 2
+                and isinstance(chain[0], ActivationOp) and chain[0].kind == "relu"
+                and isinstance(chain[1], MaxPoolOp)
+                and chain[0].inputs == (op.output,)
+                and chain[1].inputs == (chain[0].output,)
+                and all(readers.get(slot) == 1 and slot != output
+                        for slot in (op.output, chain[0].output))):
+            steps.append((index, _ConvReluMaxPool(op, chain[1])))
+            index += 3
+        else:
+            steps.append((index, op))
+            index += 1
+    return steps
 
 
 # ---------------------------------------------------------------------- #
@@ -522,9 +645,12 @@ class InferencePlan:
             self.input_shape = tuple(int(extent) for extent in self.input_shape)
         # Last-use index per slot, so intermediate values free eagerly.
         self._last_use: Dict[int, int] = {}
+        readers: Dict[int, int] = {}
         for index, op in enumerate(self.ops):
             for slot in op.inputs:
                 self._last_use[slot] = index
+                readers[slot] = readers.get(slot, 0) + 1
+        self._steps = _execution_steps(self.ops, readers, self.output)
         self._shape_cache: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
 
     @property
@@ -567,11 +693,15 @@ class InferencePlan:
         return shapes
 
     def run(self, images: np.ndarray) -> np.ndarray:
-        """Execute the plan on one input batch; returns the logits ndarray."""
+        """Execute the plan on one input batch; returns the logits ndarray.
+
+        Each conv → ReLU → max-pool chain runs as one fused step, bitwise
+        equal to running its three ops one by one.
+        """
         values: Dict[int, np.ndarray] = {0: np.asarray(images, dtype=np.float64)}
-        for index, op in enumerate(self.ops):
-            values[op.output] = op.run(*(values[slot] for slot in op.inputs))
-            for slot in op.inputs:
+        for index, step in self._steps:
+            values[step.output] = step.run(*(values[slot] for slot in step.inputs))
+            for slot in step.inputs:
                 if self._last_use.get(slot) == index and slot != self.output:
                     values.pop(slot, None)
         return values[self.output]

@@ -49,6 +49,9 @@ from typing import Any, Dict, Mapping, Tuple, Union
 
 import numpy as np
 
+#: A bytes-like body: what a transport hands to the decoders.
+Buffer = Union[bytes, bytearray, memoryview]
+
 #: dtypes a packed payload may declare.  The serving protocol deals in
 #: float tensors (images, logits) plus the integer aggregates of ensemble
 #: responses (votes, predictions); anything else is rejected up front
@@ -219,11 +222,13 @@ def encode_frame(fields: Mapping[str, Any], arrays: Mapping[str, np.ndarray]) ->
     return b"".join([_FRAME_PREFIX.pack(FRAME_MAGIC, len(header)), header, *chunks])
 
 
-def decode_frame(frame: bytes) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-    """Parse one frame into its scalar fields and its arrays.
+def decode_frame(frame: Buffer) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+    """Parse one frame (any bytes-like object) into its scalar fields and
+    its arrays.
 
     Every structural check runs before any array is allocated; see the
-    module docstring for the layout and the checks.
+    module docstring for the layout and the checks.  The arrays are copies:
+    nothing returned refers into ``frame``, so its buffer may be reused.
     """
     if len(frame) < _FRAME_PREFIX.size:
         raise WireFormatError(
@@ -240,7 +245,7 @@ def decode_frame(frame: bytes) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
             f"a {len(frame)}-byte frame"
         )
     try:
-        header = json.loads(frame[_FRAME_PREFIX.size:start].decode("utf-8"))
+        header = json.loads(str(frame[_FRAME_PREFIX.size:start], "utf-8"))
     except (ValueError, RecursionError) as error:  # bad UTF-8, JSON, nesting
         raise WireFormatError(f"frame header is not valid JSON: {error}") from None
     if not isinstance(header, dict):

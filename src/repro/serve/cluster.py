@@ -5,7 +5,7 @@ directory into a multi-process serving deployment.  Each worker process
 builds its own registry over the shared directory and runs a full
 :class:`~repro.serve.service.InferenceService` (one micro-batching
 scheduler per model it serves); the parent keeps only the catalogue index
-plus one handle per worker — its duplex pipe and its supervisor state,
+plus one handle per worker — its socket pair and its supervisor state,
 the parent's only per-shard table.  Models are partitioned across workers by
 a consistent-hash ring with virtual nodes (:mod:`repro.serve.ring`): each
 key's ordered owner list is the first ``replicas`` distinct workers
@@ -27,17 +27,22 @@ clockwise from its ring position, so:
   exactly: one owner per key, fail-fast on a dead shard.
 
 The parent/worker protocol is asynchronous: each typed request dataclass
-travels down the pipe under a correlation id, and a receiver thread in
-the parent scatters the typed results back onto per-request futures.
-The worker serves its pipe the way an in-process service serves its
-callers: a predict goes from the receive loop straight into its model's
-micro-batch scheduler and is answered from the batch's done-callback,
+travels down the worker's socket under a correlation id, and a receiver
+thread in the parent scatters the typed results back onto per-request
+futures.  The worker serves its socket the way an in-process service
+serves its callers: a predict goes from the receive loop straight into
+its model's micro-batch scheduler and is answered from the batch's
+done-callback,
 so the scheduler queue is the worker's only queue (coalescing and
 ``max_queue_depth`` behave as in process); an ensemble or admin request
 runs on a thread of its own, as a caller's thread runs it in process.
 Results are exact — the same float64 arrays an in-process service would
-return, moved across a pickle boundary.  The pipe is the only transport:
-every array, large or small, rides the pickle stream.
+return, moved across a process boundary.  The socket is the only
+transport.  Each message is one length-prefixed frame
+(:class:`_FramedSocket`): a protocol-5 pickle carries the message's
+structure, and every contiguous array follows it as raw bytes, written
+from the array's own memory and read straight into the receiver's fresh
+buffer — no pickle stream copies it on either side.
 
 **Late publishes** need no coordination: each worker's registry re-scans
 the shared directory when a request names a key it has not indexed
@@ -85,6 +90,9 @@ import itertools
 import logging
 import multiprocessing
 import os
+import pickle
+import socket
+import struct
 import threading
 import time
 from concurrent.futures import Future
@@ -118,6 +126,72 @@ _SHUTDOWN = None
 
 _LOG = logging.getLogger("repro.serve.cluster")
 
+#: A frame's fixed prefix: the metadata length and the buffer count, then
+#: one u64 size per out-of-band buffer.
+_FRAME_PREFIX = struct.Struct("<II")
+
+#: Most buffers one ``sendmsg`` call takes (Linux's ``UIO_MAXIOV``).
+_IOV_MAX = 1024
+
+
+class _FramedSocket:
+    """One end of the parent/worker socket pair, speaking pickle frames.
+
+    Each message is one frame: a prefix (metadata length, buffer count,
+    each buffer's size), the protocol-5 pickle of the message, then the raw
+    bytes of every out-of-band buffer — each contiguous ndarray, which the
+    pickle references instead of copying (PEP 574).  A frame goes out in
+    ``sendmsg`` calls straight from the arrays' memory and is read with
+    ``recv_into`` straight into fresh ``bytearray`` objects, which become
+    the receiver's writable arrays.  Non-contiguous arrays stay in band.
+
+    Sends are not serialised here: callers hold their own send lock, and
+    one thread receives.  EOF, including EOF inside a frame, raises
+    ``EOFError``; a reset raises ``OSError``.
+    """
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+
+    def send(self, message) -> None:
+        """Write ``message`` as one frame.  Pickling errors raise before
+        any byte is written."""
+        buffers: List[pickle.PickleBuffer] = []
+        meta = pickle.dumps(message, protocol=5, buffer_callback=buffers.append)
+        raws = [buffer.raw() for buffer in buffers]
+        prefix = struct.pack(f"<II{len(raws)}Q", len(meta), len(raws),
+                             *(raw.nbytes for raw in raws))
+        views = [memoryview(chunk) for chunk in (prefix, meta, *raws)
+                 if len(chunk)]
+        while views:
+            sent = self._sock.sendmsg(views[:_IOV_MAX])
+            # Drop what a short write took and resume mid-view.
+            while sent and sent >= views[0].nbytes:
+                sent -= views.pop(0).nbytes
+            if sent:
+                views[0] = views[0][sent:]
+
+    def recv(self):
+        """Read one frame and unpickle it over its received buffers."""
+        meta_len, count = _FRAME_PREFIX.unpack(
+            self._recv_exact(bytearray(_FRAME_PREFIX.size)))
+        head = self._recv_exact(bytearray(8 * count + meta_len))
+        sizes = struct.unpack_from(f"<{count}Q", head)
+        buffers = [self._recv_exact(bytearray(size)) for size in sizes]
+        return pickle.loads(memoryview(head)[8 * count:], buffers=buffers)
+
+    def _recv_exact(self, buffer: bytearray) -> bytearray:
+        view = memoryview(buffer)
+        while view:
+            received = self._sock.recv_into(view)
+            if not received:
+                raise EOFError("the peer closed the socket")
+            view = view[received:]
+        return buffer
+
+    def close(self) -> None:
+        self._sock.close()
+
 
 def shard_index(key: PlanKey, num_workers: int) -> int:
     """The primary owner of ``key``: its first worker on the consistent-
@@ -138,7 +212,7 @@ def shard_index(key: PlanKey, num_workers: int) -> int:
 # Worker process
 # ---------------------------------------------------------------------- #
 def _worker_main(
-    conn,
+    sock: socket.socket,
     directory: str,
     max_batch: int,
     max_queue_depth: Optional[int] = None,
@@ -146,13 +220,15 @@ def _worker_main(
     worker_index: int = 0,
     log_path: Optional[str] = None,
 ) -> None:
-    """Serve requests from the pipe until the shutdown sentinel arrives.
+    """Serve frames from ``sock`` until the shutdown sentinel arrives.
 
-    Module-level so it pickles under the ``spawn`` start method.  Replies
-    are ``(request_id, ok, payload)`` where ``payload`` is the result or
-    the exception object itself (exceptions re-raise in the caller's
-    process with their original type — including the typed ``ApiError``
-    subclasses, e.g. backpressure raised by the worker's service).
+    Module-level so it pickles under the ``spawn`` start method.  Requests
+    are ``(request_id, kind, payload)`` frames (:class:`_FramedSocket`).
+    Replies are ``(request_id, ok, payload)`` where ``payload`` is the
+    result or the exception object itself (exceptions re-raise in the
+    caller's process with their original type — including the typed
+    ``ApiError`` subclasses, e.g. backpressure raised by the worker's
+    service).
 
     With ``log_path`` set, every ``repro.*`` logger in this process writes
     logfmt lines there — each served request logs its trace id, model,
@@ -170,6 +246,7 @@ def _worker_main(
                                max_queue_depth=max_queue_depth,
                                max_concurrent_ensembles=max_concurrent_ensembles,
                                shard=worker_index)
+    conn = _FramedSocket(sock)
     send_lock = threading.Lock()
 
     def reply(request_id, ok, payload) -> None:
@@ -248,7 +325,7 @@ def _worker_main(
 # Parent-side worker handle
 # ---------------------------------------------------------------------- #
 class _WorkerClient:
-    """One incarnation of one shard: its worker process, pipe,
+    """One incarnation of one shard: its worker process, socket,
     pending-future table and receiver thread, plus the shard's supervisor
     state.
 
@@ -273,21 +350,21 @@ class _WorkerClient:
             os.path.join(log_dir, f"worker-{index}.log")
             if log_dir is not None else None
         )
-        parent_conn, child_conn = context.Pipe(duplex=True)
+        parent_sock, child_sock = socket.socketpair()
         self.process = context.Process(
             target=_worker_main,
-            args=(child_conn, directory, max_batch,
+            args=(child_sock, directory, max_batch,
                   max_queue_depth, max_concurrent_ensembles, index, log_path),
             name=f"plan-worker-{index}",
             daemon=True,
         )
         self.process.start()
-        child_conn.close()
-        self._conn = parent_conn
+        child_sock.close()
+        self._conn = _FramedSocket(parent_sock)
         self._pending: Dict[int, Future] = {}
         self._ids = itertools.count()
         # ``_lock`` guards the pending table and the closed/dead flags and
-        # is never held across a pipe write, so a large pickle in flight
+        # is never held across a socket write, so a large frame in flight
         # blocks neither reply delivery nor ``load()``.  ``_send_lock``
         # orders each request's registration and write against the other
         # submits and ``close()``'s sentinel (lock order: send, then table).
@@ -375,10 +452,11 @@ class _WorkerClient:
         with self._lock:
             closed = self._closed
             if not closed:
-                # The pipe hit EOF without a shutdown handshake: the worker
-                # process died underneath us.  Mark the shard dead *before*
-                # failing the stranded futures so no new request can slip
-                # into the pending table in between.
+                # The socket hit EOF, between frames or inside one,
+                # without a shutdown handshake: the worker process died
+                # underneath us.  Mark the shard dead *before* failing the
+                # stranded futures so no new request can slip into the
+                # pending table in between.
                 self.dead = True
         if closed:
             self._fail_pending(RuntimeError(f"worker {self.index} exited"))
@@ -635,7 +713,7 @@ class PlanCluster:
     def metrics_families(self, timeout: Optional[float] = 5.0) -> List[MetricFamily]:
         """Parent instruments plus every live worker's families.
 
-        Worker families are fetched over the pipe (each worker snapshots
+        Worker families are fetched over the socket (each worker snapshots
         its own registry) and tagged ``worker="N"``; dead or unresponsive
         workers are skipped rather than failing the scrape — the parent's
         ``repro_cluster_worker_up`` gauge reports them.
@@ -1060,7 +1138,7 @@ class PlanCluster:
     ) -> Tuple[_WorkerClient, Future]:
         """Select an owner and submit, failing over on submit-time races.
 
-        A worker that dies between selection and the pipe send (or a
+        A worker that dies between selection and the socket send (or a
         handle drained for a rolling restart) is recorded in ``excluded``
         and the next owner is tried at once; ``_select_worker`` waits for
         a respawn or raises when the key has no owner left.
@@ -1085,7 +1163,7 @@ class PlanCluster:
     ):
         """One typed request with replica failover and respawn waits.
 
-        The request dataclass itself crosses the pipe, arrays and all,
+        The request dataclass itself crosses the socket, arrays and all,
         stamped first with its trace id so the worker's service logs the id
         the caller holds.  A ``WorkerDied`` from an in-flight request does
         not wait for the supervisor's respawn while another owner is live:

@@ -82,7 +82,8 @@ compare is constant-time.  A request body shorter than its declared
 ``Content-Length`` (the client died or lied) answers 400 with an explicit
 "truncated" message instead of a misleading parse failure — the body
 is read in a loop until the declared length or EOF, so a slow client
-dribbling its body in segments is served normally.  A request line
+dribbling its body in segments is served normally.  Bodies up to 1 MiB
+are read into one reused buffer per connection.  A request line
 ``http.server`` cannot parse answers the same JSON 400.  Every error
 response closes the connection.  float64 arrays, base64-packed or
 framed, are bit-equivalent to in-process results.
@@ -132,6 +133,7 @@ from repro.api.codec import (
     media_type,
 )
 from repro.api.errors import ApiAuthError, ApiBackpressure, map_exception
+from repro.runtime.wire import Buffer
 from repro.serve.jobs import JobManager
 from repro.obs import (
     REQUEST_ID_HEADER,
@@ -151,7 +153,8 @@ METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: any bytes are read.
 MAX_BODY_BYTES = 1 << 30
 
-#: Largest chunk one body-read loop iteration asks the transport for.
+#: Largest chunk one body-read loop iteration asks the transport for, and
+#: the most a connection's reusable body buffer grows to.
 _READ_CHUNK = 1 << 20
 
 #: Machine-readable codes for the protocol-level failures that are not
@@ -223,32 +226,42 @@ def parse_content_length(headers: Mapping[str, str]) -> Optional[int]:
     return length
 
 
-def read_exact(read: Callable[[int], bytes], length: int) -> bytes:
-    """Read exactly ``length`` bytes from a blocking ``read`` callable.
+def read_exact(readinto: Callable[[memoryview], Optional[int]],
+               length: int, scratch: memoryview) -> memoryview:
+    """Read exactly ``length`` bytes from a blocking ``readinto`` callable.
 
-    A single ``read(length)`` may legally return fewer bytes (a slow or
-    segmented client); this loops until the declared length arrives, and
-    a genuine EOF short of it raises the explicit truncation 400 instead
-    of letting the partial body surface as a misleading JSON error.
+    A body that fits ``scratch`` is read into it and returned as a view of
+    it.  A longer one is read through ``scratch`` a chunk at a time into a
+    ``bytearray`` of its own that grows only as bytes arrive, so a client
+    that declares a large ``Content-Length`` and sends little costs what it
+    sent, not what it declared.
+
+    A single ``readinto`` may legally fill less (a slow or segmented
+    client); this loops until the declared length arrives, and a genuine
+    EOF short of it raises the explicit truncation 400 instead of letting
+    the partial body surface as a misleading JSON error.
     """
-    if length == 0:
-        return b""
-    chunks = []
-    remaining = length
-    while remaining > 0:
-        chunk = read(min(remaining, _READ_CHUNK))
-        if not chunk:
-            break
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    data = b"".join(chunks)
-    if len(data) < length:
-        raise RequestError(
-            400,
-            f"request body truncated: expected {length} bytes, "
-            f"got {len(data)}",
-        )
-    return data
+    if length <= len(scratch):
+        body, filled = scratch[:length], 0
+        while filled < length:
+            received = readinto(body[filled:])
+            if not received:
+                raise _truncated(length, filled)
+            filled += received
+        return body
+    grown = bytearray()
+    while len(grown) < length:
+        received = readinto(scratch[:length - len(grown)])
+        if not received:
+            raise _truncated(length, len(grown))
+        grown += scratch[:received]
+    return memoryview(grown)
+
+
+def _truncated(length: int, received: int) -> RequestError:
+    return RequestError(
+        400, f"request body truncated: expected {length} bytes, got {received}"
+    )
 
 
 @dataclass
@@ -352,13 +365,15 @@ class EdgeCore:
         method: str,
         path: str,
         headers: Mapping[str, str],
-        body: Optional[bytes] = None,
+        body: Optional[Buffer] = None,
         body_error: Optional[BaseException] = None,
     ) -> EdgeResponse:
         """One parsed request in, one rendered response out.
 
         ``headers`` must carry lower-cased keys.  ``body`` is the raw
-        request body (``None`` when the request had no ``Content-Length``).
+        request body, any bytes-like object (``None`` when the request had
+        no ``Content-Length``); nothing refers into it once this returns,
+        so a transport may reuse its buffer for the next request.
         A transport that failed to obtain the body (bad or oversized
         Content-Length, truncation, a read timeout) passes the failure as
         ``body_error`` instead; it is raised *after* the auth check so the
@@ -514,22 +529,22 @@ class EdgeCore:
                 "'Authorization: Bearer <token>'"
             )
 
-    def _body(self, body: Optional[bytes]) -> bytes:
+    def _body(self, body: Optional[Buffer]) -> Buffer:
         if body is None:
             raise RequestError(400, "Content-Length header is required")
         return body
 
-    def _json_body(self, body: Optional[bytes]) -> dict:
+    def _json_body(self, body: Optional[Buffer]) -> dict:
         raw = self._body(body)
         try:
-            parsed = json.loads(raw.decode("utf-8"))
+            parsed = json.loads(str(raw, "utf-8"))
         except (ValueError, RecursionError) as error:  # UTF-8, JSON, nesting
             raise RequestError(400, f"request body is not valid JSON: {error}")
         if not isinstance(parsed, dict):
             raise RequestError(400, "request body must be a JSON object")
         return parsed
 
-    def _optional_json_body(self, body: Optional[bytes]) -> dict:
+    def _optional_json_body(self, body: Optional[Buffer]) -> dict:
         """Like :meth:`_json_body`, but a body-less request is ``{}``
         (the admin routes take their arguments as optional)."""
         if body is None:
@@ -539,7 +554,7 @@ class EdgeCore:
     # -------------------------------------------------------------- #
     # Routes
     # -------------------------------------------------------------- #
-    def _handle_health(self, body: Optional[bytes], request_id: str,
+    def _handle_health(self, body: Optional[Buffer], request_id: str,
                        body_type: str) -> EdgeResponse:
         models = len(self.backend.models())
         status = "ok"
@@ -567,7 +582,7 @@ class EdgeCore:
         # alone; the body still carries the per-shard specifics.
         return self._json(503, doc, request_id)
 
-    def _handle_metrics(self, body: Optional[bytes], request_id: str,
+    def _handle_metrics(self, body: Optional[Buffer], request_id: str,
                         body_type: str) -> EdgeResponse:
         families = list(self.metrics.collect())
         collect = getattr(self.backend, "metrics_families", None)
@@ -577,7 +592,7 @@ class EdgeCore:
         return self._payload_response(200, payload, request_id,
                                       content_type=METRICS_CONTENT_TYPE)
 
-    def _handle_admin_workers(self, body: Optional[bytes], request_id: str,
+    def _handle_admin_workers(self, body: Optional[Buffer], request_id: str,
                               body_type: str) -> EdgeResponse:
         describe = getattr(self.backend, "describe_workers", None)
         if not callable(describe):
@@ -586,7 +601,7 @@ class EdgeCore:
             )
         return self._json(200, {"workers": describe()}, request_id)
 
-    def _handle_admin_restart(self, body: Optional[bytes], request_id: str,
+    def _handle_admin_restart(self, body: Optional[Buffer], request_id: str,
                               body_type: str) -> EdgeResponse:
         restart = getattr(self.backend, "restart_worker", None)
         if not callable(restart):
@@ -602,7 +617,7 @@ class EdgeCore:
                   worker=worker)
         return self._json(200, {"restarted": worker}, request_id)
 
-    def _handle_admin_drain(self, body: Optional[bytes], request_id: str,
+    def _handle_admin_drain(self, body: Optional[Buffer], request_id: str,
                             body_type: str) -> EdgeResponse:
         parsed = self._optional_json_body(body)
         drain = parsed.get("drain", True)
@@ -613,11 +628,11 @@ class EdgeCore:
                   draining=drain)
         return self._json(200, {"draining": drain}, request_id)
 
-    def _handle_models(self, body: Optional[bytes], request_id: str,
+    def _handle_models(self, body: Optional[Buffer], request_id: str,
                        body_type: str) -> EdgeResponse:
         return self._json(200, {"models": self.backend.models()}, request_id)
 
-    def _handle_stats(self, body: Optional[bytes], request_id: str,
+    def _handle_stats(self, body: Optional[Buffer], request_id: str,
                       body_type: str) -> EdgeResponse:
         return self._json(200, {"stats": self.backend.stats_summary()},
                           request_id)
@@ -633,7 +648,7 @@ class EdgeCore:
                 503, "server is draining; no new prediction work is accepted"
             )
 
-    def _handle_predict(self, body: Optional[bytes], request_id: str,
+    def _handle_predict(self, body: Optional[Buffer], request_id: str,
                         body_type: str) -> EdgeResponse:
         self._reject_if_draining()
         framed = body_type == FRAME_CONTENT_TYPE
@@ -647,7 +662,7 @@ class EdgeCore:
             return self._frame(encode_predict_result_frame(result), request_id)
         return self._json(200, encode_predict_result(result), request_id)
 
-    def _handle_ensemble(self, body: Optional[bytes], request_id: str,
+    def _handle_ensemble(self, body: Optional[Buffer], request_id: str,
                          body_type: str) -> EdgeResponse:
         self._reject_if_draining()
         framed = body_type == FRAME_CONTENT_TYPE
@@ -664,7 +679,7 @@ class EdgeCore:
     # -------------------------------------------------------------- #
     # Study jobs
     # -------------------------------------------------------------- #
-    def _handle_study_submit(self, body: Optional[bytes], request_id: str,
+    def _handle_study_submit(self, body: Optional[Buffer], request_id: str,
                              body_type: str) -> EdgeResponse:
         self._reject_if_draining()
         spec = decode_study_spec(self._json_body(body))
@@ -698,12 +713,12 @@ class EdgeCore:
             raise RequestError(404, "backend has no versioned-rollout surface")
         return method
 
-    def _handle_admin_rollout(self, body: Optional[bytes], request_id: str,
+    def _handle_admin_rollout(self, body: Optional[Buffer], request_id: str,
                               body_type: str) -> EdgeResponse:
         status = self._rollout_backend("rollout_status")
         return self._json(200, {"rollout": status()}, request_id)
 
-    def _handle_admin_canary(self, body: Optional[bytes], request_id: str,
+    def _handle_admin_canary(self, body: Optional[Buffer], request_id: str,
                              body_type: str) -> EdgeResponse:
         set_canary = self._rollout_backend("set_canary")
         parsed = self._json_body(body)
@@ -719,7 +734,7 @@ class EdgeCore:
                   model=model, version=version, fraction=fraction)
         return self._json(200, {"rollout": state}, request_id)
 
-    def _handle_admin_promote(self, body: Optional[bytes], request_id: str,
+    def _handle_admin_promote(self, body: Optional[Buffer], request_id: str,
                               body_type: str) -> EdgeResponse:
         promote = self._rollout_backend("promote")
         parsed = self._json_body(body)
@@ -734,7 +749,7 @@ class EdgeCore:
                   model=model, active=state.get("active"))
         return self._json(200, {"rollout": state}, request_id)
 
-    def _handle_admin_rollback(self, body: Optional[bytes], request_id: str,
+    def _handle_admin_rollback(self, body: Optional[Buffer], request_id: str,
                                body_type: str) -> EdgeResponse:
         rollback = self._rollout_backend("rollback")
         parsed = self._json_body(body)
@@ -756,6 +771,11 @@ class _Handler(BaseHTTPRequestHandler):
     # segment waits for the ACK of the previous one, which the client
     # delays by up to ~40 ms (RFC 896 meeting RFC 1122's delayed ACK).
     disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        super().setup()
+        # This connection's reusable request-body buffer (see _body_scratch).
+        self._body_buffer = bytearray()
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if self.server.verbose:  # pragma: no cover - disabled in tests
@@ -803,15 +823,31 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         core = self.server.core
         headers = {key.lower(): value for key, value in self.headers.items()}
-        body: Optional[bytes] = None
+        body: Optional[memoryview] = None
         body_error: Optional[BaseException] = None
         try:
             length = parse_content_length(headers)
             if length is not None:
-                body = read_exact(self.rfile.read, length)
+                body = read_exact(self.rfile.readinto, length,
+                                  self._body_scratch(length))
         except Exception as error:  # noqa: BLE001 - mapped by the core
             body_error = error
         self._send(core.handle(method, self.path, headers, body, body_error))
+
+    def _body_scratch(self, length: int) -> memoryview:
+        """This connection's body buffer, grown (never shrunk) to hold a
+        ``length``-byte body, or :data:`_READ_CHUNK` for a longer one.
+
+        Requests on a connection are served one after another and the
+        decoders copy what they keep, so each body up to
+        :data:`_READ_CHUNK` overwrites the last instead of faulting in fresh
+        pages; a longer body only passes through it (:func:`read_exact`).
+        An idle keep-alive connection pins at most :data:`_READ_CHUNK`.
+        """
+        size = min(length, _READ_CHUNK)
+        if len(self._body_buffer) < size:
+            self._body_buffer = bytearray(size)
+        return memoryview(self._body_buffer)
 
     def _send(self, response: EdgeResponse) -> None:
         if response.close:

@@ -14,6 +14,7 @@ from repro.mapping import MappedConv2d, MappedLinear
 from repro.models import make_lenet, make_mlp, make_resnet20, make_vgg9
 from repro.nn.module import Module
 from repro.runtime import (
+    ActivationOp,
     AvgPoolOp,
     ConvOp,
     CrossbarSpec,
@@ -34,7 +35,8 @@ from repro.runtime import (
 )
 from repro.serve import PlanArtifactError, PlanRegistry
 from repro.tensor import Tensor, no_grad
-from repro.tensor.functional import conv2d_from_matrix
+from repro.runtime.plan import _ConvReluMaxPool, _max_taps, _pool
+from repro.tensor.functional import conv2d_from_matrix, conv_output_size
 
 
 def eager_logits(model, inputs: np.ndarray) -> np.ndarray:
@@ -386,6 +388,92 @@ def conv_cases(draw):
     return op, images, weights
 
 
+#: Values that test the fused epilogue's exactness claims: NaN and the
+#: infinities propagate, and the zeros carry signs.
+_SPECIAL_VALUES = (np.nan, np.inf, -np.inf, 0.0, -0.0)
+
+
+def _sprinkle(draw, rng, array):
+    """``array`` with a drawn share of its elements set to special values."""
+    share = draw(st.sampled_from((0.0, 0.05, 0.3)))
+    hits = rng.random(array.shape) < share
+    array[hits] = rng.choice(_SPECIAL_VALUES, size=int(hits.sum()))
+    return array
+
+
+@st.composite
+def pool_windows(draw, height, width):
+    """A max pool that fits an ``height × width`` map: odd, even and
+    overlapping (stride < kernel) windows."""
+    kernel = (draw(st.integers(1, min(3, height))),
+              draw(st.integers(1, min(3, width))))
+    stride = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    return kernel, stride
+
+
+@st.composite
+def fused_cases(draw):
+    """A conv → ReLU → max-pool plan (inputs and weights with special
+    values, sometimes no bias), its input and a weight stack."""
+    op, images, weights = draw(conv_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        op = dataclasses.replace(op, bias=None)
+    if draw(st.booleans()):
+        # Zero weights turn zero inputs into signed-zero products.
+        op.weight[rng.random(op.weight.shape) < 0.3] = 0.0
+    out_h, out_w = op.infer_shape(images.shape[-3:])[1:]
+    kernel, stride = draw(pool_windows(out_h, out_w))
+    images = _sprinkle(draw, rng, images)
+    plan = InferencePlan(
+        ops=[dataclasses.replace(op, inputs=(0,), output=1),
+             ActivationOp(inputs=(1,), output=2, kind="relu"),
+             MaxPoolOp(inputs=(2,), output=3, kernel=kernel, stride=stride)],
+        output=3, num_slots=4,
+    )
+    return plan, images, weights
+
+
+def _op_by_op(plan, images):
+    """The plan's output from each op's own ``run``, one op at a time."""
+    values = {0: images}
+    for op in plan.ops:
+        values[op.output] = op.run(*(values[slot] for slot in op.inputs))
+    return values[plan.output]
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _unfused(plan):
+    """A copy of ``plan`` that executes its ops one by one."""
+    copy = dataclasses.replace(plan)
+    copy._steps = list(enumerate(copy.ops))
+    return copy
+
+
+def _layout(array):
+    """The strides of the axes longer than one (a unit axis's stride is
+    arbitrary)."""
+    return tuple(stride for stride, extent in zip(array.strides, array.shape)
+                 if extent > 1)
+
+
+def _tap_order_max(x, kernel, stride):
+    """Max pooling as a fold over the window taps in row-major order."""
+    out_h = conv_output_size(x.shape[-2], kernel[0], stride[0], 0)
+    out_w = conv_output_size(x.shape[-1], kernel[1], stride[1], 0)
+    taps = [x[..., y:y + stride[0] * out_h:stride[0],
+              z:z + stride[1] * out_w:stride[1]]
+            for y in range(kernel[0]) for z in range(kernel[1])]
+    accumulated = taps[0].copy()
+    for tap in taps[1:]:
+        np.maximum(accumulated, tap, out=accumulated)
+    return accumulated, np.stack(taps)
+
+
 class TestConvLoweringFuzz:
     """Differential checks of the tap-major plan conv over random geometries."""
 
@@ -422,6 +510,81 @@ class TestConvLoweringFuzz:
         # The layout matters too: the next GEMM rounds an F-ordered operand
         # differently from a C-ordered one.
         assert pooled.strides == expected.strides
+
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(fused_cases())
+    def test_fused_run_is_the_op_by_op_chain(self, case):
+        plan, images, _ = case
+        assert [type(step) for _, step in plan._steps] == [_ConvReluMaxPool]
+        fused, expected = plan.run(images[0]), _op_by_op(plan, images[0])
+        _assert_bitwise(fused, expected)
+        # Same memory order too, so the GEMMs downstream round alike.
+        assert _layout(fused) == _layout(expected)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(fused_cases())
+    def test_fused_sample_k_is_plan_run_with_weight_k(self, case):
+        plan, images, weights = case
+        rows = images[0]
+        channels = rows.shape[1]
+        # A drawn 1×1 conv ahead of the chain makes its input sample-stacked.
+        mix = np.random.default_rng(0).normal(size=(len(weights), channels, channels))
+        prefix = ConvOp(inputs=(0,), output=1, weight=mix[0],
+                        kernel_shape=(channels, 1, 1))
+        conv, relu, pool = plan.ops
+        prefixed = InferencePlan(ops=[
+            prefix,
+            dataclasses.replace(conv, inputs=(1,), output=2),
+            dataclasses.replace(relu, inputs=(2,), output=3),
+            dataclasses.replace(pool, inputs=(3,), output=4),
+        ], output=4, num_slots=5)
+        for candidate, sampled in (
+            (plan, {0: weights}),  # sample-invariant input, drawn conv
+            (prefixed, {0: mix}),  # stacked input, conv without draws (fold)
+            (prefixed, {0: mix, 1: weights}),  # stacked input, drawn conv
+        ):
+            assert isinstance(candidate._steps[-1][1], _ConvReluMaxPool)
+            logits = run_plan_samples(candidate, rows, sampled, len(weights))
+            _assert_bitwise(logits, run_plan_samples(
+                _unfused(candidate), rows, sampled, len(weights)))
+            if 1 not in sampled and candidate is prefixed:
+                # The fold runs S·N rows through one GEMM, which rounds
+                # differently from N rows, fused or not.
+                continue
+            for sample in range(len(weights)):
+                single = dataclasses.replace(candidate, ops=[
+                    dataclasses.replace(op, weight=sampled[index][sample])
+                    if index in sampled else op
+                    for index, op in enumerate(candidate.ops)
+                ])
+                _assert_bitwise(logits[sample], single.run(rows))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_separable_max_pool_matches_the_stacked_windows(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shape = tuple(data.draw(st.lists(st.integers(1, 3), min_size=0,
+                                         max_size=2)))
+        height, width = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+        x = _sprinkle(data.draw, rng, rng.normal(size=shape + (height, width)))
+        if data.draw(st.booleans()):
+            x = np.swapaxes(x, -1, -2)  # a non-contiguous, transposed map
+        kernel, stride = data.draw(pool_windows(*x.shape[-2:]))
+        pooled = _pool(x, kernel, stride, reducer="max")
+        folded, windows = _tap_order_max(x, kernel, stride)
+        _assert_bitwise(pooled, folded)
+        # The fused epilogue's column pass writes into its private block
+        # when the column taps do not overlap.
+        (kh, kw), (sh, sw) = kernel, stride
+        if kw <= sw:
+            out_h, out_w = folded.shape[-2:]
+            rows = _max_taps(x.copy(), kw, sw, out_w, -1, in_place=True)
+            _assert_bitwise(_max_taps(rows, kh, sh, out_h, -2), folded)
+        np.testing.assert_array_equal(pooled, np.max(windows, axis=0))
 
 
 class TestPlanSerialization:

@@ -10,10 +10,12 @@ worker processes is the expensive part.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import queue
+import select
 import signal
+import socket
+import struct
 import sys
 import threading
 import time
@@ -45,7 +47,7 @@ from repro.serve import (
     canary_bucket,
     shard_index,
 )
-from repro.serve.cluster import _WorkerClient, _worker_main
+from repro.serve.cluster import _FramedSocket, _WorkerClient, _worker_main
 from tests.test_serve_http import _predict_body, _request
 
 MODEL_NAMES = ("alpha", "beta", "gamma")
@@ -694,45 +696,39 @@ class TestClusterRollout:
             before = after
 
 
-class _BlockingPipe:
-    """A parent pipe end whose request sends can be held mid-write.
+class _StubContext:
+    """A multiprocessing context whose worker process never starts.
 
-    Replies queued on ``replies`` are what ``recv`` returns; the shutdown
-    sentinel (``None``) is answered at once, as a worker would.
+    The test keeps ``worker_end``, the worker's end of the handle's socket
+    pair, and plays the worker on it.
     """
 
     def __init__(self):
-        self.replies = queue.Queue()
-        self.sending = threading.Event()
-        self.release = threading.Event()
-        self.release.set()
+        self.worker_end = None
 
-    def send(self, message):
-        if message is None:
-            self.replies.put((None, True, "closed"))
-            return
-        self.sending.set()
-        self.release.wait()
-
-    def recv(self):
-        return self.replies.get()
-
-    def close(self):
-        pass
-
-
-class _StubContext:
-    """A multiprocessing context whose one pipe is a :class:`_BlockingPipe`."""
-
-    def __init__(self, pipe):
-        self.pipe = pipe
-
-    def Pipe(self, duplex):
-        return self.pipe, SimpleNamespace(close=lambda: None)
-
-    def Process(self, **kwargs):
+    def Process(self, target, args, **kwargs):
+        # The handle closes its copy once the process "started".
+        self.worker_end = args[0].dup()
         return SimpleNamespace(start=lambda: None, join=lambda timeout=None: None,
                                is_alive=lambda: False)
+
+
+def _answer_shutdown(end):
+    """Play the worker on ``end`` in the background: read frames until the
+    shutdown sentinel, then acknowledge it, as ``_worker_main`` does."""
+    peer = _FramedSocket(end)
+
+    def serve():
+        try:
+            while peer.recv() is not None:
+                pass
+            peer.send((None, True, "closed"))
+        except (EOFError, OSError):
+            pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return thread
 
 
 def _within(seconds, function):
@@ -747,46 +743,219 @@ def _within(seconds, function):
 
 class TestPipeSendLocking:
     def test_load_and_replies_proceed_while_a_send_is_blocked(self):
-        pipe = _BlockingPipe()
-        worker = _WorkerClient(_StubContext(pipe), 0, "unused", 1)
+        context = _StubContext()
+        worker = _WorkerClient(context, 0, "unused", 1)
+        peer = _FramedSocket(context.worker_end)
         try:
             first = worker.submit("predict", "small")
-            pipe.release.clear()
-            pipe.sending.clear()
+            assert peer.recv() == (0, "predict", "small")
+            # 4 MiB outgrows the socket buffers: while nobody reads, the
+            # second request's frame write blocks part-way.
+            large = np.arange(1 << 19, dtype=np.float64)
             sender = threading.Thread(
-                target=worker.submit, args=("predict", "large"), daemon=True
+                target=worker.submit, args=("predict", large), daemon=True
             )
             sender.start()
-            assert pipe.sending.wait(5.0)
-            # The second request is stuck in the pipe write: the router's
+            readable, _, _ = select.select([context.worker_end], [], [], 5.0)
+            assert readable
+            sender.join(0.2)
+            assert sender.is_alive()
+            # The second request is stuck in the socket write: the router's
             # load signal and the receiver's reply delivery must not wait.
             assert _within(5.0, worker.load) == 2
-            pipe.replies.put((0, True, "done"))
+            peer.send((0, True, "done"))
             assert _within(5.0, lambda: first.result(timeout=10.0)) == "done"
-            pipe.release.set()
+            request_id, kind, payload = _within(5.0, peer.recv)
+            assert (request_id, kind) == (1, "predict")
+            np.testing.assert_array_equal(payload, large)
             sender.join(5.0)
             assert not sender.is_alive()
             assert worker.load() == 1
         finally:
-            pipe.release.set()
+            answering = _answer_shutdown(context.worker_end)
             worker.close(timeout=5.0)
+            answering.join(5.0)
+            context.worker_end.close()
+        assert not answering.is_alive()
         assert worker.load() == 0
 
     def test_failed_send_pops_the_future_and_marks_the_shard_dead(self):
-        pipe = _BlockingPipe()
-
-        def broken_send(message):
-            if message is not None:
-                raise BrokenPipeError("worker gone")
-            pipe.replies.put((None, True, "closed"))
-
-        pipe.send = broken_send
-        worker = _WorkerClient(_StubContext(pipe), 0, "unused", 1)
+        context = _StubContext()
+        worker = _WorkerClient(context, 0, "unused", 1)
+        # The worker reads no more: the handle's next write fails (EPIPE)
+        # while its receiver still waits for replies.
+        context.worker_end.shutdown(socket.SHUT_RD)
         try:
             with pytest.raises(WorkerDied):
                 worker.submit("predict", "rows")
             assert worker.dead
             assert worker.load() == 0
+        finally:
+            context.worker_end.close()
+            worker.close(timeout=5.0)
+
+
+class _CapturingSocket:
+    """A socket stand-in that records the bytes of each ``sendmsg``,
+    taking at most ``limit`` bytes per call (a short write)."""
+
+    def __init__(self, limit=None):
+        self.data = bytearray()
+        self.calls = 0
+        self.limit = limit
+
+    def sendmsg(self, views):
+        chunk = b"".join(views)[:self.limit]
+        self.data += chunk
+        self.calls += 1
+        if self.calls > 1 << 16:
+            raise AssertionError("the sender is not making progress")
+        return len(chunk)
+
+
+def _frame_bytes(message) -> bytes:
+    captured = _CapturingSocket()
+    _FramedSocket(captured).send(message)
+    return bytes(captured.data)
+
+
+def _round_trip(message, limit=None):
+    """Send ``message`` through a real socket pair, ``limit`` bytes per
+    ``sendmsg`` call at most; returns (received message, sendmsg calls)."""
+    left, right = socket.socketpair()
+    calls = []
+
+    class Limited:
+        def sendmsg(self, views):
+            calls.append(len(views))
+            taken, budget = [], limit
+            for view in views:
+                if budget is not None and budget <= 0:
+                    break
+                part = view if budget is None else view[:budget]
+                taken.append(part)
+                if budget is not None:
+                    budget -= part.nbytes
+            return left.sendmsg(taken)
+
+    try:
+        sender = threading.Thread(
+            target=_FramedSocket(Limited()).send, args=(message,), daemon=True)
+        sender.start()
+        received = _within(30.0, _FramedSocket(right).recv)
+        sender.join(5.0)
+        assert not sender.is_alive()
+        return received, len(calls)
+    finally:
+        left.close()
+        right.close()
+
+
+def _assert_same_array(got, want):
+    assert isinstance(got, np.ndarray)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.flags.writeable
+
+
+class TestWorkerFrames:
+    """Pickle-5 frames on the worker socket: structure in band, contiguous
+    arrays out of band as raw bytes."""
+
+    @pytest.mark.parametrize("array", [
+        np.array(2.5),
+        np.empty((0, 3)),
+        np.zeros((0,), dtype=np.int8),
+        np.arange(24.0).reshape(4, 6)[:, ::2],  # non-contiguous: in band
+        np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+        np.arange(10, dtype=">f8"),
+        np.arange(7, dtype=">i4").reshape(7, 1),
+        np.array([True, False, True]),
+        np.random.default_rng(5).normal(size=(2, 3, 4)),
+    ], ids=["0d", "empty", "empty-int8", "strided", "fortran", "big-endian",
+            "big-endian-int", "bool", "float64"])
+    def test_arrays_round_trip(self, array):
+        message = (7, "predict", {"rows": array, "tag": "x"})
+        (request_id, kind, payload), _ = _round_trip(message)
+        assert (request_id, kind, payload["tag"]) == (7, "predict", "x")
+        _assert_same_array(payload["rows"], array)
+
+    def test_contiguous_arrays_travel_out_of_band(self):
+        rows = np.random.default_rng(6).normal(size=(64, 128))
+        frame = _frame_bytes((1, "predict", PredictRequest(
+            rows, model="m", bits=4, mapping="acm")))
+        meta_len, count = struct.unpack_from("<II", frame)
+        assert count == 1
+        assert struct.unpack_from("<Q", frame, 8) == (rows.nbytes,)
+        assert len(frame) == 8 + 8 + meta_len + rows.nbytes
+        assert frame.endswith(rows.tobytes())
+        # A non-contiguous view cannot be referenced: it stays in band.
+        frame = _frame_bytes(rows[:, ::2])
+        assert struct.unpack_from("<II", frame)[1] == 0
+
+    def test_typed_errors_keep_their_fields(self):
+        errors = [
+            WorkerDied("gone", worker_index=3, breaker_open=True),
+            ApiBackpressure("busy", retry_after=2.5),
+            ModelNotFound("no such model"),
+        ]
+        (request_id, ok, payload), _ = _round_trip((4, False, errors))
+        assert (request_id, ok) == (4, False)
+        assert [type(error) for error in payload] == [type(e) for e in errors]
+        assert (payload[0].worker_index, payload[0].breaker_open) == (3, True)
+        assert payload[1].retry_after == 2.5
+        assert [error.message for error in payload] == [
+            error.message for error in errors]
+
+    def test_large_payload_survives_short_writes(self):
+        rows = np.random.default_rng(7).normal(size=(WIDE_ROWS, WIDE_INPUTS))
+        assert rows.nbytes == 4 << 20
+        request = PredictRequest(rows, model="wide", bits=4, mapping="acm")
+        (request_id, kind, received), calls = _round_trip(
+            (9, "predict", request), limit=1 << 16)
+        assert (request_id, kind) == (9, "predict")
+        assert calls > rows.nbytes // (1 << 16)
+        _assert_same_array(received.images, rows)
+        assert received.model == "wide"
+
+    def test_short_writes_resume_mid_view(self):
+        message = (0, "ping", [np.arange(100.0), b"abc", np.arange(5)])
+        whole = _frame_bytes(message)
+        for limit in (1, 7, 8, 9, 100):
+            captured = _CapturingSocket(limit)
+            _FramedSocket(captured).send(message)
+            assert bytes(captured.data) == whole
+            assert captured.calls == -(-len(whole) // limit)
+
+    def test_eof_inside_a_frame_is_eof(self):
+        frame = _frame_bytes((1, True, np.arange(1000.0)))
+        for cut in (0, 3, 8, 20, len(frame) - 1):
+            left, right = socket.socketpair()
+            try:
+                left.sendall(frame[:cut])
+                left.close()
+                with pytest.raises(EOFError):
+                    _FramedSocket(right).recv()
+            finally:
+                right.close()
+
+    def test_truncated_reply_marks_the_shard_dead(self):
+        context = _StubContext()
+        worker = _WorkerClient(context, 0, "unused", 1)
+        try:
+            future = worker.submit("predict", "rows")
+            # Read the request, so closing is a clean EOF, not a reset.
+            request = _FramedSocket(context.worker_end).recv()
+            assert request == (0, "predict", "rows")
+            frame = _frame_bytes((0, True, np.arange(4096.0)))
+            # The worker dies mid-reply: half of the reply's array arrives.
+            context.worker_end.sendall(frame[:len(frame) - 4096 * 4])
+            context.worker_end.close()
+            with pytest.raises(WorkerDied):
+                future.result(timeout=10.0)
+            assert worker.dead
+            with pytest.raises(WorkerDied):
+                worker.submit("predict", "rows")
         finally:
             worker.close(timeout=5.0)
 
@@ -906,13 +1075,14 @@ class TestWorkerParity:
 
 
 class TestWorkerLoop:
-    """``_worker_main`` on a thread of this process, over a real pipe."""
+    """``_worker_main`` on a thread of this process, over a real socket pair."""
 
     @staticmethod
     def _serve(directory, messages, timeout=60.0):
         """Send ``messages`` and the shutdown sentinel to a worker loop;
         return every reply up to and including its acknowledgement."""
-        parent, child = multiprocessing.Pipe()
+        parent_end, child = socket.socketpair()
+        parent = _FramedSocket(parent_end)
         loop = threading.Thread(target=_worker_main,
                                 args=(child, str(directory), 64),
                                 daemon=True)
@@ -922,7 +1092,8 @@ class TestWorkerLoop:
         parent.send(None)
         replies = []
         while not replies or replies[-1][0] is not None:
-            assert parent.poll(timeout), "the worker loop stopped answering"
+            readable, _, _ = select.select([parent_end], [], [], timeout)
+            assert readable, "the worker loop stopped answering"
             replies.append(parent.recv())
         loop.join(timeout)
         assert not loop.is_alive()

@@ -14,6 +14,7 @@ import json
 import socket
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -32,6 +33,8 @@ from repro.models import make_lenet, make_mlp
 from repro.runtime import compile_model
 from repro.runtime.wire import WireFormatError, decode_array, encode_array
 from repro.serve import InferenceService, PlanRegistry, PlanServer
+from repro.serve import http as http_edge
+from repro.serve.http import _READ_CHUNK, read_exact
 
 
 # ---------------------------------------------------------------------- #
@@ -585,6 +588,134 @@ class TestBodyReading:
         finally:
             sock.close()
         assert b" 413 " in raw.partition(b"\r\n")[0]
+
+
+def _framed_request(images, **headers):
+    """One ``POST /v1/predict`` frame request as raw bytes."""
+    payload = encode_predict_request_frame(PredictRequest(
+        images, model="lenet", bits=4, mapping="acm"))
+    lines = ["POST /v1/predict HTTP/1.1", "Host: test",
+             f"Content-Type: {FRAME_CONTENT_TYPE}",
+             f"Content-Length: {len(payload)}",
+             *(f"{name}: {value}" for name, value in headers.items())]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + payload
+
+
+def _read_logits(reader):
+    """One predict response off a socket file, JSON or frame; its logits."""
+    status_line = reader.readline()
+    assert b" 200 " in status_line, status_line
+    headers = {}
+    while True:
+        line = reader.readline()
+        if line in (b"\r\n", b"\n"):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    raw = reader.read(int(headers["content-length"]))
+    if headers["content-type"] == FRAME_CONTENT_TYPE:
+        return decode_predict_result_frame(raw).logits
+    return decode_array(json.loads(raw)["logits"])
+
+
+class TestBodyBuffer:
+    """Bodies up to ``_READ_CHUNK`` reuse one buffer per connection."""
+
+    def _exchange(self, served, rows, pipelined):
+        """Predicts of ``rows`` rows each, alternating frame and JSON
+        bodies on one keep-alive connection; checks every answer."""
+        requests = []
+        for index, count in enumerate(rows):
+            images = np.random.default_rng(count).normal(size=(count, 1, 16, 16))
+            raw = (_framed_request(images) if index % 2 == 0 else
+                   _raw_request("POST", "/v1/predict", _predict_body(images)))
+            requests.append((images, raw))
+        sock, reader = _connect(served.address)
+        try:
+            if pipelined:
+                sock.sendall(b"".join(raw for _, raw in requests))
+            for images, raw in requests:
+                if not pipelined:
+                    sock.sendall(raw)
+                np.testing.assert_array_equal(_read_logits(reader),
+                                              served.lenet_plan.run(images))
+        finally:
+            sock.close()
+
+    @pytest.mark.parametrize("pipelined", [False, True],
+                             ids=["sequential", "pipelined"])
+    def test_mixed_bodies_of_changing_size_on_one_connection(
+        self, served, pipelined
+    ):
+        # Growing, shrinking and regrowing bodies: a short body read into
+        # the grown buffer must not see the tail of a longer one.
+        self._exchange(served, [16, 1, 40, 3, 2, 64, 8], pipelined)
+
+    def test_a_body_over_the_read_chunk_is_not_kept(self, served, monkeypatch):
+        seen = []
+
+        def recording(readinto, length, scratch):
+            body = read_exact(readinto, length, scratch)
+            seen.append((length, scratch.obj, body.obj))
+            return body
+
+        monkeypatch.setattr(http_edge, "read_exact", recording)
+        # The 512-row frame body is just past _READ_CHUNK; the requests
+        # around it fit.
+        self._exchange(served, [2, 3, 512, 4], pipelined=False)
+        big = [(scratch, body) for length, scratch, body in seen
+               if length > _READ_CHUNK]
+        assert len(big) == 1
+        scratch, body = big[0]
+        assert body is not scratch and len(scratch) == _READ_CHUNK
+        small = [(scratch, body) for length, scratch, body in seen
+                 if length <= _READ_CHUNK]
+        assert all(body is scratch for scratch, body in small)
+        # One connection, one grow-only buffer: a new one only to grow.
+        assert len({id(scratch) for scratch, _ in small}) <= 3
+        assert seen[-1][1] is seen[2][1]
+
+    def test_a_large_declared_length_costs_only_what_arrives(self, served):
+        # A client that declares a large body and sends a few bytes must
+        # not make the edge allocate the declared size before they arrive.
+        declared = 256 << 20
+        head = ("POST /v1/predict HTTP/1.1\r\nHost: test\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {declared}\r\n\r\n").encode("latin-1")
+        tracemalloc.start()
+        try:
+            sock, reader = _connect(served.address)
+            try:
+                sock.sendall(head + b"{" * 4096)
+                sock.shutdown(socket.SHUT_WR)
+                status, headers, body = _read_response(reader)
+            finally:
+                sock.close()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == 400
+        assert "truncated" in body["error"]["message"]
+        assert "got 4096" in body["error"]["message"]
+        assert peak < 8 * _READ_CHUNK, peak
+
+    def test_truncated_body_after_a_reused_buffer_is_400(self, served):
+        images = served.images[:4]
+        truncated = _framed_request(images)[:-100]
+        sock, reader = _connect(served.address)
+        try:
+            sock.sendall(_framed_request(images))
+            np.testing.assert_array_equal(_read_logits(reader),
+                                          served.lenet_plan.run(images))
+            sock.sendall(truncated)
+            sock.shutdown(socket.SHUT_WR)
+            status, headers, body = _read_response(reader)
+        finally:
+            sock.close()
+        assert status == 400
+        assert headers.get("connection") == "close"
+        assert body["error"]["code"] == "invalid_request"
+        assert "truncated" in body["error"]["message"]
 
 
 class TestStudyCancel:
