@@ -1,6 +1,6 @@
 """Conv lowering benchmark: both lowerings against inline references.
 
-Three legs, one record (``BENCH_im2col.json``):
+Four legs, one record (``BENCH_im2col.json``):
 
 * **im2col** — ``repro.tensor.functional.im2col`` feeds eager conv training
   and its backward, so its copy count is paid on every eager conv forward.
@@ -18,6 +18,13 @@ Three legs, one record (``BENCH_im2col.json``):
   quarter; the op-by-op ``conv → relu → max-pool`` chain is the reference,
   on LeNet's two convs at 256 rows and on a 32-sample × 8-image
   Monte-Carlo stack through both.
+* **blocked trunk** — :meth:`~repro.runtime.plan.InferencePlan.run`
+  executes a plan's conv trunk in blocks of at most
+  ``_TRUNK_BLOCK_IMAGES`` images; the whole batch as one block is the
+  reference, on LeNet at 256 rows and ResNet-20 at 128.  The leg records
+  the time and the ``tracemalloc`` peak of both and asserts that the
+  blocked peak stays under :data:`TRUNK_PEAK_CEILING` of the reference's.
+  It has no speed floor.
 
 Every leg asserts bit-identity to its reference unconditionally and records
 the measured ratio, so a future refactor cannot silently regress the copy
@@ -28,11 +35,16 @@ from __future__ import annotations
 
 import os
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from benchmarks.conftest import persist_results, print_header, run_once
+from repro.models import make_lenet, make_resnet20
+from repro.runtime import compile_model
+from repro.runtime import plan as plan_module
 from repro.runtime.plan import ActivationOp, ConvOp, MaxPoolOp
 from repro.tensor.functional import conv_output_size, im2col
 
@@ -55,6 +67,12 @@ PLAN_GEOMETRIES = (
 POOL = MaxPoolOp(kernel=(2, 2), stride=(2, 2))
 #: Monte-Carlo draws × images of the sampled leg.
 SAMPLED_STACK = (32, 8)
+#: (model, rows) of the blocked-trunk leg: LeNet at the 256-row requests of
+#: perfbench's batch_large, and ResNet-20, whose trunk is 71 steps.
+TRUNK_CASES = (("lenet", make_lenet, 256), ("resnet20", make_resnet20, 128))
+#: The blocked trunk's tracemalloc peak over the one-block run's: it reads
+#: ~0.32 on LeNet (four blocks) and ~0.50 on ResNet-20 (two).
+TRUNK_PEAK_CEILING = 0.6
 REPEATS = 30
 WARMUP = 3
 SPEEDUP_FLOOR = 1.0         # enforced on >= 2 cores: never slower than the reference
@@ -239,16 +257,55 @@ def _fused_epilogue_comparison() -> dict:
     }
 
 
+def _peak_mib(function) -> float:
+    tracemalloc.start()
+    try:
+        function()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def _blocked_trunk_comparison() -> dict:
+    """``plan.run`` with its trunk in blocks against the whole batch as one."""
+    legs = {}
+    for name, factory, rows in TRUNK_CASES:
+        plan = compile_model(factory(mapping="acm", quantizer_bits=4, seed=0))
+        images = np.random.default_rng(5).normal(size=(rows,) + plan.input_shape)
+
+        def blocked(plan=plan, images=images):
+            return plan.run(images)
+
+        def one_block(plan=plan, images=images):
+            with mock.patch.object(plan_module, "_TRUNK_BLOCK_IMAGES", len(images)):
+                return plan.run(images)
+
+        # Bit-identity against one block, unconditionally.
+        np.testing.assert_array_equal(blocked().view(np.uint64),
+                                      one_block().view(np.uint64))
+        one_block_seconds, blocked_seconds = _interleaved_median_seconds(
+            one_block, blocked)
+        legs[f"{name}_{rows}"] = {
+            "one_block_ms": one_block_seconds * 1e3,
+            "blocked_ms": blocked_seconds * 1e3,
+            "speedup": one_block_seconds / blocked_seconds,
+            "one_block_peak_mib": _peak_mib(one_block),
+            "blocked_peak_mib": _peak_mib(blocked),
+        }
+    return legs
+
+
 def _comparison() -> dict:
     return {"im2col": _im2col_comparison(), "plan_conv": _plan_conv_comparison(),
-            "fused_epilogue": _fused_epilogue_comparison()}
+            "fused_epilogue": _fused_epilogue_comparison(),
+            "blocked_trunk": _blocked_trunk_comparison()}
 
 
 @pytest.mark.benchmark(group="int-kernels")
 def test_conv_lowerings_not_slower_than_their_references(benchmark):
     outcome = run_once(benchmark, _comparison)
     lowering, plan_conv = outcome["im2col"], outcome["plan_conv"]
-    fused = outcome["fused_epilogue"]
+    fused, trunk = outcome["fused_epilogue"], outcome["blocked_trunk"]
     cores = len(os.sched_getaffinity(0))
     sanity_only = bool(os.environ.get("REPRO_BENCH_SANITY_ONLY"))
     floor_enforced = cores >= 2 and not sanity_only
@@ -263,6 +320,12 @@ def test_conv_lowerings_not_slower_than_their_references(benchmark):
     print(f"conv-relu-pool op by op: {fused['op_by_op_ms']:8.3f} ms median")
     print(f"conv-relu-pool fused:    {fused['fused_ms']:8.3f} ms median")
     print(f"speedup: {fused['speedup']:.2f}x (floor {SPEEDUP_FLOOR}x)")
+    for case, leg in trunk.items():
+        print(f"{case} one block: {leg['one_block_ms']:8.3f} ms median, "
+              f"peak {leg['one_block_peak_mib']:6.2f} MiB")
+        print(f"{case} blocked:   {leg['blocked_ms']:8.3f} ms median, "
+              f"peak {leg['blocked_peak_mib']:6.2f} MiB "
+              f"(ceiling {TRUNK_PEAK_CEILING}x, no speed floor)")
 
     persist_results("im2col", {
         "two_copy_ms": lowering["two_copy_ms"],
@@ -282,6 +345,11 @@ def test_conv_lowerings_not_slower_than_their_references(benchmark):
             "geometries": [list(geometry) for geometry in PLAN_GEOMETRIES[:2]],
             "sampled_stack": list(SAMPLED_STACK),
         },
+        "blocked_trunk": {
+            **trunk,
+            "block_images": plan_module._TRUNK_BLOCK_IMAGES,
+            "peak_ceiling": TRUNK_PEAK_CEILING,
+        },
         "floor": SPEEDUP_FLOOR,
         "floor_enforced": floor_enforced,
     })
@@ -295,3 +363,7 @@ def test_conv_lowerings_not_slower_than_their_references(benchmark):
             )
         else:
             assert leg["speedup"] >= SINGLE_CORE_GUARD
+    for case, leg in trunk.items():
+        assert leg["blocked_peak_mib"] < TRUNK_PEAK_CEILING * leg["one_block_peak_mib"], (
+            f"{case}: the blocked trunk peaks at {leg['blocked_peak_mib']:.2f} MiB"
+        )

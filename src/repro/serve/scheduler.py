@@ -1,8 +1,8 @@
 """Dynamic micro-batching: coalesce concurrent requests into one execution.
 
 Serving a compiled plan one request at a time wastes the runtime's main
-advantage — a batched matmul amortises the per-call overhead (im2col, BLAS
-dispatch, Python) over every row.  The :class:`MicroBatchScheduler` closes
+advantage — a batched matmul amortises the per-call overhead (tap-major
+conv lowering, BLAS dispatch, Python) over every row.  The :class:`MicroBatchScheduler` closes
 that gap for concurrent traffic: requests enqueue individually, a worker
 thread coalesces whatever is waiting — up to ``max_batch`` rows — into one
 stacked execution, and scatters the result rows back onto per-request

@@ -389,7 +389,9 @@ class InferenceService:
         For plans with a recorded input shape the per-sample geometry is also
         validated symbolically before the request is enqueued, so a malformed
         request fails in its caller's thread instead of poisoning the whole
-        micro-batch it would have been coalesced into.
+        micro-batch it would have been coalesced into.  An empty batch is
+        refused here too, before either lane queues it, holds an ensemble
+        slot or draws a weight stack for it.
         """
         array = np.asarray(images)
         single = (
@@ -397,6 +399,8 @@ class InferenceService:
         )
         if single:
             array = array[None]
+        if array.ndim and not len(array):
+            raise ValueError("a request must contain at least one row")
         if plan.input_shape is not None:
             try:
                 plan.output_shapes(array.shape[1:])

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +17,11 @@ from repro.models import make_lenet, make_mlp, make_resnet20, make_vgg9
 from repro.nn.module import Module
 from repro.runtime import (
     ActivationOp,
+    AddOp,
     AvgPoolOp,
     ConvOp,
     CrossbarSpec,
+    DenseOp,
     FlattenOp,
     GlobalAvgPoolOp,
     InferencePlan,
@@ -35,6 +39,7 @@ from repro.runtime import (
 )
 from repro.serve import PlanArtifactError, PlanRegistry
 from repro.tensor import Tensor, no_grad
+from repro.runtime import plan as plan_module
 from repro.runtime.plan import _ConvReluMaxPool, _max_taps, _pool
 from repro.tensor.functional import conv2d_from_matrix, conv_output_size
 
@@ -365,9 +370,9 @@ class TestDrawBits:
 
 
 @st.composite
-def conv_cases(draw):
+def conv_cases(draw, batches=st.integers(1, 5)):
     """A small random conv geometry with seeded weights, bias and inputs."""
-    batch = draw(st.integers(1, 5))
+    batch = draw(batches)
     channels = draw(st.integers(1, 4))
     height, width = draw(st.integers(3, 9)), draw(st.integers(3, 9))
     out_channels = draw(st.integers(1, 5))
@@ -432,6 +437,56 @@ def fused_cases(draw):
         output=3, num_slots=4,
     )
     return plan, images, weights
+
+
+@st.composite
+def trunk_cases(draw):
+    """A conv trunk ahead of flatten → dense, its input, and a trunk block
+    size; the batch is one block less one, one block, or one or two blocks
+    plus or minus one.  The conv's output map is eight pixels wide (whole
+    GEMM panels), as drawn, or 1×1 (one GEMM column per image), and the
+    trunk ends in a fused max pool, an average pool, a global pool or a
+    residual add of the conv and its ReLU."""
+    block = draw(st.integers(3, 6))
+    batch = draw(st.sampled_from(
+        (block - 1, block, block + 1, 2 * block - 1, 2 * block + 1)))
+    op, images, _ = draw(conv_cases(batches=st.just(batch)))
+    images = images[0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    _, kernel_h, kernel_w = op.kernel_shape
+    output_map = draw(st.sampled_from(("8-wide", "drawn", "1x1")))
+    if output_map == "1x1":
+        op = dataclasses.replace(op, padding=(0, 0))
+        images = np.ascontiguousarray(images[..., :kernel_h, :kernel_w])
+    elif output_map == "8-wide":
+        width = 7 * op.stride[1] + kernel_w - 2 * op.padding[1]
+        images = rng.normal(size=images.shape[:-1] + (width,))
+    _, out_h, out_w = op.infer_shape(images.shape[1:])
+    ops = [dataclasses.replace(op, inputs=(0,), output=1),
+           ActivationOp(inputs=(1,), output=2, kind="relu")]
+    tail = draw(st.sampled_from(("max", "avg", "global", "add")))
+    if tail in ("max", "avg"):
+        kernel, stride = draw(pool_windows(out_h, out_w))
+        pool = MaxPoolOp if tail == "max" else AvgPoolOp
+        ops.append(pool(inputs=(2,), output=3, kernel=kernel, stride=stride))
+    elif tail == "global":
+        ops.append(GlobalAvgPoolOp(inputs=(2,), output=3))
+    else:
+        ops.append(AddOp(inputs=(1, 2), output=3))
+    trunk = InferencePlan(ops=ops, output=3, num_slots=4)
+    features = math.prod(trunk.output_shapes(images.shape[1:])[-1])
+    plan = InferencePlan(ops=ops + [
+        FlattenOp(inputs=(3,), output=4),
+        DenseOp(inputs=(4,), output=5, weight=rng.normal(size=(3, features)),
+                bias=rng.normal(size=3)),
+    ], output=5, num_slots=6)
+    return plan, images, block
+
+
+def _one_block(plan, images):
+    """``plan.run`` with the whole batch as one trunk block."""
+    with mock.patch.object(plan_module, "_TRUNK_BLOCK_IMAGES", len(images) + 1):
+        return plan.run(images)
 
 
 def _op_by_op(plan, images):
@@ -562,6 +617,22 @@ class TestConvLoweringFuzz:
                 ])
                 _assert_bitwise(logits[sample], single.run(rows))
 
+    @settings(max_examples=150, deadline=None)
+    @given(trunk_cases())
+    def test_blocked_trunk_is_one_block_bitwise(self, case):
+        plan, images, block = case
+        conv = plan.ops[0]
+        _, out_h, out_w = conv.infer_shape(images.shape[1:])
+        # Every step but flatten → dense is in the trunk when the conv's
+        # GEMM splits exactly: whole 8-column panels per image (K is at
+        # most 36 here).
+        exact = out_h * out_w % 8 == 0
+        with mock.patch.object(plan_module, "_TRUNK_BLOCK_IMAGES", block):
+            assert plan._trunk(images.shape[1:]) == (
+                len(plan._steps) - 2 if exact else 0)
+            blocked = plan.run(images)
+        _assert_bitwise(blocked, _one_block(plan, images))
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -585,6 +656,53 @@ class TestConvLoweringFuzz:
             rows = _max_taps(x.copy(), kw, sw, out_w, -1, in_place=True)
             _assert_bitwise(_max_taps(rows, kh, sh, out_h, -2), folded)
         np.testing.assert_array_equal(pooled, np.max(windows, axis=0))
+
+
+class TestBlockedTrunk:
+    """``plan.run`` runs the conv trunk in image blocks with the bits of one."""
+
+    @pytest.fixture(scope="class")
+    def plans(self):
+        """The four shipped models as ACM 4-bit plans."""
+        factories = {"lenet": make_lenet, "mlp": make_mlp,
+                     "resnet20": make_resnet20, "vgg9": make_vgg9}
+        return {name: compile_model(factory(mapping="acm", quantizer_bits=4, seed=0))
+                for name, factory in factories.items()}
+
+    @pytest.mark.parametrize("name,trunk", [
+        # LeNet: both fused convs; ResNet-20: everything up to the global
+        # pool; VGG-9: every conv and pool; the MLP has none.
+        ("lenet", 2), ("mlp", 0), ("resnet20", 71), ("vgg9", 21),
+    ])
+    def test_trunk_of_each_shipped_plan(self, plans, name, trunk):
+        plan = plans[name]
+        assert plan._trunk(plan.input_shape) == trunk
+
+    @pytest.mark.parametrize("name", ["lenet", "mlp", "resnet20", "vgg9"])
+    @pytest.mark.parametrize("rows", [65, 97, 130, 257])
+    def test_blocked_run_is_one_block_bitwise(self, plans, name, rows):
+        plan = plans[name]
+        images = np.random.default_rng(rows).normal(size=(rows,) + plan.input_shape)
+        _assert_bitwise(plan.run(images), _one_block(plan, images))
+
+    @pytest.mark.parametrize("name", ["lenet", "mlp", "resnet20"])
+    def test_empty_batch_gives_empty_logits(self, plans, name):
+        plan = plans[name]
+        logits = plan.run(np.empty((0,) + plan.input_shape))
+        assert logits.shape == (0, 10) and logits.dtype == np.float64
+
+    def test_transient_memory_is_bounded_by_the_block(self, plans):
+        plan = plans["lenet"]
+        images = np.random.default_rng(0).normal(size=(4096,) + plan.input_shape)
+        tracemalloc.start()
+        try:
+            plan.run(images)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One block at a time: ~12 MiB, 8 of them the trunk's output.  The
+        # whole batch as one block peaks at ~152 MiB.
+        assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestPlanSerialization:

@@ -692,6 +692,29 @@ class TestEnsembleWeightStackCache:
             assert len(calls) == 4
             assert evicted.seed == 1
 
+    def test_empty_batch_is_refused_before_any_draw(self, served, monkeypatch):
+        registry, images = served
+        calls = self._counting(monkeypatch)
+        kwargs = dict(model="mlp", bits=4, mapping="acm",
+                      sigma_fraction=0.2, num_samples=64)
+        with InferenceService(registry, ensemble_cache_size=1) as service:
+            with pytest.raises(InvalidRequest, match="at least one row"):
+                service.ensemble_request(EnsembleRequest(images[:0], seed=1, **kwargs))
+            assert service.ensemble_cache_misses == 0
+            assert not service._ensemble_cache
+            # A live entry is not evicted by an empty request either.
+            service.ensemble_request(EnsembleRequest(images, seed=2, **kwargs))
+            cached = [(key, id(stacks))
+                      for key, stacks in service._ensemble_cache.items()]
+            with pytest.raises(InvalidRequest, match="at least one row"):
+                service.ensemble_request(EnsembleRequest(images[:0], seed=3, **kwargs))
+            assert cached == [(key, id(stacks))
+                              for key, stacks in service._ensemble_cache.items()]
+            assert service.ensemble_cache_misses == 1 and len(calls) == 1
+            with pytest.raises(InvalidRequest, match="at least one row"):
+                service.predict_request(PredictRequest(
+                    images[:0], model="mlp", bits=4, mapping="acm"))
+
     def test_cached_result_matches_fresh_service_bitwise(self, served):
         """A cache hit must serve the exact bits a cold service computes."""
         registry, images = served
